@@ -17,14 +17,7 @@ import sys
 
 from ranktail.simulate import ModelSpec, simulate_R, tail_ratio_table
 from ranktail.theory import TheoryParams, coefficient_C, coefficient_Ck
-
-
-def two_atom_hist(d: float, p0: float) -> dict[int, float]:
-    p24 = (d - 4.0 * (1 - p0)) / 20.0
-    p4 = 1 - p0 - p24
-    if min(p4, p24) <= 0:
-        raise SystemExit("mean degree not representable with the default histogram")
-    return {0: p0, 4: p4, 24: p24}
+from synthetic_experiment import default_hist
 
 
 def main(argv=None) -> int:
@@ -40,7 +33,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     spec = ModelSpec(c=args.damping, alpha=args.alpha, d=args.mean_degree,
-                     outdeg_hist=two_atom_hist(args.mean_degree, args.dangling),
+                     outdeg_hist=default_hist(args.mean_degree, args.dangling),
                      pool_size=args.pool_size, seed=args.seed)
     params = TheoryParams.from_histogram(spec.c, spec.alpha, spec.outdeg_hist,
                                          d=spec.d)

@@ -3,14 +3,13 @@ fitting, closed-form tail-coefficient prediction, and Monte Carlo
 validation of the score recursion."""
 
 from .graph import (DegreeProfile, EdgeListParseError, Graph, degree_profile,
-                    effective_outdegree_dist, load_edge_list, write_edge_list)
+                    load_edge_list, write_edge_list)
 from .pagerank import (PageRankParams, PageRankResult, dangling_mass_fraction,
-                       export_scores, iteration_snapshot, pagerank)
+                       export_scores, pagerank)
 from .simulate import (EffectiveOutdegreeSampler, ModelSpec, SamplePool,
                        SimulationConvergenceError, YLevelResult, initial_pool,
-                       iterate_pool, sample_effective_outdegree, sample_indegree,
-                       simulate_R, simulate_Y_level, simulate_Y_levels,
-                       tail_ratio_table)
+                       iterate_pool, sample_indegree, simulate_R,
+                       simulate_Y_levels, tail_ratio_table)
 from .synth import SynthSpec, generate
 from .tails import (CcdfSeries, InsufficientTailError, TailFit, ccdf, choose_xmin,
                     fit_exponent_mle)

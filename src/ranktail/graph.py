@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +127,19 @@ def parse_hist(obj) -> dict[int, float]:
     return hist
 
 
-def _open_text(source):
-    """Open a path (gzip-aware) or pass through a file-like object."""
-    if hasattr(source, "read"):
-        return source, False
-    path = os.fspath(source)
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8"), True
-    return open(path, "r", encoding="utf-8"), True
+@contextmanager
+def open_text(target, mode: str = "r"):
+    """UTF-8 text stream on a path (through gzip when it ends in ".gz"), or an
+    already-open stream passed through and left open.  Writes use newline=""
+    so rows keep exactly the line endings the caller wrote."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+        return
+    path = os.fspath(target)
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, mode + "t", encoding="utf-8",
+                newline=None if mode == "r" else "") as stream:
+        yield stream
 
 
 def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
@@ -148,10 +154,9 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     Raises EdgeListParseError (with the line number) on malformed lines and
     ValueError on empty input.
     """
-    stream, owned = _open_text(source)
     src: list[int] = []
     dst: list[int] = []
-    try:
+    with open_text(source) as stream:
         for line_no, line in enumerate(stream, 1):
             if line.startswith("#") or not line.strip():
                 continue
@@ -168,9 +173,6 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
                 continue
             src.append(s)
             dst.append(t)
-    finally:
-        if owned:
-            stream.close()
     if not src:
         raise ValueError("empty edge list")
     src_arr = np.asarray(src, dtype=np.int64)
@@ -185,25 +187,12 @@ def write_edge_list(g: Graph, dest) -> None:
     src, dst = g.edge_arrays()
     osrc = g.orig_ids[src]
     odst = g.orig_ids[dst]
-    stream, owned = _opened_for_write(dest)
-    try:
+    with open_text(dest, "w") as stream:
         chunk = 1 << 16
         for start in range(0, g.m, chunk):
             stop = min(start + chunk, g.m)
             lines = "\n".join(f"{a}\t{b}" for a, b in zip(osrc[start:stop], odst[start:stop]))
             stream.write(lines + "\n")
-    finally:
-        if owned:
-            stream.close()
-
-
-def _opened_for_write(dest):
-    if hasattr(dest, "write"):
-        return dest, False
-    path = os.fspath(dest)
-    if path.endswith(".gz"):
-        return gzip.open(path, "wt", encoding="utf-8"), True
-    return open(path, "w", encoding="utf-8"), True
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
@@ -215,11 +204,3 @@ def degree_profile(g: Graph) -> DegreeProfile:
     in_hist = {int(k): float(c / n) for k, c in enumerate(in_counts) if c > 0}
     return DegreeProfile(n=n, m=g.m, d=g.m / n, p0=p_hist.get(0, 0.0),
                          p_hist=p_hist, in_hist=in_hist)
-
-
-def effective_outdegree_dist(profile: DegreeProfile) -> dict[int, float]:
-    """Size-biased out-degree law of the source of a uniform random edge:
-    q_j = j * p_j / d for j >= 1."""
-    if profile.d <= 0:
-        raise ValueError("effective out-degree undefined for an edgeless graph (d = 0)")
-    return {j: float(j * p / profile.d) for j, p in sorted(profile.p_hist.items()) if j >= 1}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, open_text
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,6 @@ def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:
                           snapshots=snapshots, converged=converged, params=params)
 
 
-def iteration_snapshot(result: PageRankResult, k: int) -> np.ndarray:
-    """Score vector after iteration k (k = 0 is the all-ones start)."""
-    if k == 0:
-        return np.ones(result.scores.size)
-    if k not in result.snapshots:
-        raise KeyError(f"no snapshot stored for iteration {k}; "
-                       f"stored: {sorted(result.snapshots)}")
-    return result.snapshots[k]
-
-
 def dangling_mass_fraction(scores: np.ndarray, g: Graph) -> float:
     """(1/n) * sum of scores over dangling nodes."""
     scores = np.asarray(scores)
@@ -122,13 +112,8 @@ def dangling_mass_fraction(scores: np.ndarray, g: Graph) -> float:
 def export_scores(g: Graph, scores: np.ndarray, dest) -> None:
     """Write "node_id,score" CSV using original node ids."""
     scores = np.asarray(scores)
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(["node_id", "score"])
         for oid, s in zip(g.orig_ids, scores):
             writer.writerow([int(oid), repr(float(s))])
-    finally:
-        if own:
-            stream.close()

@@ -134,7 +134,8 @@ def sample_indegree(spec: ModelSpec, rng: np.random.Generator, size=None):
 
 class EffectiveOutdegreeSampler:
     """Inverse-CDF table for the size-biased out-degree law q_j = j*p_j/d,
-    built once and reused across generations."""
+    built once and reused across generations.  ``values`` and
+    ``probabilities`` hold the support j >= 1 and q_j."""
 
     def __init__(self, outdeg_hist: dict[int, float], d: float | None = None):
         mean = validate_outdegree_hist(outdeg_hist, d)
@@ -144,9 +145,8 @@ class EffectiveOutdegreeSampler:
         if d is None:
             d = mean
         self.values = np.array([j for j, _ in items], dtype=np.int64)
-        q = np.array([j * p / d for j, p in items])
-        self.probabilities = q
-        cum = np.cumsum(q)
+        self.probabilities = np.array([j * p / d for j, p in items])
+        cum = np.cumsum(self.probabilities)
         cum[-1] = 1.0  # absorb rounding so every uniform draw lands in range
         self._cum = cum
 
@@ -154,12 +154,6 @@ class EffectiveOutdegreeSampler:
         u = rng.random(size)
         out = self.values[np.searchsorted(self._cum, u, side="right")]
         return int(out) if size is None else out
-
-
-def sample_effective_outdegree(outdeg_hist: dict[int, float], d: float,
-                               rng: np.random.Generator, size=None):
-    """One-shot draws from q_j = j*p_j/d (builds the table each call)."""
-    return EffectiveOutdegreeSampler(outdeg_hist, d).sample(rng, size)
 
 
 def initial_pool(spec: ModelSpec) -> SamplePool:
@@ -324,10 +318,3 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
             weights = np.repeat(weights, offspring) / d_draw
             values[s, level] = weights.sum()
     return YLevelResult(values=values, aborted=aborted)
-
-
-def simulate_Y_level(spec: ModelSpec, level: int, n_samples: int = 10_000,
-                     node_budget: int = 10_000_000,
-                     rng: np.random.Generator | None = None) -> YLevelResult:
-    """Realizations of the single level total Y_level (columns 0..level kept)."""
-    return simulate_Y_levels(spec, level, n_samples, node_budget, rng)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .graph import Graph
 from .simulate import sample_pareto
+from .theory import validate_outdegree_hist
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,7 @@ class SynthSpec:
         if self.fixed_indegree is not None and self.fixed_indegree < 0:
             raise ValueError("fixed in-degree must be non-negative")
         hist = {int(j): float(p) for j, p in self.outdeg_hist.items()}
-        if any(j < 0 for j in hist) or any(p < 0 for p in hist.values()):
-            raise ValueError("histogram keys and fractions must be non-negative")
-        total = sum(hist.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"histogram fractions sum to {total!r}, not 1")
+        validate_outdegree_hist(hist)
         mean = sum(j * p for j, p in hist.items())
         if abs(mean - self.d) > 1e-6 * max(self.d, 1.0):
             if mean <= 0:

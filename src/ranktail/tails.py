@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import open_text
+
 
 class InsufficientTailError(ValueError):
     """Too few samples at or above the tail threshold."""
@@ -87,16 +89,11 @@ def decimate_ccdf(series: CcdfSeries, max_points: int = 4096) -> CcdfSeries:
 
 
 def write_ccdf_csv(series: CcdfSeries, dest) -> None:
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(["x", "ccdf"])
         for x, f in zip(series.xs, series.fractions):
             writer.writerow([repr(float(x)), repr(float(f))])
-    finally:
-        if own:
-            stream.close()
 
 
 def fit_exponent_mle(values, x_min: float) -> TailFit:

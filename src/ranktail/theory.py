@@ -135,10 +135,7 @@ def coefficient_Ck(params: TheoryParams, k: int) -> float:
 
 def coefficient_C(params: TheoryParams) -> float:
     """Limit tail coefficient of the fixed point."""
-    r = params.geometric_ratio
-    if r >= 1.0:
-        raise ValueError("series diverges: c^alpha * b >= 1")
-    return 10.0 ** params.log10_c1 / (1.0 - r)
+    return 10.0 ** params.log10_c1 / (1.0 - params.geometric_ratio)
 
 
 def coefficient_lower_bound(params: TheoryParams) -> float:
@@ -156,7 +153,6 @@ def coefficient_table(params: TheoryParams, k_max: int | None = None) -> Coeffic
     if k_max is None:
         r = params.geometric_ratio
         k_max = 1 if r == 0 else min(10_000, math.ceil(math.log(1e-12) / math.log(r)))
-        k_max = max(k_max, 1)
     cks = [coefficient_Ck(params, k) for k in range(1, k_max + 1)]
     return CoefficientTable(b=params.b, c_k=cks, c_limit=coefficient_C(params),
                             c_lower_bound=coefficient_lower_bound(params))

@@ -161,14 +161,22 @@ class TestSimulateCmd:
         assert summary["pool_mean"] == 1.0
         assert (out / "pool_ccdf.csv").exists()
 
-    def test_fixed_iterations_summary(self, tmp_path):
-        path = self.spec_file(tmp_path)
+    @pytest.mark.parametrize("alpha", [2.5, 1.5])
+    def test_fixed_iterations_summary(self, tmp_path, alpha):
+        path = self.spec_file(tmp_path, alpha=alpha)
         out = tmp_path / "sim"
         assert main(["simulate", str(path), "--iters", "3",
                      "--output-dir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["generations"] == 3
-        assert summary["invariants"]["values_at_least_baseline"] is True
+        invariants = summary["invariants"]
+        assert invariants["values_at_least_baseline"] is True
+        # the 5/sqrt(M) band on the pool mean is a CLT statement, which needs
+        # a finite variance (alpha > 2); below that the flag is null
+        if alpha > 2.0:
+            assert isinstance(invariants["mean_within_5_over_sqrt_M"], bool)
+        else:
+            assert invariants["mean_within_5_over_sqrt_M"] is None
         assert "tail_ratios" in summary
 
     def test_malformed_json_is_data_error(self, tmp_path, capsys):
@@ -197,6 +205,3 @@ class TestGenerateCmd:
         assert realized["n"] == 5000
         code = main(["stats", str(synth_dir / "edges.txt")])
         assert code == 0
-
-    def test_threads_validation(self, star_file):
-        assert main(["stats", str(star_file), "--threads", "0"]) == 2

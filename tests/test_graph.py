@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranktail.graph import (DegreeProfile, EdgeListParseError, degree_profile,
-                            effective_outdegree_dist, load_edge_list, write_edge_list)
+                            load_edge_list, write_edge_list)
+from ranktail.simulate import EffectiveOutdegreeSampler
 
 
 def graph_from_text(text, **kw):
     return load_edge_list(io.StringIO(text), **kw)
+
+
+def effective_outdegree_law(profile):
+    """{j: q_j} of the size-biased out-degree law q_j = j*p_j/d of a profile."""
+    sampler = EffectiveOutdegreeSampler(profile.p_hist, profile.d)
+    return dict(zip(sampler.values.tolist(), sampler.probabilities.tolist()))
 
 
 class TestLoadEdgeList:
@@ -105,19 +112,19 @@ class TestEffectiveOutdegree:
     def test_single_support_point(self):
         prof = DegreeProfile(n=5, m=4, d=0.8, p0=0.2,
                              p_hist={0: 0.2, 1: 0.8}, in_hist={})
-        assert effective_outdegree_dist(prof) == {1: pytest.approx(1.0)}
+        assert effective_outdegree_law(prof) == {1: pytest.approx(1.0)}
 
     def test_two_atoms(self):
         prof = DegreeProfile(n=4, m=8, d=2.0, p0=0.0,
                              p_hist={1: 0.5, 3: 0.5}, in_hist={})
-        q = effective_outdegree_dist(prof)
+        q = effective_outdegree_law(prof)
         assert q[1] == pytest.approx(0.25)
         assert q[3] == pytest.approx(0.75)
 
     def test_edgeless_graph_rejected(self):
         prof = DegreeProfile(n=3, m=0, d=0.0, p0=1.0, p_hist={0: 1.0}, in_hist={})
         with pytest.raises(ValueError):
-            effective_outdegree_dist(prof)
+            effective_outdegree_law(prof)
 
 
 edge_lists = st.lists(
@@ -160,7 +167,7 @@ def test_inverse_degree_identity(weights):
         return
     prof = DegreeProfile(n=100, m=int(100 * d), d=d, p0=p_hist.get(0, 0.0),
                          p_hist=p_hist, in_hist={})
-    q = effective_outdegree_dist(prof)
+    q = effective_outdegree_law(prof)
     assert sum(val / j for j, val in q.items()) == pytest.approx(
         (1.0 - prof.p0) / d, abs=1e-12, rel=1e-12)
     assert sum(q.values()) == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from oracles import dense_pagerank, random_small_graph
 from ranktail.graph import Graph, load_edge_list
 from ranktail.pagerank import (PageRankParams, dangling_mass_fraction, export_scores,
-                               iteration_snapshot, pagerank)
+                               pagerank)
 
 
 def graph_from_text(text):
@@ -84,20 +84,11 @@ class TestIterationStructure:
         g = graph_from_text("1 0\n2 0\n3 0\n4 0\n")
         c = 0.85
         res = pagerank(g, PageRankParams(c=c, snapshot_iters={1}))
-        snap = iteration_snapshot(res, 1)
+        snap = res.snapshots[1]
         base = 1 - c * (1 - 0.2)
         assert snap[0] == pytest.approx(4 * c + base)      # hub gathers 4 in-links
         assert snap[1:] == pytest.approx(np.full(4, base))  # leaves have none
         assert snap.mean() == pytest.approx(1.0, abs=1e-12)
-
-    def test_snapshot_k0_is_ones(self):
-        res = pagerank(path_graph(), PageRankParams())
-        assert iteration_snapshot(res, 0) == pytest.approx(np.ones(3))
-
-    def test_missing_snapshot_raises(self):
-        res = pagerank(path_graph(), PageRankParams(snapshot_iters={1}))
-        with pytest.raises(KeyError):
-            iteration_snapshot(res, 2)
 
     def test_max_iters_cap_reported(self):
         g = graph_from_text("0 1\n1 0\n1 2\n2 0\n")

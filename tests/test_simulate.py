@@ -4,8 +4,7 @@ import pytest
 from oracles import solved_histogram
 from ranktail.simulate import (EffectiveOutdegreeSampler, ModelSpec,
                                SimulationConvergenceError, initial_pool, iterate_pool,
-                               sample_effective_outdegree, sample_indegree,
-                               sample_pareto, simulate_R, simulate_Y_level,
+                               sample_indegree, sample_pareto, simulate_R,
                                simulate_Y_levels, tail_ratio_table)
 from ranktail.theory import TheoryParams, coefficient_Ck
 
@@ -96,10 +95,10 @@ class TestInDegreeSampler:
 
 class TestEffectiveOutdegreeSampler:
     def test_degenerate_single_class(self, rng):
-        assert sample_effective_outdegree({1: 1.0}, 1.0, rng) == 1
+        assert EffectiveOutdegreeSampler({1: 1.0}, 1.0).sample(rng) == 1
 
     def test_size_biased_frequencies(self, rng):
-        draws = sample_effective_outdegree({1: 0.5, 3: 0.5}, 2.0, rng, size=1_000_000)
+        draws = EffectiveOutdegreeSampler({1: 0.5, 3: 0.5}, 2.0).sample(rng, 1_000_000)
         for j, q in [(1, 0.25), (3, 0.75)]:
             freq = np.mean(draws == j)
             assert abs(freq - q) <= 3 * np.sqrt(q * (1 - q) / draws.size)
@@ -260,7 +259,7 @@ class TestTreeLevels:
         with pytest.raises(ValueError):
             simulate_Y_levels(calm_spec(pool_size=10_000), 7)
         with pytest.raises(ValueError):
-            simulate_Y_level(calm_spec(pool_size=10_000), 2, n_samples=20_000)
+            simulate_Y_levels(calm_spec(pool_size=10_000), 2, n_samples=20_000)
 
     def test_series_reconstruction_mean(self):
         # baseline * sum_n c^n Y_n over a shared tree has mean

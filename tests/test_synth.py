@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import solved_histogram
-from ranktail.graph import degree_profile, effective_outdegree_dist
+from ranktail.graph import degree_profile
+from ranktail.simulate import EffectiveOutdegreeSampler
 from ranktail.synth import SynthSpec, generate
 from ranktail.tails import fit_exponent_mle
 
@@ -69,11 +70,11 @@ class TestGenerate:
         spec = spec_for(n=100_000, seed=11)
         g = generate(spec)
         profile = degree_profile(g)
-        q = effective_outdegree_dist(profile)
+        q = EffectiveOutdegreeSampler(profile.p_hist, profile.d)
         rng = np.random.default_rng(0)
         src, _ = g.edge_arrays()
         sample = g.out_deg[src[rng.integers(0, g.m, size=50_000)]]
-        for j, prob in sorted(q.items(), key=lambda it: -it[1])[:5]:
+        for j, prob in sorted(zip(q.values, q.probabilities), key=lambda it: -it[1])[:5]:
             freq = np.mean(sample == j)
             se = np.sqrt(prob * (1 - prob) / sample.size)
             assert abs(freq - prob) <= 4 * se, (j, freq, prob)
