@@ -17,25 +17,38 @@ from . import report as report_mod
 from . import simulate as sim
 from . import theory
 from .graph import (DegreeProfile, EdgeListParseError, degree_profile, load_edge_list,
-                    parse_hist, write_edge_list)
+                    open_text, parse_hist, write_edge_list)
 from .pagerank import PageRankParams, export_scores, pagerank
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
-from .tails import TailFit, ccdf, decimate_ccdf, write_ccdf_csv
+from .tails import TailFit, ccdf, write_ccdf_csv
 
-_DEFAULTS = {
-    "damping": [0.85],
-    "tol": 1e-10,
-    "max_iters": 200,
-    "snapshots": [],
-    "xmin": None,
-    "alpha": None,
-    "seed": 0,
-    "output_dir": ".",
-    "iters": "converged",
-    "k_max": None,
-    "drop_self_loops": False,
+# option -> (default, the flag's argparse type; [kind] is a list of them)
+_OPTIONS = {
+    "damping": ([0.85], [float]),
+    "tol": (1e-10, float),
+    "max_iters": (200, int),
+    "snapshots": ([], [int]),
+    "xmin": (None, float),
+    "alpha": (None, float),
+    "seed": (0, int),
+    "output_dir": (".", str),
+    "iters": ("converged", str),
+    "k_max": (None, int),
+    "drop_self_loops": (False, bool),
 }
+
+
+def _convert(value, kind):
+    """A --config value as `kind`: numbers and bools must arrive as JSON
+    numbers and bools (a bool is not a number); anything goes through str."""
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return [_convert(v, kind[0]) for v in value]
+    elif kind is str or (isinstance(value, bool) == (kind is bool)
+                         and isinstance(value, (int, float))):
+        return kind(value)
+    raise TypeError(f"expected {getattr(kind, '__name__', 'list')}, got {value!r}")
 
 
 def _add_common(p, *names):
@@ -74,16 +87,13 @@ class _Options:
         val = getattr(self.args, key, None)
         if val is not None:
             return val
-        if key in self.config:
-            return self.config[key]
-        return _DEFAULTS[key]
-
-
-def _validate_common(opts) -> None:
-    alpha = opts.get("alpha")
-    if alpha is not None and not 0.5 < float(alpha) < 3.0:
-        raise ValueError(f"--alpha {alpha} outside (0.5, 3); pass the cumulative "
-                         "(CCDF) exponent, not the density exponent")
+        default, kind = _OPTIONS[key]
+        if self.config.get(key) is None:
+            return default
+        try:
+            return _convert(self.config[key], kind)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def _load_graph(args, opts):
@@ -92,11 +102,8 @@ def _load_graph(args, opts):
 
 def cmd_stats(args, opts) -> int:
     g = _load_graph(args, opts)
-    text = degree_profile(g).to_json()
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    with open_text(args.output or sys.stdout, "w") as stream:
+        stream.write(degree_profile(g).to_json() + "\n")
     return 0
 
 
@@ -122,14 +129,11 @@ def cmd_pagerank(args, opts) -> int:
 
 
 def cmd_analyze(args, opts) -> int:
-    g = _load_graph(args, opts)
     options = report_mod.AnalysisOptions(
-        dampings=[float(c) for c in opts.get("damping")],
-        tol=float(opts.get("tol")),
-        max_iters=int(opts.get("max_iters")),
-        snapshot_iters=[int(k) for k in opts.get("snapshots")],
-        xmin=opts.get("xmin"),
-        alpha=opts.get("alpha"))
+        dampings=list(opts.get("damping")), tol=opts.get("tol"),
+        max_iters=opts.get("max_iters"), snapshot_iters=list(opts.get("snapshots")),
+        xmin=opts.get("xmin"), alpha=opts.get("alpha"))
+    g = _load_graph(args, opts)
     rep, dists = report_mod.analyze_graph(g, options)
     path = report_mod.write_analysis(rep, dists, opts.get("output_dir"))
     print(f"report written to {path}")
@@ -144,7 +148,7 @@ def cmd_predict(args, opts) -> int:
     alpha = opts.get("alpha")
     if alpha is None:
         raise ValueError("--alpha is required for predict")
-    alpha = float(alpha)
+    theory.validate_cumulative_alpha(alpha)
     tables = {}
     lines = []
     for c in opts.get("damping"):
@@ -168,11 +172,8 @@ def cmd_predict(args, opts) -> int:
     out = {"coefficients": tables}
     if lines:
         out["predicted_lines"] = lines
-    text = json.dumps(out, indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    with open_text(args.output or sys.stdout, "w") as stream:
+        stream.write(json.dumps(out, indent=2) + "\n")
     return 0
 
 
@@ -191,7 +192,7 @@ def cmd_simulate(args, opts) -> int:
 
     outdir = Path(opts.get("output_dir"))
     outdir.mkdir(parents=True, exist_ok=True)
-    write_ccdf_csv(decimate_ccdf(ccdf(pool.values)), outdir / "pool_ccdf.csv")
+    write_ccdf_csv(ccdf(pool.values), outdir / "pool_ccdf.csv")
 
     mean = float(pool.values.mean())
     lower = spec.baseline
@@ -319,7 +320,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         opts = _Options(args)
-        _validate_common(opts)
         return args.func(args, opts)
     except (EdgeListParseError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,17 +182,24 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     return Graph.from_edges(inverse[:m], inverse[m:], n=int(uniq.size), orig_ids=uniq)
 
 
+def write_rows(dest, header: str | None, first, second, sep: str, eol: str) -> None:
+    """Write two equal-length columns as "<a><sep><b><eol>" rows after an optional
+    header row; cells print as Python ints and floats (str is repr for both)."""
+    if len(first) != len(second):
+        raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
+    chunk = 1 << 16
+    with open_text(dest, "w") as stream:
+        if header is not None:
+            stream.write(header + eol)
+        for start in range(0, len(first), chunk):
+            rows = zip(first[start:start + chunk].tolist(), second[start:start + chunk].tolist())
+            stream.write("".join(f"{a}{sep}{b}{eol}" for a, b in rows))
+
+
 def write_edge_list(g: Graph, dest) -> None:
     """Write the graph as "src<TAB>dst" lines using original node ids."""
     src, dst = g.edge_arrays()
-    osrc = g.orig_ids[src]
-    odst = g.orig_ids[dst]
-    with open_text(dest, "w") as stream:
-        chunk = 1 << 16
-        for start in range(0, g.m, chunk):
-            stop = min(start + chunk, g.m)
-            lines = "\n".join(f"{a}\t{b}" for a, b in zip(osrc[start:stop], odst[start:stop]))
-            stream.write(lines + "\n")
+    write_rows(dest, None, g.orig_ids[src], g.orig_ids[dst], "\t", "\n")
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -11,12 +11,11 @@ per-iteration snapshots well defined.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, open_text
+from .graph import Graph, write_rows
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,5 @@ def dangling_mass_fraction(scores: np.ndarray, g: Graph) -> float:
 
 
 def export_scores(g: Graph, scores: np.ndarray, dest) -> None:
-    """Write "node_id,score" CSV using original node ids."""
-    scores = np.asarray(scores)
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["node_id", "score"])
-        for oid, s in zip(g.orig_ids, scores):
-            writer.writerow([int(oid), repr(float(s))])
+    """Write "node_id,score" CSV using original node ids, one row per node."""
+    write_rows(dest, "node_id,score", g.orig_ids, np.asarray(scores, dtype=float), ",", "\r\n")

@@ -27,10 +27,8 @@ class AnalysisOptions:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.alpha is not None and not 0.5 < self.alpha < 3.0:
-            raise ValueError(
-                f"alpha override {self.alpha} outside (0.5, 3); cumulative "
-                "exponents live there -- density exponents do not")
+        if self.alpha is not None:
+            theory.validate_cumulative_alpha(self.alpha)
 
 
 def _safe_fit(values, xmin: float | None, warnings_out: list[str], label: str) -> TailFit | None:
@@ -134,11 +132,11 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
 
 
 def write_analysis(report: dict, distributions: dict, output_dir) -> Path:
-    """Write report.json plus one decimated CCDF CSV per distribution."""
+    """Write report.json plus one CCDF CSV per distribution."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, series in distributions.items():
-        tails.write_ccdf_csv(tails.decimate_ccdf(series), out / f"{stem}.csv")
+        tails.write_ccdf_csv(series, out / f"{stem}.csv")
     report_path = out / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")

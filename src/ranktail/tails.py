@@ -9,13 +9,12 @@ fit afterwards with the slope pinned to the estimate.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import open_text
+from .graph import write_rows
 
 
 class InsufficientTailError(ValueError):
@@ -65,7 +64,7 @@ def ccdf(values) -> CcdfSeries:
         raise ValueError("empty input")
     if (v < 0).any():
         raise ValueError("values must be non-negative")
-    pos = np.sort(v[v > 0])
+    pos = v[v > 0]
     if pos.size == 0:
         raise ValueError("all values are zero; CCDF undefined on log-log axes")
     n = v.size
@@ -89,11 +88,9 @@ def decimate_ccdf(series: CcdfSeries, max_points: int = 4096) -> CcdfSeries:
 
 
 def write_ccdf_csv(series: CcdfSeries, dest) -> None:
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["x", "ccdf"])
-        for x, f in zip(series.xs, series.fractions):
-            writer.writerow([repr(float(x)), repr(float(f))])
+    """Write "x,ccdf" CSV rows, decimated to at most 4,096 log-spaced points."""
+    series = decimate_ccdf(series)
+    write_rows(dest, "x,ccdf", series.xs, series.fractions, ",", "\r\n")
 
 
 def fit_exponent_mle(values, x_min: float) -> TailFit:
@@ -128,15 +125,10 @@ def choose_xmin(values) -> float:
     1% and 10% of the samples.  Falls back to the median (with a warning)
     when no value qualifies, e.g. for (near-)constant data."""
     v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("empty input")
-    pos = np.sort(v[v > 0])
-    n = v.size
-    if pos.size:
-        xs, counts = np.unique(pos, return_counts=True)
-        frac_greater = (pos.size - np.cumsum(counts)) / n
-        ok = (frac_greater >= 0.01) & (frac_greater <= 0.10)
+    if v.size == 0 or v.any():  # all-zero data has no CCDF: median fallback
+        series = ccdf(v)
+        ok = (series.fractions >= 0.01) & (series.fractions <= 0.10)
         if ok.any():
-            return float(xs[np.argmax(ok)])
+            return float(series.xs[np.argmax(ok)])
     warnings.warn("degenerate data for x_min heuristic; falling back to the median")
     return float(np.median(v))

@@ -49,6 +49,14 @@ def validate_outdegree_hist(p_hist: dict[int, float], d: float | None = None) ->
     return mean
 
 
+def validate_cumulative_alpha(alpha: float) -> None:
+    """Reject a tail exponent outside (0.5, 3), the accepted range of
+    cumulative (CCDF) exponents; a density exponent is one larger."""
+    if not 0.5 < alpha < 3.0:
+        raise ValueError(f"alpha {alpha} outside (0.5, 3); pass the cumulative "
+                         "(CCDF) exponent, not the density exponent")
+
+
 def b_coefficient(p_hist: dict[int, float], alpha: float) -> float:
     """Out-degree contribution to the tail constant: sum_{j>=1} p_j * j^(1-alpha).
 

@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 
@@ -32,6 +33,12 @@ class TestStats:
         assert profile["d"] == pytest.approx(0.8)
         assert profile["p0"] == pytest.approx(0.2)
         assert profile["p_hist"] == {"0": pytest.approx(0.2), "1": pytest.approx(0.8)}
+
+    def test_gz_output_is_gzipped(self, star_file, tmp_path, capsys):
+        out = tmp_path / "profile.json.gz"
+        assert main(["stats", str(star_file), "--output", str(out)]) == 0
+        main(["stats", str(star_file)])
+        assert gzip.decompress(out.read_bytes()).decode() == capsys.readouterr().out
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.txt")]) == 3
@@ -112,6 +119,19 @@ class TestAnalyzeCmd:
                      "--output-dir", str(tmp_path / "x")])
         assert code == 2
 
+    def test_bad_alpha_fails_before_the_graph_is_read(self, tmp_path, capsys):
+        # a missing graph would exit 3: the options are checked first
+        assert main(["analyze", str(tmp_path / "missing.txt"), "--alpha", "5"]) == 2
+        assert "density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{"alpha": "2.0"}, {"xmin": "1"}, {"damping": 0.5}])
+    def test_mistyped_config_value_is_usage_error(self, star_file, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["analyze", str(star_file), "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "x")]) == 2
+        assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+
 
 class TestPredictCmd:
     def test_small_web_sample_golden(self, capsys):
@@ -139,6 +159,10 @@ class TestPredictCmd:
 
     def test_missing_inputs_usage_error(self):
         assert main(["predict", "--alpha", "1.2", "--damping", "0.5"]) == 2
+
+    def test_density_exponent_rejected(self, capsys):
+        assert main(["predict", "--alpha", "5", "--d", "8", "--b", "0.5"]) == 2
+        assert "density" in capsys.readouterr().err
 
 
 class TestSimulateCmd:

@@ -125,6 +125,14 @@ class TestChooseXmin:
         with pytest.warns(UserWarning, match="degenerate"):
             assert choose_xmin([7.0] * 200) == 7.0
 
+    def test_all_zero_data_falls_back_to_median(self):
+        with pytest.warns(UserWarning, match="degenerate data"):
+            assert choose_xmin([0.0] * 50) == 0.0
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            choose_xmin([1.0, -2.0, 3.0])
+
     def test_body_plus_tail_splice(self):
         # uniform body and a 20% Pareto tail: above the 10% level the
         # threshold must land inside the tail, at or past the splice
