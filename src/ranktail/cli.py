@@ -71,6 +71,12 @@ def _add_common(p, *names):
     p.add_argument("--config", type=str, help="JSON file with option defaults")
 
 
+def _read_text(path) -> str:
+    """The whole text of a JSON input file (gunzipped when it ends in ".gz")."""
+    with open_text(path) as stream:
+        return stream.read()
+
+
 class _Options:
     """Flag > config-file > built-in default resolution."""
 
@@ -78,8 +84,7 @@ class _Options:
         self.args = args
         self.config = {}
         if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                self.config = json.load(fh)
+            self.config = json.loads(_read_text(args.config))
             if not isinstance(self.config, dict):
                 raise ValueError("config file must hold a JSON object")
 
@@ -153,7 +158,7 @@ def cmd_predict(args, opts) -> int:
     lines = []
     for c in opts.get("damping"):
         if args.profile:
-            profile = DegreeProfile.from_json(Path(args.profile).read_text(encoding="utf-8"))
+            profile = DegreeProfile.from_json(_read_text(args.profile))
             params = theory.TheoryParams.from_profile(profile, c=c, alpha=alpha)
         else:
             if args.d is None or args.b is None:
@@ -178,8 +183,7 @@ def cmd_predict(args, opts) -> int:
 
 
 def cmd_simulate(args, opts) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = json.loads(_read_text(args.spec))
     if not isinstance(obj, dict):
         raise ValueError("model spec must be a JSON object")
     if getattr(args, "seed", None) is not None:
@@ -234,7 +238,7 @@ def cmd_simulate(args, opts) -> int:
 def cmd_generate(args, opts) -> int:
     hist_text = args.outdeg_hist
     if hist_text.startswith("@"):
-        hist_text = Path(hist_text[1:]).read_text(encoding="utf-8")
+        hist_text = _read_text(hist_text[1:])
     hist = parse_hist(json.loads(hist_text))
     spec = SynthSpec(n=args.nodes, alpha=args.alpha_gen, d=args.mean_degree,
                      outdeg_hist=hist, seed=int(opts.get("seed")),

@@ -9,12 +9,16 @@ out-degree and the destination's in-list.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+
+_ID_MAX = np.iinfo(np.int64).max
 
 
 class EdgeListParseError(ValueError):
@@ -146,40 +150,97 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     """Load a directed graph from whitespace-separated "src dst" lines.
 
     Lines starting with '#' are comments; blank lines are skipped.  Node ids
-    are arbitrary non-negative integers and get remapped to dense 0..n-1
+    are arbitrary integers in [0, 2**63) and get remapped to dense 0..n-1
     (sorted original order; the original ids are kept on the graph).
     Duplicate edges are kept as multi-edges; self-loops are kept unless
     ``drop_self_loops`` is set.
 
+    The text is read once.  A plain ASCII table is parsed in one array pass;
+    any other text goes through the per-line parser, which gives the same
+    edges and reports every error.
+
     Raises EdgeListParseError (with the line number) on malformed lines and
     ValueError on empty input.
     """
+    src, dst = _read_edges(source, drop_self_loops)
+    if not src.size:
+        raise ValueError("empty edge list")
+    uniq, inverse = _dense_ids(np.concatenate([src, dst]))
+    m = src.size
+    return Graph.from_edges(inverse[:m], inverse[m:], n=int(uniq.size), orig_ids=uniq)
+
+
+def _read_edges(source, drop_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) int64 id arrays of an edge list; the text is dropped on return."""
+    with open_text(source) as stream:
+        text = stream.read()
+    table = _parse_table(text)
+    if table is None:
+        return _parse_lines(text, drop_self_loops)
+    if drop_self_loops:
+        table = table[table[:, 0] != table[:, 1]]
+    return table[:, 0], table[:, 1]
+
+
+def _parse_table(text: str) -> np.ndarray | None:
+    """The (m, 2) int64 edge table from numpy's C parser, or None where that
+    parser might not give what _parse_lines gives: non-ASCII text (on which
+    numpy 2.4's loadtxt has also crashed the interpreter), a '#' that does not
+    open a line, any parse failure or warning, another column count, a
+    negative id."""
+    if not text.isascii() or text.count("#") != text.startswith("#") + text.count("\n#"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # bytes hold ASCII at one byte a character, a StringIO at four
+            table = np.loadtxt(io.BytesIO(text.encode("ascii")), dtype=np.int64,
+                               comments="#", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != 2 or table.min() < 0:
+        return None
+    return table
+
+
+def _parse_lines(text: str, drop_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) int64 arrays parsed line by line: accepts everything int()
+    does and raises EdgeListParseError with the line number on the rest."""
     src: list[int] = []
     dst: list[int] = []
-    with open_text(source) as stream:
-        for line_no, line in enumerate(stream, 1):
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(line_no, f"expected 'src dst', got {line.strip()!r}")
-            try:
-                s, t = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(line_no, f"non-integer node id in {line.strip()!r}") from None
-            if s < 0 or t < 0:
-                raise EdgeListParseError(line_no, f"negative node id in {line.strip()!r}")
-            if drop_self_loops and s == t:
-                continue
-            src.append(s)
-            dst.append(t)
-    if not src:
-        raise ValueError("empty edge list")
-    src_arr = np.asarray(src, dtype=np.int64)
-    dst_arr = np.asarray(dst, dtype=np.int64)
-    uniq, inverse = np.unique(np.concatenate([src_arr, dst_arr]), return_inverse=True)
-    m = src_arr.size
-    return Graph.from_edges(inverse[:m], inverse[m:], n=int(uniq.size), orig_ids=uniq)
+    for line_no, line in enumerate(io.StringIO(text), 1):
+        if line.startswith("#") or not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(line_no, f"expected 'src dst', got {line.strip()!r}")
+        try:
+            s, t = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(line_no, f"non-integer node id in {line.strip()!r}") from None
+        if s < 0 or t < 0:
+            raise EdgeListParseError(line_no, f"negative node id in {line.strip()!r}")
+        if drop_self_loops and s == t:
+            continue
+        if max(s, t) > _ID_MAX:
+            raise EdgeListParseError(line_no, f"node id out of range in {line.strip()!r}")
+        src.append(s)
+        dst.append(t)
+    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
+def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct ids, each id's index among them), as
+    np.unique(ids, return_inverse=True) gives.  When the largest id is below
+    twice the id count, a presence table of that size replaces the sort."""
+    top = int(ids.max())
+    if top >= 2 * ids.size:
+        return np.unique(ids, return_inverse=True)
+    present = np.zeros(top + 1, dtype=bool)
+    present[ids] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return np.flatnonzero(present), rank[ids]
 
 
 def write_rows(dest, header: str | None, first, second, sep: str, eol: str) -> None:

@@ -53,6 +53,12 @@ class TestStats:
     def test_unknown_flag_is_usage_error(self, star_file):
         assert main(["stats", str(star_file), "--bogus"]) == 2
 
+    def test_id_beyond_int64_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "big.txt"
+        bad.write_text("0 1\n99999999999999999999 1\n")
+        assert main(["stats", str(bad)]) == 3
+        assert "line 2: node id out of range" in capsys.readouterr().err
+
 
 class TestPagerankCmd:
     def test_writes_scores_and_snapshots(self, star_file, tmp_path):
@@ -157,6 +163,17 @@ class TestPredictCmd:
         # all non-dangling nodes have out-degree 1, so b = 1 - p0
         assert out["coefficients"]["0.5"]["b"] == pytest.approx(0.8)
 
+    def test_gzipped_profile_and_config(self, star_file, tmp_path, capsys):
+        prof = tmp_path / "profile.json.gz"
+        assert main(["stats", str(star_file), "--output", str(prof)]) == 0
+        cfg = tmp_path / "cfg.json.gz"
+        cfg.write_bytes(gzip.compress(json.dumps({"k_max": 1}).encode()))
+        assert main(["predict", "--alpha", "1.5", "--profile", str(prof),
+                     "--damping", "0.5", "--config", str(cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["coefficients"]["0.5"]["b"] == pytest.approx(0.8)
+        assert len(out["coefficients"]["0.5"]["C_k"]) == 1
+
     def test_missing_inputs_usage_error(self):
         assert main(["predict", "--alpha", "1.2", "--damping", "0.5"]) == 2
 
@@ -203,6 +220,14 @@ class TestSimulateCmd:
             assert invariants["mean_within_5_over_sqrt_M"] is None
         assert "tail_ratios" in summary
 
+    def test_gzipped_spec(self, tmp_path):
+        spec = self.spec_file(tmp_path).read_bytes()
+        path = tmp_path / "spec.json.gz"
+        path.write_bytes(gzip.compress(spec))
+        out = tmp_path / "sim"
+        assert main(["simulate", str(path), "--iters", "2", "--output-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["generations"] == 2
+
     def test_malformed_json_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text("{not json")
@@ -229,3 +254,13 @@ class TestGenerateCmd:
         assert realized["n"] == 5000
         code = main(["stats", str(synth_dir / "edges.txt")])
         assert code == 0
+
+    def test_histogram_from_gzipped_file(self, tmp_path):
+        hist = tmp_path / "hist.json.gz"
+        hist.write_bytes(gzip.compress(json.dumps({"0": 0.2, "2": 0.8}).encode()))
+        out = tmp_path / "g"
+        assert main(["generate", "--nodes", "1000", "--alpha", "1.5", "--mean-degree", "1.6",
+                     "--outdeg-hist", f"@{hist}", "--gzip", "--output-dir", str(out)]) == 0
+        sidecar = json.loads((out / "synth.json").read_text())
+        assert sidecar["spec"]["outdeg_hist"] == {"0": 0.2, "2": 0.8}
+        assert main(["stats", str(out / "edges.txt.gz")]) == 0

@@ -1,17 +1,39 @@
 import gzip
 import io
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranktail.graph import (DegreeProfile, EdgeListParseError, degree_profile,
-                            load_edge_list, write_edge_list)
+from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _parse_lines,
+                            _parse_table, degree_profile, load_edge_list, write_edge_list)
 from ranktail.simulate import EffectiveOutdegreeSampler
 
 
 def graph_from_text(text, **kw):
     return load_edge_list(io.StringIO(text), **kw)
+
+
+def per_line_graph(text, drop_self_loops=False):
+    """The reference loader: the per-line parser, then np.unique for the
+    dense ids."""
+    src, dst = _parse_lines(text, drop_self_loops)
+    if not src.size:
+        raise ValueError("empty edge list")
+    uniq, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    m = src.size
+    return Graph.from_edges(inverse[:m], inverse[m:], n=int(uniq.size), orig_ids=uniq)
+
+
+def outcome(load, *args, **kw):
+    """A graph's arrays, or the class and message of what loading raised."""
+    try:
+        g = load(*args, **kw)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [a.tolist() for a in (g.in_ptr, g.in_src, g.out_deg, g.orig_ids)]
 
 
 def effective_outdegree_law(profile):
@@ -67,8 +89,11 @@ class TestLoadEdgeList:
             graph_from_text("0 -1\n")
 
     def test_empty_input(self):
-        with pytest.raises(ValueError, match="empty"):
-            graph_from_text("# only a comment\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" stays inside
+            for text in ("# only a comment\n", "", " \n\n", "#\n# two\n"):
+                with pytest.raises(ValueError, match="^empty edge list$"):
+                    graph_from_text(text)
 
     def test_gzip_round_trip(self, tmp_path):
         path = tmp_path / "edges.txt.gz"
@@ -84,6 +109,61 @@ class TestLoadEdgeList:
         g = graph_from_text("0 1\n")
         with pytest.raises(ValueError):
             g.out_deg[0] = 5
+
+    @pytest.mark.parametrize("names", [[0, 1, 2, 3], [7, 1000, 10**12, 2**63 - 1]])
+    def test_table_and_sort_remaps_agree(self, names):
+        # ids below twice the id count take the presence table, larger ones np.unique
+        edges = [(0, 1), (1, 2), (2, 0), (3, 3), (1, 2)]
+        text = "".join(f"{names[s]} {names[t]}\n" for s, t in edges)
+        g = graph_from_text(text)
+        assert outcome(graph_from_text, text) == outcome(per_line_graph, text)
+        assert g.orig_ids.tolist() == names
+        assert g.in_ptr.tolist() == [0, 1, 2, 4, 5]
+        assert g.in_src.tolist() == [2, 0, 1, 1, 3]
+        assert g.out_deg.tolist() == [1, 2, 1, 1]
+
+    def test_comment_lines_mid_file_take_the_array_pass(self):
+        text = "# head\n0 1\n# mid\n#\n1 2\n\n2 0\n# tail"
+        assert _parse_table(text) is not None
+        g = graph_from_text(text)
+        assert (g.n, g.m) == (3, 3)
+
+    def test_trailing_comment_still_fails_with_its_line(self):
+        text = "0 1\n1 2 # x\n"
+        assert _parse_table(text) is None
+        with pytest.raises(EdgeListParseError, match="^line 2: expected 'src dst', got '1 2 # x'$"):
+            graph_from_text(text)
+
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"])
+    def test_crlf_and_lone_cr_files(self, tmp_path, eol):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(eol.join([b"# c", b"0 1", b"1 2", b"2 0"]) + eol)
+        g = load_edge_list(path)
+        assert (g.n, g.m) == (3, 3)
+        assert g.in_src.tolist() == [2, 0, 1]
+        path.write_bytes(eol.join([b"0 1", b"1 2", b"oops"]) + eol)
+        with pytest.raises(EdgeListParseError, match="^line 3: "):
+            load_edge_list(path)
+
+    def test_drop_self_loops_on_the_array_pass(self):
+        text = "5 5\n0 1\n1 1\n"
+        assert _parse_table(text) is not None
+        g = graph_from_text(text, drop_self_loops=True)
+        # 5 only occurs in a dropped loop, so it is no node at all
+        assert (g.n, g.m) == (2, 1)
+        assert g.orig_ids.tolist() == [0, 1]
+        assert outcome(graph_from_text, text, drop_self_loops=True) == outcome(
+            per_line_graph, text, drop_self_loops=True)
+
+    def test_id_beyond_int64_fails_with_its_line(self):
+        with pytest.raises(EdgeListParseError,
+                           match="^line 2: node id out of range in '99999999999999999999 1'$"):
+            graph_from_text("0 1\n99999999999999999999 1\n")
+        # a dropped self-loop is never stored, so its ids need not fit
+        g = graph_from_text("99999999999999999999 99999999999999999999\n0 1\n",
+                            drop_self_loops=True)
+        assert g.orig_ids.tolist() == [0, 1]
+        assert graph_from_text(f"{2**63 - 1} 0\n").orig_ids.tolist() == [0, 2**63 - 1]
 
 
 class TestDegreeProfile:
@@ -171,3 +251,26 @@ def test_inverse_degree_identity(weights):
     assert sum(val / j for j, val in q.items()) == pytest.approx(
         (1.0 - prof.p0) / d, abs=1e-12, rel=1e-12)
     assert sum(q.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+# characters on which numpy's text parser and int()/str.split() may disagree
+HOSTILE = "0123456789 \t\r\n#-+._x\x0c\xa0\uff11"
+
+
+@st.composite
+def edge_texts(draw):
+    """Edge lists that are mostly well-formed, with hostile characters spliced in."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([" ", "\t", " \t "]),
+                                   st.integers(0, 40),
+                                   st.sampled_from(["\n", "\r\n", "\n\n", "\n# c\n"])),
+                         min_size=1, max_size=8))
+    text = "".join(f"{s}{sep}{t}{eol}" for s, sep, t, eol in rows)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.text(HOSTILE, max_size=3)) + text[at:]
+
+
+@given(text=st.one_of(st.text(HOSTILE, max_size=40), edge_texts()), drop=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_array_pass_matches_per_line_parser(text, drop):
+    assert outcome(graph_from_text, text, drop_self_loops=drop) == outcome(
+        per_line_graph, text, drop_self_loops=drop)
