@@ -156,9 +156,9 @@ def cmd_predict(args, opts) -> int:
     theory.validate_cumulative_alpha(alpha)
     tables = {}
     lines = []
+    profile = DegreeProfile.from_json(_read_text(args.profile)) if args.profile else None
     for c in opts.get("damping"):
-        if args.profile:
-            profile = DegreeProfile.from_json(_read_text(args.profile))
+        if profile is not None:
             params = theory.TheoryParams.from_profile(profile, c=c, alpha=alpha)
         else:
             if args.d is None or args.b is None:

@@ -167,8 +167,12 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator,
 
     Each of the M new samples draws its own in-degree N, then N pairs
     (D_j, R_j) with R_j resampled uniformly from the previous pool, and is
-    set to c * sum R_j/D_j + baseline.  Children are processed in bounded
-    chunks so a single huge N cannot exhaust memory.
+    set to c * sum R_j/D_j + baseline.  Children are numbered owner by owner
+    and processed in chunks of at most ``_CHUNK``, so a single huge N cannot
+    exhaust memory.  A chunk's owners run from its first to its last owner
+    (two scalar binary searches), each repeated by its child count inside
+    the chunk; finding them draws no random numbers, and the per-owner sums
+    add the children in order.
     """
     m = spec.pool_size
     if pool.values.size != m:
@@ -184,8 +188,15 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator,
         stop = min(start + _CHUNK, total)
         d_draw = sampler.sample(rng, stop - start)
         r_draw = prev[rng.integers(0, prev.size, size=stop - start)]
-        owners = np.searchsorted(bounds, np.arange(start, stop), side="right")
-        acc += np.bincount(owners, weights=r_draw / d_draw, minlength=m)
+        lo, hi = np.searchsorted(bounds, [start, stop - 1], side="right")
+        counts = n_in[lo:hi + 1].copy()
+        counts[0] = min(bounds[lo], stop) - start
+        if hi > lo:
+            counts[-1] = stop - bounds[hi - 1]
+        owners = np.repeat(np.arange(hi + 1 - lo), counts)
+        np.divide(r_draw, d_draw, out=r_draw)
+        acc[lo:hi + 1] += np.bincount(owners, weights=r_draw, minlength=hi + 1 - lo)
+        del d_draw, r_draw, owners  # freed before the next chunk draws
     new = SamplePool(values=spec.baseline + spec.c * acc,
                      generation=pool.generation + 1)
     return (new, n_in) if return_indegrees else new
@@ -287,7 +298,15 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
     number of children and every edge carries weight 1/D; Y_n sums the
     products of edge weights over all level-n nodes.  Levels beyond 6 are
     refused (tree size explodes); samples whose node count would exceed
-    ``node_budget`` are aborted and flagged.
+    ``node_budget`` are aborted and flagged (NaN rows), and trees that die
+    out read 0 from then on.
+
+    All samples grow together, one level at a time: every node carries the
+    index of its sample, per-sample child counts come from ``bincount`` and
+    the children from ``np.repeat``.  A block of samples whose next level
+    would hold more than ``_CHUNK`` children is split in halves, down to a
+    single sample, so no level holds more than max(_CHUNK, node_budget)
+    nodes at once.
     """
     if not 0 <= max_level <= 6:
         raise ValueError("level must be between 0 and 6")
@@ -297,24 +316,45 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
         rng = np.random.default_rng(spec.seed)
     sampler = EffectiveOutdegreeSampler(spec.outdeg_hist, spec.d)
     values = np.full((n_samples, max_level + 1), np.nan)
+    values[:, 0] = 1.0
     aborted = np.zeros(n_samples, dtype=bool)
-    for s in range(n_samples):
-        weights = np.ones(1)
-        values[s, 0] = 1.0
-        nodes = 1
-        for level in range(1, max_level + 1):
+    nodes = np.ones(n_samples, dtype=np.int64)
+
+    def grow(samples, owner, weights, offspring, level):
+        # samples: the block's sample ids; owner (sorted), weights and
+        # offspring: per node of level - 1, owner indexing into samples
+        while True:
+            totals = np.bincount(owner, weights=offspring,
+                                 minlength=samples.size).astype(np.int64)
+            over = nodes[samples] + totals > node_budget
+            if samples.size > 1 and totals[~over].sum() > _CHUNK:
+                half = samples.size // 2
+                cut = np.searchsorted(owner, half)
+                grow(samples[:half], owner[:cut], weights[:cut], offspring[:cut], level)
+                grow(samples[half:], owner[cut:] - half, weights[cut:], offspring[cut:],
+                     level)
+                return
+            aborted[samples[over]] = True
+            values[samples[over]] = np.nan
+            dead = ~over & (totals == 0)
+            values[samples[dead], level:] = 0.0  # tree died out
+            live = ~over & ~dead
+            if not live.any():
+                return
+            samples = samples[live]
+            nodes[samples] += totals[live]
+            keep = live[owner]
+            kids = offspring[keep]
+            owner = np.repeat((np.cumsum(live) - 1)[owner[keep]], kids)
+            weights = np.repeat(weights[keep], kids) / sampler.sample(rng, owner.size)
+            values[samples, level] = np.bincount(owner, weights=weights,
+                                                 minlength=samples.size)
+            if level == max_level:
+                return
+            level += 1
             offspring = sample_indegree(spec, rng, size=weights.size)
-            total = int(offspring.sum())
-            if nodes + total > node_budget:
-                aborted[s] = True
-                values[s, :] = np.nan
-                break
-            nodes += total
-            if total == 0:
-                values[s, level:] = 0.0  # tree died out
-                weights = np.empty(0)
-                break
-            d_draw = sampler.sample(rng, total)
-            weights = np.repeat(weights, offspring) / d_draw
-            values[s, level] = weights.sum()
+
+    if max_level > 0:
+        grow(np.arange(n_samples), np.arange(n_samples), np.ones(n_samples),
+             sample_indegree(spec, rng, size=n_samples), 1)
     return YLevelResult(values=values, aborted=aborted)

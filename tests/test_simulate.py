@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from oracles import solved_histogram
+from ranktail import simulate
 from ranktail.simulate import (EffectiveOutdegreeSampler, ModelSpec,
                                SimulationConvergenceError, initial_pool, iterate_pool,
                                sample_indegree, sample_pareto, simulate_R,
                                simulate_Y_levels, tail_ratio_table)
 from ranktail.theory import TheoryParams, coefficient_Ck
+
+# the seeded in-degrees of the chunk-boundary tests: runs of zeros around
+# the chunk edges of sizes 1, 7 and 64, and one sample whose 150 children
+# span three 64-child chunks
+EDGE_ZEROS_IN = {2: 3, 5: 4, 8: 150, 10: 1, 12: 57, 15: 7, 400: 2, 9_997: 5}
 
 # moderate-tail spec (finite variance) used wherever sample means must settle
 CALM_HIST = {0: 0.2, 1: 0.3, 2: 0.2, 4: 0.2, 10: 0.1}  # mean 2.5
@@ -166,6 +172,50 @@ class TestIteratePool:
         assert np.allclose(pool.values[n == 0], spec.baseline)
 
 
+def searchsorted_generation(pool, spec, rng, n_in, chunk):
+    """One generation with a binary search per child for its owner and the
+    same draws, in the same order, as ``iterate_pool``."""
+    sampler = EffectiveOutdegreeSampler(spec.outdeg_hist, spec.d)
+    bounds = np.cumsum(n_in)
+    acc = np.zeros(spec.pool_size)
+    prev = pool.values
+    for start in range(0, int(bounds[-1]), chunk):
+        stop = min(start + chunk, int(bounds[-1]))
+        d_draw = sampler.sample(rng, stop - start)
+        r_draw = prev[rng.integers(0, prev.size, size=stop - start)]
+        owners = np.searchsorted(bounds, np.arange(start, stop), side="right")
+        acc += np.bincount(owners, weights=r_draw / d_draw, minlength=spec.pool_size)
+    return spec.baseline + spec.c * acc
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_pool_bytes_match_searchsorted_owners(self, monkeypatch, chunk):
+        spec = calm_spec(pool_size=10_000)
+        n_in = np.zeros(spec.pool_size, dtype=np.int64)
+        n_in[list(EDGE_ZEROS_IN)] = list(EDGE_ZEROS_IN.values())
+        pool = simulate.SamplePool(
+            values=np.random.default_rng(4).random(spec.pool_size) + 0.5, generation=0)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        monkeypatch.setattr(simulate, "sample_indegree",
+                            lambda spec, rng, size=None: n_in.copy())
+        new = iterate_pool(pool, spec, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
+        assert new.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_drawn_indegrees_match_searchsorted_owners(self, monkeypatch, chunk):
+        spec = calm_spec(pool_size=10_000)
+        pool = simulate_R(spec, 1)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        new = iterate_pool(pool, spec, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        n_in = sample_indegree(spec, rng, size=spec.pool_size)
+        expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
+        assert new.values.tobytes() == expected.tobytes()
+
+
 class TestSimulateR:
     def test_integer_generations(self):
         spec = calm_spec(pool_size=10_000)
@@ -254,6 +304,45 @@ class TestTreeLevels:
         res = simulate_Y_levels(spec, 5, n_samples=300, node_budget=8)
         assert res.abort_rate > 0
         assert np.isnan(res.values[res.aborted]).all()
+
+    def test_same_seed_same_levels(self):
+        spec = calm_spec(pool_size=10_000, seed=13)
+        a = simulate_Y_levels(spec, 4, n_samples=2_000, node_budget=200)
+        b = simulate_Y_levels(spec, 4, n_samples=2_000, node_budget=200)
+        assert a.aborted.any()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.aborted.tobytes() == b.aborted.tobytes()
+
+    def test_completed_trees_within_node_budget(self):
+        # with D == 1 every weight is 1, so 1 + sum_{n>=1} Y_n counts the nodes
+        spec = ModelSpec(c=0.5, alpha=2.5, d=1.0, outdeg_hist={1: 1.0},
+                         pool_size=10_000, seed=11)
+        res = simulate_Y_levels(spec, 4, n_samples=5_000, node_budget=20)
+        assert res.aborted.any()
+        assert (1 + res.values[~res.aborted, 1:].sum(axis=1) <= 20).all()
+
+    def test_block_split_keeps_level_means(self, monkeypatch):
+        sizes = []
+        draw = EffectiveOutdegreeSampler.sample
+
+        def spy(self, rng, size=None):
+            sizes.append(size)
+            return draw(self, rng, size)
+
+        monkeypatch.setattr(simulate, "_CHUNK", 64)
+        monkeypatch.setattr(EffectiveOutdegreeSampler, "sample", spy)
+        spec = calm_spec(pool_size=10_000, seed=13)
+        res = simulate_Y_levels(spec, 4, n_samples=8_000)
+        assert len(sizes) > 4  # more than one block per level
+        assert res.abort_rate == 0.0
+        for level in range(5):
+            vals = res.level(level)
+            expected = (1 - 0.2) ** level
+            se = vals.std() / np.sqrt(vals.size)
+            assert abs(vals.mean() - expected) <= max(4 * se, 1e-12), level
+        sizes.clear()
+        simulate_Y_levels(spec, 4, n_samples=8_000, node_budget=100)
+        assert max(sizes) <= 100  # max(_CHUNK, node_budget) children per block
 
     def test_level_cap(self):
         with pytest.raises(ValueError):
