@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from ranktail.simulate import ModelSpec, simulate_R, tail_ratio_table
-from ranktail.theory import TheoryParams, coefficient_C, coefficient_Ck
+from ranktail.theory import TheoryParams, coefficient_Ck
 from synthetic_experiment import default_hist
 
 
@@ -39,11 +39,9 @@ def main(argv=None) -> int:
                                          d=spec.d)
     print(f"spec: {spec.to_json()}")
     print(f"b = {params.b:.4f}, geometric ratio = {params.geometric_ratio:.4f}")
-    for k_raw in args.ks:
-        k = k_raw if k_raw == "converged" else int(k_raw)
+    for k in args.ks:
         pool = simulate_R(spec, k)
-        c_value = (coefficient_C(params) if k == "converged"
-                   else coefficient_Ck(params, k))
+        c_value = coefficient_Ck(params, pool.generation)
         print(f"\nk={k} (generations run: {pool.generation}, "
               f"coefficient {c_value:.5g}, pool mean {pool.values.mean():.4f})")
         print(f"{'x':>12} {'empirical':>11} {'predicted':>11} {'ratio':>7}")

@@ -189,10 +189,7 @@ def cmd_simulate(args, opts) -> int:
     if getattr(args, "seed", None) is not None:
         obj["seed"] = args.seed
     spec = ModelSpec.from_dict(obj)
-    iters = opts.get("iters")
-    if iters != "converged":
-        iters = int(iters)
-    pool = sim.simulate_R(spec, iters)
+    pool = sim.simulate_R(spec, opts.get("iters"))
 
     outdir = Path(opts.get("output_dir"))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -219,8 +216,7 @@ def cmd_simulate(args, opts) -> int:
     if spec.c > 0:
         tparams = theory.TheoryParams.from_histogram(spec.c, spec.alpha,
                                                      spec.outdeg_hist, d=spec.d)
-        c_value = (theory.coefficient_C(tparams) if iters == "converged"
-                   else theory.coefficient_Ck(tparams, iters))
+        c_value = theory.coefficient_Ck(tparams, pool.generation)
         rows = sim.tail_ratio_table(pool, spec, c_value)
         checked = [r for r in rows if r["in_window"]]
         summary["tail_ratios"] = {
@@ -296,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="population-dynamics run from a model-spec JSON")
     p.add_argument("spec", help="ModelSpec JSON file")
-    p.add_argument("--iters", type=str, help="generation count or 'converged'")
+    p.add_argument("--iters", type=str,
+                   help="generation count, or 'converged' for the count that brings "
+                        "the pool within 1e-3 of the fixed point in W1")
     p.add_argument("--seed", type=int)
     _add_common(p, "outdir")
     p.set_defaults(func=cmd_simulate)

@@ -100,14 +100,6 @@ def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:
                           snapshots=snapshots, converged=converged, params=params)
 
 
-def dangling_mass_fraction(scores: np.ndarray, g: Graph) -> float:
-    """(1/n) * sum of scores over dangling nodes."""
-    scores = np.asarray(scores)
-    if scores.size != g.n:
-        raise ValueError("scores length must equal the node count")
-    return float(scores[g.dangling].sum() / g.n)
-
-
 def export_scores(g: Graph, scores: np.ndarray, dest) -> None:
     """Write "node_id,score" CSV using original node ids, one row per node."""
     write_rows(dest, "node_id,score", g.orig_ids, np.asarray(scores, dtype=float), ",", "\r\n")

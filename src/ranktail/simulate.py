@@ -24,20 +24,19 @@ from .graph import parse_hist
 from .theory import validate_outdegree_hist
 
 _CHUNK = 1 << 22
-_CONVERGENCE_PROBES = 20
-_CONVERGENCE_TOL = 1e-3
+_W1_TOL = 1e-3
 _MAX_GENERATIONS = 200
 
 
 class SimulationConvergenceError(RuntimeError):
-    """Pool CCDF still moving after the generation cap."""
+    """The generation count that reaches R_inf exceeds the cap."""
 
-    def __init__(self, generations: int, diffs: list[float]):
+    def __init__(self, generations: int, rate: float):
         super().__init__(
-            f"pool distribution not converged after {generations} generations; "
-            f"last probe diffs: {[float(f'{x:.2e}') for x in diffs[-5:]]}")
+            f"pool distribution needs {generations} generations to converge "
+            f"(contraction factor c*(1-p0) = {rate:.6g}), above the cap of "
+            f"{_MAX_GENERATIONS}")
         self.generations = generations
-        self.diffs = diffs
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,10 @@ class ModelSpec:
 
     ``outdeg_hist`` includes the dangling fraction at key 0 and must have
     mean d.  ``pool_size`` is the accuracy knob of the population-dynamics
-    estimate; the seed fully determines the run.  Near alpha = 1 the pool's
-    tail in CCDF [1e-5, 1e-3] depends on the seed and on ``pool_size``: at
-    alpha = 1.1 the converged pool's tail still moves between M = 2e5, 1e6
-    and 3e6 (see ``simulate_R``).
+    estimate; the seed fully determines the run.  The generation count of a
+    "converged" run depends on c and p0 only, not on ``pool_size``.  Near
+    alpha = 1 the pool does not resolve the tail in CCDF [1e-5, 1e-3] (see
+    ``simulate_R``).
     """
 
     c: float
@@ -202,48 +201,38 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator,
     return (new, n_in) if return_indegrees else new
 
 
-def simulate_R(spec: ModelSpec, k, rng: np.random.Generator | None = None) -> SamplePool:
+def simulate_R(spec: ModelSpec, k) -> SamplePool:
     """Run the recursion k generations from the all-ones pool.
 
-    ``k`` may be a positive integer or the string "converged", which stops
-    once the pool CCDF moves by less than 1e-3 at 20 log-spaced probe
-    points (spanning the first generation's range up to its 99.9% point).
-    Raises SimulationConvergenceError after 200 generations.
+    ``k`` may be a positive integer (or its string) or "converged", which
+    runs the smallest k with 2 * (c*(1-p0))^k <= 1e-3.  Two copies of the
+    recursion fed the same N and D move apart in W1 by the factor
+    c*E[N]*E[1/D] = c*(1-p0) per generation, and the all-ones start lies
+    within E[1] + E[R_inf] = 2 of R_inf, so after k generations the law of
+    R_k is within 1e-3 of R_inf in W1.  The tail coefficient closes its gap
+    at the rate c^alpha * b <= c*(1-p0), so C_k is then within 5e-4 * C of C.
+    A count above 200 raises SimulationConvergenceError before any
+    generation is drawn.
 
-    The "converged" proxy measures absolute CCDF change, so it tells nothing
-    about the pool below CCDF 1e-3.  Near alpha = 1 the pool's tail in CCDF
-    [1e-5, 1e-3] depends on the seed and on the pool size: at alpha = 1.1
-    and M = 1e6, converged pools of seeds 5-8 put the ratio to C * P(T > x)
-    anywhere between 0.1 and 4.8, with pool means from 0.43 to 2.2 where
-    E[R] = 1.
+    Near alpha = 1 the pool does not resolve the tail in CCDF [1e-5, 1e-3]:
+    at alpha = 1.1 and M = 1e6, the 46-generation pools of seeds 5-8 put
+    the ratio to C * P(T > x) between 0.13 and 0.22, with pool means from
+    0.42 to 0.49 where E[R] = 1.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    if k == "converged":
+        rate = 1.0 - spec.baseline
+        k = math.ceil(math.log(_W1_TOL / 2) / math.log(rate)) if rate > 0 else 1
+        if k > _MAX_GENERATIONS:
+            raise SimulationConvergenceError(k, rate)
+    k = int(k)
+    if k < 1:
+        raise ValueError("k must be >= 1 or 'converged'")
+    rng = np.random.default_rng(spec.seed)
     sampler = EffectiveOutdegreeSampler(spec.outdeg_hist, spec.d)
     pool = initial_pool(spec)
-    if k != "converged":
-        k = int(k)
-        if k < 1:
-            raise ValueError("k must be >= 1 or 'converged'")
-        for _ in range(k):
-            pool = iterate_pool(pool, spec, rng, sampler)
-        return pool
-
-    pool = iterate_pool(pool, spec, rng, sampler)
-    lo = pool.values.min()
-    hi = np.quantile(pool.values, 1.0 - 1e-3)
-    probes = np.geomspace(lo, max(hi, lo), _CONVERGENCE_PROBES)
-    prev_ccdf = pool.ccdf_at(probes)
-    diffs: list[float] = []
-    while pool.generation < _MAX_GENERATIONS:
+    for _ in range(k):
         pool = iterate_pool(pool, spec, rng, sampler)
-        cur = pool.ccdf_at(probes)
-        diff = float(np.abs(cur - prev_ccdf).max())
-        diffs.append(diff)
-        if diff < _CONVERGENCE_TOL:
-            return pool
-        prev_ccdf = cur
-    raise SimulationConvergenceError(pool.generation, diffs)
+    return pool
 
 
 def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float,

@@ -241,9 +241,17 @@ class TestSimulateCmd:
         assert "alpha" in err and "outdeg_hist" in err
 
     def test_nonconvergence_exit_code(self, tmp_path):
-        path = self.spec_file(tmp_path, c=0.999, pool_size=10_000)
+        path = self.spec_file(tmp_path, c=0.999, outdeg_hist={"1": 0.5, "4": 0.5},
+                              pool_size=10_000)
         assert main(["simulate", str(path), "--iters", "converged",
                      "--output-dir", str(tmp_path / "x")]) == 4
+
+    def test_default_iters_converge(self, tmp_path):
+        # c*(1-p0) = 0.4: 2 * 0.4^9 = 5.2e-4 <= 1e-3 after 9 generations
+        out = tmp_path / "sim"
+        assert main(["simulate", str(self.spec_file(tmp_path)),
+                     "--output-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["generations"] == 9
 
 
 class TestGenerateCmd:

@@ -5,8 +5,7 @@ import pytest
 
 from oracles import dense_pagerank, random_small_graph
 from ranktail.graph import Graph, load_edge_list
-from ranktail.pagerank import (PageRankParams, dangling_mass_fraction, export_scores,
-                               pagerank)
+from ranktail.pagerank import PageRankParams, export_scores, pagerank
 
 
 def graph_from_text(text):
@@ -102,24 +101,9 @@ class TestIterationStructure:
             g = random_small_graph(rng, n_max=8)
             c = 0.85
             res = pagerank(g, PageRankParams(c=c, tol=1e-13, max_iters=2000))
-            dm = dangling_mass_fraction(res.scores, g)
+            dm = res.scores[g.dangling].sum() / g.n
             assert res.scores.min() >= (1 - c) + c * dm - 1e-9
             assert res.scores.min() >= (1 - c) - 1e-12
-
-
-class TestDanglingMass:
-    def test_uniform_scores_give_node_fraction(self):
-        g = graph_from_text("1 0\n2 0\n3 0\n4 0\n")
-        assert dangling_mass_fraction(np.ones(5), g) == pytest.approx(0.2)
-
-    def test_no_dangling_gives_zero(self):
-        g = graph_from_text("0 1\n1 0\n")
-        assert dangling_mass_fraction(np.ones(2), g) == 0.0
-
-    def test_wrong_length_rejected(self):
-        g = graph_from_text("0 1\n1 0\n")
-        with pytest.raises(ValueError):
-            dangling_mass_fraction(np.ones(3), g)
 
 
 def test_export_scores_uses_original_ids(tmp_path):

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args, header", [
     ("synthetic_experiment.py", ["--nodes", "5000", "--damping", "0.85"],
      f"{'c':>6} {'observed':>10} {'predicted':>10} {'residual':>9}"),
-    ("tail_law_sweep.py", ["--pool-size", "10000", "--ks", "1"],
+    ("tail_law_sweep.py", ["--pool-size", "10000", "--ks", "1", "converged"],
      f"{'x':>12} {'empirical':>11} {'predicted':>11} {'ratio':>7}"),
 ])
 def test_script_prints_table(script, args, header):

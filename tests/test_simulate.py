@@ -227,9 +227,20 @@ class TestSimulateR:
             simulate_R(calm_spec(pool_size=10_000), 0)
 
     def test_converged_mode_stops(self):
+        # smallest k with 2 * (c*(1-p0))^k <= 1e-3: 2 * 0.24^6 = 3.8e-4
         spec = calm_spec(pool_size=200_000, c=0.3)
         pool = simulate_R(spec, "converged")
-        assert 2 <= pool.generation < 200
+        assert pool.generation == 6
+
+    def test_converged_count_ignores_pool_size(self):
+        # crit3's c*(1-p0) = 0.8449 needs 46 generations at any pool size
+        pool = simulate_R(heavy_spec(pool_size=10_000), "converged")
+        assert pool.generation == 46
+
+    def test_converged_without_damping_is_one_generation(self):
+        pool = simulate_R(calm_spec(pool_size=10_000, c=0.0), "converged")
+        assert pool.generation == 1
+        assert np.all(pool.values == 1.0)
 
     def test_distributional_fixed_point(self):
         # pushing the converged pool one more generation moves the CCDF by
@@ -242,12 +253,18 @@ class TestSimulateR:
         diff = np.abs(pool.ccdf_at(probes) - after.ccdf_at(probes)).max()
         assert diff < 2e-3
 
-    def test_nonconvergence_raises_with_diagnostics(self):
-        spec = calm_spec(c=0.999, pool_size=10_000, seed=5)
-        with pytest.raises(SimulationConvergenceError) as err:
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
+        # no dangling mass: c*(1-p0) = 0.999 needs 7,598 generations, so
+        # the run is refused before any generation is drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generation was drawn")
+
+        monkeypatch.setattr(simulate, "iterate_pool", no_draws)
+        spec = calm_spec(c=0.999, outdeg_hist={1: 0.5, 4: 0.5}, pool_size=10_000, seed=5)
+        with pytest.raises(SimulationConvergenceError,
+                           match=r"7598 generations.*= 0\.999\)") as err:
             simulate_R(spec, "converged")
-        assert err.value.generations == 200
-        assert len(err.value.diffs) > 100
+        assert err.value.generations == 7598
 
     def test_first_generation_tail_tracks_theory(self):
         # one iteration from the unit pool: summands are bounded, so the
