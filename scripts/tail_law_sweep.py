@@ -13,6 +13,7 @@ Example:
 """
 
 import argparse
+import json
 import sys
 
 from ranktail.simulate import ModelSpec, simulate_R, tail_ratio_table
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
                      pool_size=args.pool_size, seed=args.seed)
     params = TheoryParams.from_histogram(spec.c, spec.alpha, spec.outdeg_hist,
                                          d=spec.d)
-    print(f"spec: {spec.to_json()}")
+    print(f"spec: {json.dumps(spec.to_dict(), indent=2)}")
     print(f"b = {params.b:.4f}, geometric ratio = {params.geometric_ratio:.4f}")
     for k in args.ks:
         pool = simulate_R(spec, k)

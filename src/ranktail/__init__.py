@@ -14,6 +14,6 @@ from .tails import (CcdfSeries, InsufficientTailError, TailFit, ccdf, choose_xmi
                     fit_exponent_mle)
 from .theory import (CoefficientTable, TheoryParams, b_coefficient, coefficient_C,
                      coefficient_Ck, coefficient_lower_bound, coefficient_table,
-                     mean_field, predict_line)
+                     predict_line)
 
 __version__ = "0.1.0"

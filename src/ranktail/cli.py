@@ -17,7 +17,7 @@ from . import report as report_mod
 from . import simulate as sim
 from . import theory
 from .graph import (DegreeProfile, EdgeListParseError, degree_profile, load_edge_list,
-                    open_text, parse_hist, write_edge_list)
+                    hist_to_json, open_text, parse_hist, write_edge_list)
 from .pagerank import PageRankParams, export_scores, pagerank
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
@@ -31,7 +31,7 @@ _OPTIONS = {
     "snapshots": ([], [int]),
     "xmin": (None, float),
     "alpha": (None, float),
-    "seed": (0, int),
+    "seed": (None, int),  # unset: simulate keeps the spec's seed, generate uses 0
     "output_dir": (".", str),
     "iters": ("converged", str),
     "k_max": (None, int),
@@ -77,50 +77,41 @@ def _read_text(path) -> str:
         return stream.read()
 
 
-class _Options:
-    """Flag > config-file > built-in default resolution."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = {}
-        if getattr(args, "config", None):
-            self.config = json.loads(_read_text(args.config))
-            if not isinstance(self.config, dict):
-                raise ValueError("config file must hold a JSON object")
-
-    def get(self, key):
-        val = getattr(self.args, key, None)
-        if val is not None:
-            return val
-        default, kind = _OPTIONS[key]
-        if self.config.get(key) is None:
-            return default
+def _resolve_options(args) -> None:
+    """Set every _OPTIONS key the subcommand defines and no flag set: the
+    --config value, type-checked, else the built-in default."""
+    config = json.loads(_read_text(args.config)) if args.config else {}
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    for key, (default, kind) in _OPTIONS.items():
+        if not hasattr(args, key) or getattr(args, key) is not None:
+            continue
+        value = config.get(key)
         try:
-            return _convert(self.config[key], kind)
+            setattr(args, key, default if value is None else _convert(value, kind))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
 
 
-def _load_graph(args, opts):
-    return load_edge_list(args.graph, drop_self_loops=bool(opts.get("drop_self_loops")))
+def _load_graph(args):
+    return load_edge_list(args.graph, drop_self_loops=args.drop_self_loops)
 
 
-def cmd_stats(args, opts) -> int:
-    g = _load_graph(args, opts)
+def cmd_stats(args) -> int:
+    g = _load_graph(args)
     with open_text(args.output or sys.stdout, "w") as stream:
-        stream.write(degree_profile(g).to_json() + "\n")
+        stream.write(json.dumps(degree_profile(g).to_dict(), indent=2) + "\n")
     return 0
 
 
-def cmd_pagerank(args, opts) -> int:
-    g = _load_graph(args, opts)
-    outdir = Path(opts.get("output_dir"))
+def cmd_pagerank(args) -> int:
+    g = _load_graph(args)
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     all_converged = True
-    for c in opts.get("damping"):
-        params = PageRankParams(c=c, tol=opts.get("tol"),
-                                max_iters=int(opts.get("max_iters")),
-                                snapshot_iters=frozenset(opts.get("snapshots")))
+    for c in args.damping:
+        params = PageRankParams(c=c, tol=args.tol, max_iters=args.max_iters,
+                                snapshot_iters=args.snapshots)
         result = pagerank(g, params)
         key = repr(float(c))
         export_scores(g, result.scores, outdir / f"scores_c{key}.csv")
@@ -133,14 +124,13 @@ def cmd_pagerank(args, opts) -> int:
     return 0 if all_converged else 4
 
 
-def cmd_analyze(args, opts) -> int:
+def cmd_analyze(args) -> int:
     options = report_mod.AnalysisOptions(
-        dampings=list(opts.get("damping")), tol=opts.get("tol"),
-        max_iters=opts.get("max_iters"), snapshot_iters=list(opts.get("snapshots")),
-        xmin=opts.get("xmin"), alpha=opts.get("alpha"))
-    g = _load_graph(args, opts)
+        dampings=list(args.damping), tol=args.tol, max_iters=args.max_iters,
+        snapshot_iters=list(args.snapshots), xmin=args.xmin, alpha=args.alpha)
+    g = _load_graph(args)
     rep, dists = report_mod.analyze_graph(g, options)
-    path = report_mod.write_analysis(rep, dists, opts.get("output_dir"))
+    path = report_mod.write_analysis(rep, dists, args.output_dir)
     print(f"report written to {path}")
     not_conv = [key for key, entry in rep["pagerank"].items() if not entry["converged"]]
     if not_conv:
@@ -149,25 +139,23 @@ def cmd_analyze(args, opts) -> int:
     return 0
 
 
-def cmd_predict(args, opts) -> int:
-    alpha = opts.get("alpha")
+def cmd_predict(args) -> int:
+    alpha = args.alpha
     if alpha is None:
         raise ValueError("--alpha is required for predict")
     theory.validate_cumulative_alpha(alpha)
     tables = {}
     lines = []
     profile = DegreeProfile.from_json(_read_text(args.profile)) if args.profile else None
-    for c in opts.get("damping"):
+    for c in args.damping:
         if profile is not None:
             params = theory.TheoryParams.from_profile(profile, c=c, alpha=alpha)
         else:
             if args.d is None or args.b is None:
                 raise ValueError("predict needs --profile, or --d, --p0 and --b")
-            params = theory.TheoryParams(c=c, alpha=alpha, d=args.d,
-                                         p0=args.p0 if args.p0 is not None else 0.0,
-                                         b=args.b)
-        table = theory.coefficient_table(params, k_max=opts.get("k_max"))
-        tables[repr(float(c))] = json.loads(table.to_json())
+            params = theory.TheoryParams(c=c, alpha=alpha, d=args.d, p0=args.p0, b=args.b)
+        table = theory.coefficient_table(params, k_max=args.k_max)
+        tables[repr(float(c))] = table.to_dict()
         if args.indegree_intercept is not None:
             fit = TailFit(alpha_hat=alpha, x_min=1.0,
                           intercept=args.indegree_intercept, tail_count=0)
@@ -182,16 +170,16 @@ def cmd_predict(args, opts) -> int:
     return 0
 
 
-def cmd_simulate(args, opts) -> int:
+def cmd_simulate(args) -> int:
     obj = json.loads(_read_text(args.spec))
     if not isinstance(obj, dict):
         raise ValueError("model spec must be a JSON object")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         obj["seed"] = args.seed
     spec = ModelSpec.from_dict(obj)
-    pool = sim.simulate_R(spec, opts.get("iters"))
+    pool = sim.simulate_R(spec, args.iters)
 
-    outdir = Path(opts.get("output_dir"))
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_ccdf_csv(ccdf(pool.values), outdir / "pool_ccdf.csv")
 
@@ -202,7 +190,7 @@ def cmd_simulate(args, opts) -> int:
                     if spec.alpha > 2.0 else None)
     summary = {
         "schema_version": report_mod.SCHEMA_VERSION,
-        "spec": json.loads(spec.to_json()),
+        "spec": spec.to_dict(),
         "generations": pool.generation,
         "pool_mean": mean,
         "pool_min": float(pool.values.min()),
@@ -231,25 +219,25 @@ def cmd_simulate(args, opts) -> int:
     return 0
 
 
-def cmd_generate(args, opts) -> int:
+def cmd_generate(args) -> int:
     hist_text = args.outdeg_hist
     if hist_text.startswith("@"):
         hist_text = _read_text(hist_text[1:])
     hist = parse_hist(json.loads(hist_text))
     spec = SynthSpec(n=args.nodes, alpha=args.alpha_gen, d=args.mean_degree,
-                     outdeg_hist=hist, seed=int(opts.get("seed")),
+                     outdeg_hist=hist, seed=args.seed if args.seed is not None else 0,
                      fixed_indegree=args.fixed_indegree)
     g = generate(spec)
-    outdir = Path(opts.get("output_dir"))
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     edges_path = outdir / ("edges.txt.gz" if args.gzip else "edges.txt")
     write_edge_list(g, edges_path)
     profile = degree_profile(g)
     sidecar = {
         "spec": {"n": spec.n, "alpha": spec.alpha, "d": spec.d,
-                 "outdeg_hist": {str(j): p for j, p in sorted(spec.outdeg_hist.items())},
+                 "outdeg_hist": hist_to_json(spec.outdeg_hist),
                  "seed": spec.seed, "fixed_indegree": spec.fixed_indegree},
-        "realized_profile": json.loads(profile.to_json()),
+        "realized_profile": profile.to_dict(),
     }
     (outdir / "synth.json").write_text(json.dumps(sidecar, indent=2) + "\n",
                                        encoding="utf-8")
@@ -282,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="cumulative tail exponent")
     p.add_argument("--profile", type=str, help="degree-profile JSON from 'stats'")
     p.add_argument("--d", type=float, help="mean degree (when no profile)")
-    p.add_argument("--p0", type=float, help="dangling fraction (when no profile)")
+    p.add_argument("--p0", type=float, default=0.0,
+                   help="dangling fraction (when no profile)")
     p.add_argument("--b", type=float, help="out-degree tail factor (when no profile)")
     p.add_argument("--k-max", type=int, dest="k_max")
     p.add_argument("--indegree-intercept", type=float,
@@ -321,8 +310,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        opts = _Options(args)
-        return args.func(args, opts)
+        _resolve_options(args)
+        return args.func(args)
     except (EdgeListParseError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -100,16 +100,13 @@ class DegreeProfile:
     p_hist: dict[int, float]
     in_hist: dict[int, float]
 
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "m": self.m,
-            "d": self.d,
-            "p0": self.p0,
-            "p_hist": {str(j): p for j, p in sorted(self.p_hist.items())},
-            "in_hist": {str(k): p for k, p in sorted(self.in_hist.items())},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        """The profile as JSON data.  Keys at every level are in string order,
+        the order `stats` writes, so each writer of a profile gives the same
+        bytes with or without sort_keys."""
+        return {"d": self.d, "in_hist": dict(sorted(hist_to_json(self.in_hist).items())),
+                "m": self.m, "n": self.n, "p0": self.p0,
+                "p_hist": dict(sorted(hist_to_json(self.p_hist).items()))}
 
     @classmethod
     def from_json(cls, text: str) -> "DegreeProfile":
@@ -129,6 +126,11 @@ def parse_hist(obj) -> dict[int, float]:
             raise ValueError(f"negative degree {j} in histogram")
         hist[j] = float(val)
     return hist
+
+
+def hist_to_json(hist: dict[int, float]) -> dict[str, float]:
+    """A histogram as a JSON object: string keys in ascending degree order."""
+    return {str(j): p for j, p in sorted(hist.items())}
 
 
 @contextmanager

@@ -49,7 +49,6 @@ class PageRankResult:
     residuals: np.ndarray
     snapshots: dict[int, np.ndarray]
     converged: bool
-    params: PageRankParams
 
 
 def _in_edge_sums(g: Graph, w: np.ndarray) -> np.ndarray:
@@ -97,7 +96,7 @@ def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:
             converged = True
             break
     return PageRankResult(scores=r, iters_run=iters, residuals=np.asarray(residuals),
-                          snapshots=snapshots, converged=converged, params=params)
+                          snapshots=snapshots, converged=converged)
 
 
 def export_scores(g: Graph, scores: np.ndarray, dest) -> None:

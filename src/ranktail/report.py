@@ -12,7 +12,7 @@ import numpy as np
 from . import tails, theory
 from .graph import Graph, degree_profile
 from .pagerank import PageRankParams, pagerank
-from .tails import InsufficientTailError, TailFit, ccdf, choose_xmin, fit_exponent_mle
+from .tails import TailFit, ccdf, choose_xmin, fit_exponent_mle
 
 SCHEMA_VERSION = 1
 
@@ -35,7 +35,7 @@ def _safe_fit(values, xmin: float | None, warnings_out: list[str], label: str) -
     try:
         x_min = xmin if xmin is not None else choose_xmin(values)
         return fit_exponent_mle(values, x_min)
-    except (InsufficientTailError, ValueError) as exc:
+    except ValueError as exc:
         warnings_out.append(f"{label}: tail fit skipped ({exc})")
         return None
 
@@ -60,7 +60,7 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "degree_profile": json.loads(profile.to_json()),
+        "degree_profile": profile.to_dict(),
         "indegree_fit": indegree_fit.to_dict() if indegree_fit else None,
         "alpha_used": alpha_used,
         "pagerank": {},

@@ -14,13 +14,12 @@ uniformly (with replacement) from the previous pool.  D is the effective
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import parse_hist
+from .graph import hist_to_json, parse_hist
 from .theory import validate_outdegree_hist
 
 _CHUNK = 1 << 22
@@ -83,11 +82,10 @@ class ModelSpec:
         """Additive constant 1 - c*(1-p0); also the a.s. lower bound of R."""
         return 1.0 - self.c * (1.0 - self.p0)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "c": self.c, "alpha": self.alpha, "d": self.d,
-            "outdeg_hist": {str(j): p for j, p in sorted(self.outdeg_hist.items())},
-            "pool_size": self.pool_size, "seed": self.seed}, indent=2)
+    def to_dict(self) -> dict:
+        return {"c": self.c, "alpha": self.alpha, "d": self.d,
+                "outdeg_hist": hist_to_json(self.outdeg_hist),
+                "pool_size": self.pool_size, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelSpec":
@@ -236,18 +234,17 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
 
 
 def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float,
-                     ccdf_window: tuple[float, float] = (1e-5, 1e-3),
-                     n_probes: int = 5) -> list[dict]:
+                     ccdf_window: tuple[float, float] = (1e-5, 1e-3)) -> list[dict]:
     """Empirical tail versus the predicted c_value * P(T > x).
 
-    Probes are log-spaced between the pool quantiles at the window's CCDF
+    Five probes are log-spaced between the pool quantiles at the window's CCDF
     levels; rows outside the window (after measuring) carry in_window=False.
     """
     lo_ccdf, hi_ccdf = ccdf_window
     vals = pool.values
     x_lo = np.quantile(vals, 1.0 - hi_ccdf)
     x_hi = np.quantile(vals, 1.0 - lo_ccdf)
-    xs = np.geomspace(x_lo, x_hi, n_probes)
+    xs = np.geomspace(x_lo, x_hi, 5)
     emp = pool.ccdf_at(xs)
     theory = c_value * (xs / spec.t_min) ** (-spec.alpha)
     rows = []

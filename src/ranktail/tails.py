@@ -31,7 +31,6 @@ class CcdfSeries:
 
     xs: np.ndarray
     fractions: np.ndarray
-    source_count: int
 
     def __post_init__(self):
         self.xs.setflags(write=False)
@@ -74,7 +73,7 @@ def ccdf(values) -> CcdfSeries:
     keep = greater > 0
     if not keep.any():
         warnings.warn("degenerate CCDF: single distinct value, no plottable points")
-    return CcdfSeries(xs=xs[keep], fractions=fractions[keep], source_count=n)
+    return CcdfSeries(xs=xs[keep], fractions=fractions[keep])
 
 
 def decimate_ccdf(series: CcdfSeries, max_points: int = 4096) -> CcdfSeries:
@@ -83,8 +82,7 @@ def decimate_ccdf(series: CcdfSeries, max_points: int = 4096) -> CcdfSeries:
         return series
     grid = np.geomspace(series.xs[0], series.xs[-1], max_points)
     idx = np.unique(np.searchsorted(series.xs, grid, side="left").clip(0, series.xs.size - 1))
-    return CcdfSeries(xs=series.xs[idx], fractions=series.fractions[idx],
-                      source_count=series.source_count)
+    return CcdfSeries(xs=series.xs[idx], fractions=series.fractions[idx])
 
 
 def write_ccdf_csv(series: CcdfSeries, dest) -> None:

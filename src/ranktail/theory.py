@@ -14,7 +14,6 @@ out-degree value (1-p0)^alpha * d^(1-alpha).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -127,9 +126,9 @@ class CoefficientTable:
     c_limit: float
     c_lower_bound: float
 
-    def to_json(self) -> str:
-        return json.dumps({"b": self.b, "C_k": self.c_k, "C_limit": self.c_limit,
-                           "C_lower_bound": self.c_lower_bound}, indent=2)
+    def to_dict(self) -> dict:
+        return {"b": self.b, "C_k": self.c_k, "C_limit": self.c_limit,
+                "C_lower_bound": self.c_lower_bound}
 
 
 def coefficient_Ck(params: TheoryParams, k: int) -> float:
@@ -164,17 +163,6 @@ def coefficient_table(params: TheoryParams, k_max: int | None = None) -> Coeffic
     cks = [coefficient_Ck(params, k) for k in range(1, k_max + 1)]
     return CoefficientTable(b=params.b, c_k=cks, c_limit=coefficient_C(params),
                             c_lower_bound=coefficient_lower_bound(params))
-
-
-def mean_field(N, params: TheoryParams):
-    """Expected score of a node with in-degree N:
-    (c*(1-p0)/d) * N + 1 - c*(1-p0).  Accepts scalars or arrays."""
-    N = np.asarray(N, dtype=float)
-    if (N < 0).any():
-        raise ValueError("in-degree must be non-negative")
-    slope = params.c * (1.0 - params.p0) / params.d
-    out = slope * N + (1.0 - params.c * (1.0 - params.p0))
-    return float(out) if out.ndim == 0 else out
 
 
 def predict_line(indegree_fit: TailFit, c_value: float) -> tuple[float, float]:

@@ -79,6 +79,20 @@ class TestPagerankCmd:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 4
 
+    def test_config_key_the_command_lacks_is_ignored(self, star_file, tmp_path):
+        # pagerank takes no --alpha, so a mistyped alpha is never checked
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": "2.0"}))
+        assert main(["pagerank", str(star_file), "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o")]) == 0
+
+    def test_mistyped_config_fails_before_the_graph_is_read(self, tmp_path, capsys):
+        # a missing graph would exit 3: the config is checked first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": "x"}))
+        assert main(["pagerank", str(tmp_path / "missing.txt"), "--config", str(cfg)]) == 2
+        assert "config key 'tol'" in capsys.readouterr().err
+
 
 class TestAnalyzeCmd:
     def test_report_written(self, synth_dir, tmp_path):
@@ -245,6 +259,19 @@ class TestSimulateCmd:
                               pool_size=10_000)
         assert main(["simulate", str(path), "--iters", "converged",
                      "--output-dir", str(tmp_path / "x")]) == 4
+
+    @pytest.mark.parametrize("flags, config, seed", [
+        ([], {"seed": 7}, 7),
+        (["--seed", "3"], {"seed": 7}, 3),
+        ([], {}, 1),
+    ])
+    def test_seed_flag_over_config_over_spec(self, tmp_path, flags, config, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "sim"
+        assert main(["simulate", str(self.spec_file(tmp_path)), "--iters", "1",
+                     "--config", str(cfg), "--output-dir", str(out), *flags]) == 0
+        assert json.loads((out / "summary.json").read_text())["spec"]["seed"] == seed
 
     def test_default_iters_converge(self, tmp_path):
         # c*(1-p0) = 0.4: 2 * 0.4^9 = 5.2e-4 <= 1e-3 after 9 generations

@@ -1,5 +1,6 @@
 import gzip
 import io
+import json
 import warnings
 
 import numpy as np
@@ -185,7 +186,7 @@ class TestDegreeProfile:
     def test_json_round_trip(self):
         g = graph_from_text("0 1\n1 0\n2 1\n")
         p = degree_profile(g)
-        assert DegreeProfile.from_json(p.to_json()) == p
+        assert DegreeProfile.from_json(json.dumps(p.to_dict())) == p
 
 
 class TestEffectiveOutdegree:

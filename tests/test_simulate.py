@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ class TestModelSpec:
 
     def test_json_round_trip(self):
         spec = calm_spec()
-        again = ModelSpec.from_dict(__import__("json").loads(spec.to_json()))
+        again = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 
     def test_missing_fields_listed(self):

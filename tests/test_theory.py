@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from ranktail.tails import TailFit
 from ranktail.theory import (CoefficientTable, TheoryParams, b_coefficient,
                              coefficient_C, coefficient_Ck, coefficient_lower_bound,
-                             coefficient_table, mean_field, predict_line)
+                             coefficient_table, predict_line)
 
 INDOCHINA = dict(alpha=1.17, d=26.17, p0=0.18, b=0.65)
 STANFORD = dict(alpha=1.1, d=8.2032, p0=0.006, b=0.8558)
@@ -159,22 +158,6 @@ class TestLowerBound:
         assert coefficient_lower_bound(params) <= coefficient_C(params) * (1 + 1e-12)
 
 
-class TestMeanField:
-    def test_mean_degree_maps_to_unit_score(self):
-        params = TheoryParams(c=0.85, alpha=1.5, d=7.0, p0=0.0, b=0.5)
-        assert mean_field(7.0, params) == pytest.approx(1.0)
-
-    def test_intercept_at_zero_indegree(self):
-        params = TheoryParams(c=0.6, alpha=1.5, d=4.0, p0=0.25, b=0.5)
-        assert mean_field(0, params) == pytest.approx(1 - 0.6 * 0.75)
-
-    def test_no_dangling_slope(self):
-        params = TheoryParams(c=0.85, alpha=1.5, d=10.0, p0=0.0, b=0.5)
-        n = np.arange(5)
-        expected = 0.85 * n / 10.0 + 0.15
-        assert mean_field(n, params) == pytest.approx(expected)
-
-
 class TestPredictLine:
     def test_heavy_graph_mid_damping(self):
         fit = TailFit(alpha_hat=1.17, x_min=10.0, intercept=0.80, tail_count=1000)
@@ -198,4 +181,4 @@ class TestPredictLine:
         table = coefficient_table(params, k_max=3)
         assert isinstance(table, CoefficientTable)
         assert len(table.c_k) == 3
-        assert "C_limit" in table.to_json()
+        assert table.to_dict()["C_k"] == table.c_k
