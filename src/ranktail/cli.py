@@ -172,9 +172,7 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     obj = json.loads(_read_text(args.spec))
-    if not isinstance(obj, dict):
-        raise ValueError("model spec must be a JSON object")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(obj, dict):  # from_dict rejects the rest
         obj["seed"] = args.seed
     spec = ModelSpec.from_dict(obj)
     pool = sim.simulate_R(spec, args.iters)

@@ -110,21 +110,41 @@ class DegreeProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "DegreeProfile":
-        obj = json.loads(text)
-        return cls(n=int(obj["n"]), m=int(obj["m"]), d=float(obj["d"]),
-                   p0=float(obj["p0"]),
-                   p_hist=parse_hist(obj["p_hist"]),
-                   in_hist=parse_hist(obj.get("in_hist", {})))
+        return cls(**decode_fields(json.loads(text), "degree profile", {
+            "n": int, "m": int, "d": float, "p0": float, "p_hist": parse_hist,
+            "in_hist": parse_hist}, {"in_hist": {}}))
+
+
+def decode_fields(obj, what: str, fields: dict, defaults: dict) -> dict:
+    """The ``fields`` of a decoded JSON object, absent ones from ``defaults``,
+    each through its converter; a ValueError names what is wrong, and where."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    obj = {**defaults, **obj}
+    missing = [key for key in fields if key not in obj]
+    if missing:
+        raise ValueError(f"{what} missing fields: {missing}")
+    out = {}
+    for key, convert in fields.items():
+        try:
+            out[key] = convert(obj[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what} field {key!r}: {exc}") from None
+    return out
 
 
 def parse_hist(obj) -> dict[int, float]:
     """Normalize a JSON-style histogram (string keys) to {int: float}."""
+    if not isinstance(obj, dict):
+        raise ValueError("histogram must be a JSON object {degree: fraction}")
     hist = {}
     for key, val in obj.items():
-        j = int(key)
-        if j < 0:
-            raise ValueError(f"negative degree {j} in histogram")
-        hist[j] = float(val)
+        try:
+            hist[int(key)] = float(val)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad histogram entry {key!r}: {val!r}") from None
+    if min(hist, default=0) < 0:
+        raise ValueError(f"negative degree {min(hist)} in histogram")
     return hist
 
 

@@ -15,11 +15,11 @@ uniformly (with replacement) from the previous pool.  D is the effective
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import hist_to_json, parse_hist
+from .graph import decode_fields, hist_to_json, parse_hist
 from .theory import validate_outdegree_hist
 
 _CHUNK = 1 << 22
@@ -38,16 +38,35 @@ class SimulationConvergenceError(RuntimeError):
         self.generations = generations
 
 
+class EffectiveOutdegreeSampler:
+    """Inverse-CDF table for the size-biased out-degree law q_j = j*p_j/d of
+    a histogram with mean d.  ``values`` and ``probabilities`` hold the
+    support j >= 1 and q_j."""
+
+    def __init__(self, outdeg_hist: dict[int, float], d: float):
+        validate_outdegree_hist(outdeg_hist, d)
+        items = [(j, p) for j, p in sorted(outdeg_hist.items()) if j >= 1 and p > 0]
+        if not items:
+            raise ValueError("all out-degree mass at 0; effective out-degree undefined")
+        self.values = np.array([j for j, _ in items], dtype=np.int64)
+        self.probabilities = np.array([j * p / d for j, p in items])
+        self._cum = np.cumsum(self.probabilities)
+        self._cum[-1] = 1.0  # absorb rounding so every uniform draw lands in range
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.values[np.searchsorted(self._cum, rng.random(size), side="right")]
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Parameters of the stochastic model and of the sampling run.
 
     ``outdeg_hist`` includes the dangling fraction at key 0 and must have
-    mean d.  ``pool_size`` is the accuracy knob of the population-dynamics
-    estimate; the seed fully determines the run.  The generation count of a
-    "converged" run depends on c and p0 only, not on ``pool_size``.  Near
-    alpha = 1 the pool does not resolve the tail in CCDF [1e-5, 1e-3] (see
-    ``simulate_R``).
+    mean d; building its q_j table, ``effective_outdegree``, validates it.
+    ``pool_size`` is the accuracy knob of the population-dynamics estimate;
+    the seed fully determines the run.  A "converged" run's generation count
+    depends on c and p0 only, not on ``pool_size``.  Near alpha = 1 the pool
+    does not resolve the tail in CCDF [1e-5, 1e-3] (see ``simulate_R``).
     """
 
     c: float
@@ -56,6 +75,7 @@ class ModelSpec:
     outdeg_hist: dict[int, float]
     pool_size: int = 1_000_000
     seed: int = 0
+    effective_outdegree: EffectiveOutdegreeSampler = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.c < 1.0:
@@ -66,7 +86,8 @@ class ModelSpec:
             raise ValueError("mean degree must be positive")
         if self.pool_size < 10_000:
             raise ValueError("pool_size must be at least 10_000")
-        validate_outdegree_hist(self.outdeg_hist, self.d)
+        object.__setattr__(self, "effective_outdegree",
+                           EffectiveOutdegreeSampler(self.outdeg_hist, self.d))
 
     @property
     def t_min(self) -> float:
@@ -89,14 +110,9 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelSpec":
-        required = ["c", "alpha", "d", "outdeg_hist"]
-        missing = [k for k in required if k not in obj]
-        if missing:
-            raise ValueError(f"model spec missing fields: {missing}")
-        return cls(c=float(obj["c"]), alpha=float(obj["alpha"]), d=float(obj["d"]),
-                   outdeg_hist=parse_hist(obj["outdeg_hist"]),
-                   pool_size=int(obj.get("pool_size", 1_000_000)),
-                   seed=int(obj.get("seed", 0)))
+        return cls(**decode_fields(obj, "model spec", {
+            "c": float, "alpha": float, "d": float, "outdeg_hist": parse_hist,
+            "pool_size": int, "seed": int}, {"pool_size": 1_000_000, "seed": 0}))
 
 
 @dataclass(frozen=True)
@@ -116,50 +132,22 @@ class SamplePool:
         return (ordered.size - idx) / ordered.size
 
 
-def sample_pareto(rng: np.random.Generator, alpha: float, t_min: float, size=None):
+def sample_pareto(rng: np.random.Generator, alpha: float, t_min: float, size: int):
     """Inverse-CDF Pareto draws: P(T > x) = (x/t_min)^(-alpha) for x >= t_min."""
     u = 1.0 - rng.random(size)  # in (0, 1], keeps T finite
     return t_min * u ** (-1.0 / alpha)
 
 
-def sample_indegree(spec: ModelSpec, rng: np.random.Generator, size=None):
+def sample_indegree(spec: ModelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Mixed-Poisson in-degree draws: N = Poisson(T), T Pareto(alpha, t_min)."""
-    t = sample_pareto(rng, spec.alpha, spec.t_min, size)
-    n = rng.poisson(t)
-    return int(n) if size is None else n
-
-
-class EffectiveOutdegreeSampler:
-    """Inverse-CDF table for the size-biased out-degree law q_j = j*p_j/d,
-    built once and reused across generations.  ``values`` and
-    ``probabilities`` hold the support j >= 1 and q_j."""
-
-    def __init__(self, outdeg_hist: dict[int, float], d: float | None = None):
-        mean = validate_outdegree_hist(outdeg_hist, d)
-        items = [(j, p) for j, p in sorted(outdeg_hist.items()) if j >= 1 and p > 0]
-        if not items:
-            raise ValueError("all out-degree mass at 0; effective out-degree undefined")
-        if d is None:
-            d = mean
-        self.values = np.array([j for j, _ in items], dtype=np.int64)
-        self.probabilities = np.array([j * p / d for j, p in items])
-        cum = np.cumsum(self.probabilities)
-        cum[-1] = 1.0  # absorb rounding so every uniform draw lands in range
-        self._cum = cum
-
-    def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size)
-        out = self.values[np.searchsorted(self._cum, u, side="right")]
-        return int(out) if size is None else out
+    return rng.poisson(sample_pareto(rng, spec.alpha, spec.t_min, size))
 
 
 def initial_pool(spec: ModelSpec) -> SamplePool:
     return SamplePool(values=np.ones(spec.pool_size), generation=0)
 
 
-def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator,
-                 sampler: EffectiveOutdegreeSampler | None = None,
-                 return_indegrees: bool = False):
+def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) -> SamplePool:
     """Advance the pool one generation.
 
     Each of the M new samples draws its own in-degree N, then N pairs
@@ -174,16 +162,14 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator,
     m = spec.pool_size
     if pool.values.size != m:
         raise ValueError("pool size does not match spec.pool_size")
-    if sampler is None:
-        sampler = EffectiveOutdegreeSampler(spec.outdeg_hist, spec.d)
-    n_in = sample_indegree(spec, rng, size=m)
+    n_in = sample_indegree(spec, rng, m)
     bounds = np.cumsum(n_in)
     total = int(bounds[-1]) if m else 0
     acc = np.zeros(m)
     prev = pool.values
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        d_draw = sampler.sample(rng, stop - start)
+        d_draw = spec.effective_outdegree.sample(rng, stop - start)
         r_draw = prev[rng.integers(0, prev.size, size=stop - start)]
         lo, hi = np.searchsorted(bounds, [start, stop - 1], side="right")
         counts = n_in[lo:hi + 1].copy()
@@ -194,9 +180,7 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator,
         np.divide(r_draw, d_draw, out=r_draw)
         acc[lo:hi + 1] += np.bincount(owners, weights=r_draw, minlength=hi + 1 - lo)
         del d_draw, r_draw, owners  # freed before the next chunk draws
-    new = SamplePool(values=spec.baseline + spec.c * acc,
-                     generation=pool.generation + 1)
-    return (new, n_in) if return_indegrees else new
+    return SamplePool(values=spec.baseline + spec.c * acc, generation=pool.generation + 1)
 
 
 def simulate_R(spec: ModelSpec, k) -> SamplePool:
@@ -226,10 +210,9 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
     if k < 1:
         raise ValueError("k must be >= 1 or 'converged'")
     rng = np.random.default_rng(spec.seed)
-    sampler = EffectiveOutdegreeSampler(spec.outdeg_hist, spec.d)
     pool = initial_pool(spec)
     for _ in range(k):
-        pool = iterate_pool(pool, spec, rng, sampler)
+        pool = iterate_pool(pool, spec, rng)
     return pool
 
 
@@ -276,8 +259,7 @@ class YLevelResult:
 
 
 def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
-                      node_budget: int = 10_000_000,
-                      rng: np.random.Generator | None = None) -> YLevelResult:
+                      node_budget: int = 10_000_000) -> YLevelResult:
     """Explicit tree expansion of the level totals Y_0..Y_max_level.
 
     Each sample grows a tree where every node has an independent in-degree-N
@@ -285,7 +267,7 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
     products of edge weights over all level-n nodes.  Levels beyond 6 are
     refused (tree size explodes); samples whose node count would exceed
     ``node_budget`` are aborted and flagged (NaN rows), and trees that die
-    out read 0 from then on.
+    out read 0 from then on.  The spec's seed drives every draw.
 
     All samples grow together, one level at a time: every node carries the
     index of its sample, per-sample child counts come from ``bincount`` and
@@ -298,9 +280,7 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
         raise ValueError("level must be between 0 and 6")
     if n_samples > 10_000:
         raise ValueError("at most 10_000 tree samples")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    sampler = EffectiveOutdegreeSampler(spec.outdeg_hist, spec.d)
+    rng = np.random.default_rng(spec.seed)
     values = np.full((n_samples, max_level + 1), np.nan)
     values[:, 0] = 1.0
     aborted = np.zeros(n_samples, dtype=bool)
@@ -332,15 +312,16 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
             keep = live[owner]
             kids = offspring[keep]
             owner = np.repeat((np.cumsum(live) - 1)[owner[keep]], kids)
-            weights = np.repeat(weights[keep], kids) / sampler.sample(rng, owner.size)
+            weights = (np.repeat(weights[keep], kids)
+                       / spec.effective_outdegree.sample(rng, owner.size))
             values[samples, level] = np.bincount(owner, weights=weights,
                                                  minlength=samples.size)
             if level == max_level:
                 return
             level += 1
-            offspring = sample_indegree(spec, rng, size=weights.size)
+            offspring = sample_indegree(spec, rng, weights.size)
 
     if max_level > 0:
         grow(np.arange(n_samples), np.arange(n_samples), np.ones(n_samples),
-             sample_indegree(spec, rng, size=n_samples), 1)
+             sample_indegree(spec, rng, n_samples), 1)
     return YLevelResult(values=values, aborted=aborted)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ranktail import simulate
+
 _acceptance_outcomes = {}
 
 
@@ -23,3 +25,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def drawn_indegrees(monkeypatch):
+    """The in-degree array of the latest ``simulate.sample_indegree`` call,
+    as the list's one element; the draws themselves are unchanged."""
+    drawn = []
+    draw = simulate.sample_indegree
+
+    def spy(spec, rng, size):
+        drawn[:] = [draw(spec, rng, size)]
+        return drawn[0]
+
+    monkeypatch.setattr(simulate, "sample_indegree", spy)
+    return drawn

@@ -143,7 +143,7 @@ def test_crit3_simulator_tail_law(k):
 
 
 @pytest.mark.slow
-def test_crit4_mean_field_conditional_means():
+def test_crit4_mean_field_conditional_means(drawn_indegrees):
     # E(R | N) must be affine with slope c*(1-p0)/d over well-filled bins
     hist = {0: 0.006, 4: 0.642, 16: 0.352}
     spec = ModelSpec(c=0.85, alpha=2.5, d=8.2, outdeg_hist=hist,
@@ -152,7 +152,8 @@ def test_crit4_mean_field_conditional_means():
     pool = initial_pool(spec)
     for _ in range(12):
         pool = iterate_pool(pool, spec, rng)
-    paired, n_in = iterate_pool(pool, spec, rng, return_indegrees=True)
+    paired = iterate_pool(pool, spec, rng)
+    (n_in,) = drawn_indegrees  # the in-degrees of the last generation
 
     counts = np.bincount(n_in)
     bins = np.flatnonzero(counts >= 1000)

@@ -299,3 +299,33 @@ class TestGenerateCmd:
         sidecar = json.loads((out / "synth.json").read_text())
         assert sidecar["spec"]["outdeg_hist"] == {"0": 0.2, "2": 0.8}
         assert main(["stats", str(out / "edges.txt.gz")]) == 0
+
+
+PROFILE = {"n": 4, "m": 4, "d": 1.0, "p0": 0.2, "p_hist": {"0": 0.2, "1": 0.6, "2": 0.2}}
+SPEC = {"c": 0.5, "alpha": 2.5, "d": 2.5, "pool_size": 10_000,
+        "outdeg_hist": {"0": 0.2, "1": 0.3, "2": 0.2, "4": 0.2, "10": 0.1}}
+GENERATE = ["generate", "--nodes", "100", "--alpha", "1.5", "--mean-degree", "1"]
+
+
+@pytest.mark.parametrize("command, document", [
+    (["predict", "--alpha", "1.5", "--profile"], {}),
+    (["predict", "--alpha", "1.5", "--profile"], []),
+    (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "n": None}),
+    (["simulate"], {**SPEC, "outdeg_hist": [1]}),
+    (["simulate"], {**SPEC, "c": None}),
+    (["simulate"], {**SPEC, "outdeg_hist": {"1": None}}),
+    ([*GENERATE, "--outdeg-hist"], [1]),
+    ([*GENERATE, "--outdeg-hist"], {"1": None}),
+], ids=["profile-empty", "profile-list", "profile-null-n", "spec-hist-list",
+        "spec-null-c", "spec-null-fraction", "generate-hist-list",
+        "generate-null-fraction"])
+def test_malformed_json_input_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                             document):
+    monkeypatch.chdir(tmp_path)  # outputs, if any, land in tmp_path
+    arg = json.dumps(document)
+    if command[0] != "generate":
+        (tmp_path / "input.json").write_text(arg)
+        arg = "input.json"
+    assert main([*command, arg]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

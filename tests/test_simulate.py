@@ -97,13 +97,10 @@ class TestInDegreeSampler:
         se_freq = np.sqrt(freq * (1 - freq) / n.size)
         assert abs(freq - expected) <= 3 * np.hypot(se_expected, se_freq)
 
-    def test_scalar_draw(self, rng):
-        assert isinstance(sample_indegree(calm_spec(), rng), int)
-
 
 class TestEffectiveOutdegreeSampler:
     def test_degenerate_single_class(self, rng):
-        assert EffectiveOutdegreeSampler({1: 1.0}, 1.0).sample(rng) == 1
+        assert (EffectiveOutdegreeSampler({1: 1.0}, 1.0).sample(rng, 10) == 1).all()
 
     def test_size_biased_frequencies(self, rng):
         draws = EffectiveOutdegreeSampler({1: 0.5, 3: 0.5}, 2.0).sample(rng, 1_000_000)
@@ -112,7 +109,7 @@ class TestEffectiveOutdegreeSampler:
             assert abs(freq - q) <= 3 * np.sqrt(q * (1 - q) / draws.size)
 
     def test_inverse_mean_identity(self, rng):
-        sampler = EffectiveOutdegreeSampler(CALM_HIST)
+        sampler = EffectiveOutdegreeSampler(CALM_HIST, 2.5)
         draws = sampler.sample(rng, 1_000_000)
         inv = 1.0 / draws
         expected = (1 - 0.2) / 2.5
@@ -120,7 +117,7 @@ class TestEffectiveOutdegreeSampler:
 
     def test_all_mass_dangling_rejected(self):
         with pytest.raises(ValueError):
-            EffectiveOutdegreeSampler({0: 1.0})
+            EffectiveOutdegreeSampler({0: 1.0}, 0.0)
 
 
 class TestIteratePool:
@@ -166,9 +163,10 @@ class TestIteratePool:
                     - np.searchsorted(b, grid, side="right") / b.size).max()
         assert ks < 0.01
 
-    def test_paired_indegrees_returned(self, rng):
+    def test_paired_indegrees_returned(self, rng, drawn_indegrees):
         spec = calm_spec(pool_size=10_000)
-        pool, n = iterate_pool(initial_pool(spec), spec, rng, return_indegrees=True)
+        pool = iterate_pool(initial_pool(spec), spec, rng)
+        (n,) = drawn_indegrees
         assert n.shape == (10_000,)
         # samples that drew no children sit exactly at the baseline
         assert np.allclose(pool.values[n == 0], spec.baseline)
@@ -200,7 +198,7 @@ class TestChunkBoundaries:
             values=np.random.default_rng(4).random(spec.pool_size) + 0.5, generation=0)
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         monkeypatch.setattr(simulate, "sample_indegree",
-                            lambda spec, rng, size=None: n_in.copy())
+                            lambda spec, rng, size: n_in.copy())
         new = iterate_pool(pool, spec, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
@@ -213,7 +211,7 @@ class TestChunkBoundaries:
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         new = iterate_pool(pool, spec, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        n_in = sample_indegree(spec, rng, size=spec.pool_size)
+        n_in = sample_indegree(spec, rng, spec.pool_size)
         expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
         assert new.values.tobytes() == expected.tobytes()
 
@@ -292,8 +290,8 @@ class TestTailRatioTable:
 
 
 class TestTreeLevels:
-    def test_level_zero_is_one(self, rng):
-        res = simulate_Y_levels(calm_spec(pool_size=10_000), 0, n_samples=50, rng=rng)
+    def test_level_zero_is_one(self):
+        res = simulate_Y_levels(calm_spec(pool_size=10_000), 0, n_samples=50)
         assert res.values[:, 0] == pytest.approx(np.ones(50))
         assert res.abort_rate == 0.0
 
@@ -344,7 +342,7 @@ class TestTreeLevels:
         sizes = []
         draw = EffectiveOutdegreeSampler.sample
 
-        def spy(self, rng, size=None):
+        def spy(self, rng, size):
             sizes.append(size)
             return draw(self, rng, size)
 
@@ -381,6 +379,23 @@ class TestTreeLevels:
             vals = partial[:, k]
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - geo[k]) <= 4 * se, k
+
+
+class TestOutdegreeTable:
+    def test_built_once_per_spec(self, monkeypatch):
+        built = []
+        init = EffectiveOutdegreeSampler.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(EffectiveOutdegreeSampler, "__init__", spy)
+        spec = calm_spec(pool_size=10_000)
+        assert len(built) == 1
+        simulate_R(spec, 3)
+        simulate_Y_levels(spec, 2, n_samples=100)
+        assert len(built) == 1
 
 
 class TestDeterminism:
