@@ -16,8 +16,8 @@ from pathlib import Path
 from . import report as report_mod
 from . import simulate as sim
 from . import theory
-from .graph import (DegreeProfile, EdgeListParseError, degree_profile, load_edge_list,
-                    hist_to_json, open_text, parse_hist, write_edge_list)
+from .graph import (DegreeProfile, EdgeListParseError, as_number, degree_profile,
+                    load_edge_list, hist_to_json, open_text, parse_hist, write_edge_list)
 from .pagerank import PageRankParams, export_scores, pagerank
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
@@ -40,14 +40,18 @@ _OPTIONS = {
 
 
 def _convert(value, kind):
-    """A --config value as `kind`: numbers and bools must arrive as JSON
-    numbers and bools (a bool is not a number); anything goes through str."""
+    """A --config value as `kind`: numbers must arrive as JSON numbers
+    (`graph.as_number`) and bools as bools; anything goes through str."""
     if isinstance(kind, list):
         if isinstance(value, list):
             return [_convert(v, kind[0]) for v in value]
-    elif kind is str or (isinstance(value, bool) == (kind is bool)
-                         and isinstance(value, (int, float))):
-        return kind(value)
+    elif kind is str:
+        return str(value)
+    elif kind is bool:
+        if isinstance(value, bool):
+            return value
+    else:
+        return as_number(value, kind)
     raise TypeError(f"expected {getattr(kind, '__name__', 'list')}, got {value!r}")
 
 

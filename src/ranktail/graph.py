@@ -127,10 +127,22 @@ def decode_fields(obj, what: str, fields: dict, defaults: dict) -> dict:
     out = {}
     for key, convert in fields.items():
         try:
-            out[key] = convert(obj[key])
+            out[key] = (as_number(obj[key], convert) if convert in (int, float)
+                        else convert(obj[key]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{what} field {key!r}: {exc}") from None
     return out
+
+
+def as_number(value, kind=float):
+    """A decoded JSON number as `kind` (int or float).  A number is an int or
+    float that is not a bool, so true/false and numeric strings are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:  # an infinite float as int
+            pass
+    raise TypeError(f"expected {kind.__name__}, got {value!r}")
 
 
 def parse_hist(obj) -> dict[int, float]:
@@ -140,7 +152,7 @@ def parse_hist(obj) -> dict[int, float]:
     hist = {}
     for key, val in obj.items():
         try:
-            hist[int(key)] = float(val)
+            hist[int(key)] = as_number(val)
         except (TypeError, ValueError):
             raise ValueError(f"bad histogram entry {key!r}: {val!r}") from None
     if min(hist, default=0) < 0:
@@ -267,16 +279,21 @@ def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def write_rows(dest, header: str | None, first, second, sep: str, eol: str) -> None:
     """Write two equal-length columns as "<a><sep><b><eol>" rows after an optional
-    header row; cells print as Python ints and floats (str is repr for both)."""
+    header row; cells print as Python ints and floats (str is repr for both).
+    Each chunk is one %-format of the row template repeated per row."""
     if len(first) != len(second):
         raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
     chunk = 1 << 16
+    row = "%s" + sep.replace("%", "%%") + "%s" + eol.replace("%", "%%")
     with open_text(dest, "w") as stream:
         if header is not None:
             stream.write(header + eol)
         for start in range(0, len(first), chunk):
-            rows = zip(first[start:start + chunk].tolist(), second[start:start + chunk].tolist())
-            stream.write("".join(f"{a}{sep}{b}{eol}" for a, b in rows))
+            a = first[start:start + chunk].tolist()
+            cells = [None] * (2 * len(a))
+            cells[0::2] = a
+            cells[1::2] = second[start:start + chunk].tolist()
+            stream.write((row * len(a)) % tuple(cells))
 
 
 def write_edge_list(g: Graph, dest) -> None:

@@ -249,14 +249,6 @@ class YLevelResult:
     values: np.ndarray
     aborted: np.ndarray
 
-    @property
-    def abort_rate(self) -> float:
-        return float(self.aborted.mean())
-
-    def level(self, n: int) -> np.ndarray:
-        """Completed samples of the level-n total."""
-        return self.values[~self.aborted, n]
-
 
 def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
                       node_budget: int = 10_000_000) -> YLevelResult:

@@ -2,9 +2,10 @@
 out-degree histogram.
 
 In-degrees are drawn i.i.d. from the mixed-Poisson law of the simulator;
-each node is independently assigned an out-degree class from the histogram,
-and every in-stub picks its source with probability proportional to the
-source's assigned class (independently, with replacement).  This preserves
+each node is independently assigned an out-degree class from the histogram
+and gets that many out-stubs, and every in-stub picks a uniform out-stub
+(independently, with replacement), so a source is picked with probability
+proportional to its assigned class.  This preserves
 the size-biased effective out-degree law j*p_j/d that the tail theory
 consumes; realized out-degrees scatter (roughly Poisson) around the
 assigned classes, so end-to-end checks should always use the realized
@@ -66,7 +67,7 @@ _SELF_LOOP_REDRAWS = 100
 
 
 def generate(spec: SynthSpec) -> Graph:
-    """Sample a graph: i.i.d. in-degrees, class assignment, proportional wiring.
+    """Sample a graph: i.i.d. in-degrees, class assignment, uniform out-stubs.
 
     Self-loops are redrawn up to 100 times and then accepted.  Raises when
     the assigned classes leave no out-capacity but in-stubs exist.
@@ -83,20 +84,22 @@ def generate(spec: SynthSpec) -> Graph:
     class_p = np.array([spec.outdeg_hist[int(j)] for j in classes_j])
     assigned = classes_j[rng.choice(classes_j.size, size=n, p=class_p / class_p.sum())]
 
-    weights = np.cumsum(assigned.astype(float))
-    capacity = weights[-1]
+    stubs = np.repeat(np.arange(n, dtype=np.int64), assigned)  # owner of each out-stub
+    capacity = stubs.size
     m = int(indeg.sum())
     if m == 0:
         return Graph.from_edges(np.empty(0, np.int64), np.empty(0, np.int64), n)
-    if capacity <= 0:
+    if capacity == 0:
         raise ValueError("no out-capacity assigned but in-stubs exist")
 
+    def sources(size):  # owners of `size` uniform out-stubs
+        return stubs[(rng.random(size) * capacity).astype(np.int64)]
+
     dst = np.repeat(np.arange(n, dtype=np.int64), indeg)
-    src = np.searchsorted(weights, rng.random(m) * capacity, side="right")
+    src = sources(m)
     for _ in range(_SELF_LOOP_REDRAWS):
         loops = np.flatnonzero(src == dst)
         if loops.size == 0:
             break
-        src[loops] = np.searchsorted(weights, rng.random(loops.size) * capacity,
-                                     side="right")
+        src[loops] = sources(loops.size)
     return Graph.from_edges(src, dst, n)

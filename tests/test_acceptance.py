@@ -175,9 +175,9 @@ def test_crit5_martingale_level_means():
     spec = ModelSpec(c=0.5, alpha=2.5, d=2.5, outdeg_hist=hist,
                      pool_size=10_000, seed=13)
     result = simulate_Y_levels(spec, 4, n_samples=10_000)
-    assert result.abort_rate == 0.0
+    assert result.aborted.mean() == 0.0
     for level in range(5):
-        vals = result.level(level)
+        vals = result.values[~result.aborted, level]
         expected = (1 - spec.p0) ** level
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - expected) <= max(4 * se, 1e-12), level

@@ -305,6 +305,7 @@ PROFILE = {"n": 4, "m": 4, "d": 1.0, "p0": 0.2, "p_hist": {"0": 0.2, "1": 0.6, "
 SPEC = {"c": 0.5, "alpha": 2.5, "d": 2.5, "pool_size": 10_000,
         "outdeg_hist": {"0": 0.2, "1": 0.3, "2": 0.2, "4": 0.2, "10": 0.1}}
 GENERATE = ["generate", "--nodes", "100", "--alpha", "1.5", "--mean-degree", "1"]
+GENERATE_1K = ["generate", "--nodes", "1000", "--alpha", "1.5", "--mean-degree", "1"]
 
 
 @pytest.mark.parametrize("command, document", [
@@ -316,9 +317,20 @@ GENERATE = ["generate", "--nodes", "100", "--alpha", "1.5", "--mean-degree", "1"
     (["simulate"], {**SPEC, "outdeg_hist": {"1": None}}),
     ([*GENERATE, "--outdeg-hist"], [1]),
     ([*GENERATE, "--outdeg-hist"], {"1": None}),
+    # a number is an int or float that is not a bool, and finite where an int belongs
+    ([*GENERATE_1K, "--outdeg-hist"], {"0": False, "1": True}),
+    ([*GENERATE_1K, "--outdeg-hist"], {"0": "0", "1": "1"}),
+    (["simulate"], {**SPEC, "pool_size": "10000"}),
+    (["simulate"], {**SPEC, "alpha": "2.5"}),
+    (["simulate"], {**SPEC, "pool_size": float("inf")}),
+    (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "n": "4"}),
+    (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "d": True}),
+    (["pagerank", "missing.txt", "--config"], {"max_iters": float("inf")}),
 ], ids=["profile-empty", "profile-list", "profile-null-n", "spec-hist-list",
         "spec-null-c", "spec-null-fraction", "generate-hist-list",
-        "generate-null-fraction"])
+        "generate-null-fraction", "generate-bool-fractions", "generate-string-fractions",
+        "spec-string-pool-size", "spec-string-alpha", "spec-infinite-pool-size",
+        "profile-string-n", "profile-bool-d", "config-infinite-int"])
 def test_malformed_json_input_is_usage_error(tmp_path, monkeypatch, capsys, command,
                                              document):
     monkeypatch.chdir(tmp_path)  # outputs, if any, land in tmp_path

@@ -293,13 +293,13 @@ class TestTreeLevels:
     def test_level_zero_is_one(self):
         res = simulate_Y_levels(calm_spec(pool_size=10_000), 0, n_samples=50)
         assert res.values[:, 0] == pytest.approx(np.ones(50))
-        assert res.abort_rate == 0.0
+        assert res.aborted.mean() == 0.0
 
     def test_martingale_means(self):
         spec = calm_spec(pool_size=10_000, seed=13)
         res = simulate_Y_levels(spec, 4, n_samples=8_000)
         for level in range(5):
-            vals = res.level(level)
+            vals = res.values[~res.aborted, level]
             expected = (1 - 0.2) ** level
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - expected) <= max(4 * se, 1e-12), level
@@ -312,14 +312,14 @@ class TestTreeLevels:
         sizes = res.values[~res.aborted]
         assert (sizes == np.round(sizes)).all()  # all weights are 1
         for level in (1, 2, 3, 4):
-            vals = res.level(level)
+            vals = res.values[~res.aborted, level]
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - 1.0) <= 4 * se
 
     def test_budget_abort_flagged(self):
         spec = calm_spec(pool_size=10_000, seed=3)
         res = simulate_Y_levels(spec, 5, n_samples=300, node_budget=8)
-        assert res.abort_rate > 0
+        assert res.aborted.mean() > 0
         assert np.isnan(res.values[res.aborted]).all()
 
     def test_same_seed_same_levels(self):
@@ -351,9 +351,9 @@ class TestTreeLevels:
         spec = calm_spec(pool_size=10_000, seed=13)
         res = simulate_Y_levels(spec, 4, n_samples=8_000)
         assert len(sizes) > 4  # more than one block per level
-        assert res.abort_rate == 0.0
+        assert res.aborted.mean() == 0.0
         for level in range(5):
-            vals = res.level(level)
+            vals = res.values[~res.aborted, level]
             expected = (1 - 0.2) ** level
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - expected) <= max(4 * se, 1e-12), level

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import solved_histogram
-from ranktail.graph import degree_profile
-from ranktail.simulate import EffectiveOutdegreeSampler
+from ranktail.graph import Graph, degree_profile
+from ranktail.simulate import EffectiveOutdegreeSampler, sample_pareto
 from ranktail.synth import SynthSpec, generate
 from ranktail.tails import fit_exponent_mle
 
@@ -90,6 +90,69 @@ class TestGenerate:
         assert a.in_src.tobytes() == b.in_src.tobytes()
         assert a.in_ptr.tobytes() == b.in_ptr.tobytes()
         assert a.out_deg.tobytes() == b.out_deg.tobytes()
+
+
+def searchsorted_reference(spec):
+    """The generator with each source found by a binary search of the uniform
+    draw in the cumulative out-capacities, on the same rng calls in the same
+    order; also returns how many self-loop redraw rounds drew anything."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    if spec.fixed_indegree is not None:
+        indeg = np.full(n, spec.fixed_indegree, dtype=np.int64)
+    else:
+        t_min = spec.d * (spec.alpha - 1.0) / spec.alpha
+        indeg = rng.poisson(sample_pareto(rng, spec.alpha, t_min, n))
+    classes_j = np.array(sorted(spec.outdeg_hist), dtype=np.int64)
+    class_p = np.array([spec.outdeg_hist[int(j)] for j in classes_j])
+    assigned = classes_j[rng.choice(classes_j.size, size=n, p=class_p / class_p.sum())]
+    weights = np.cumsum(assigned.astype(float))
+    capacity = weights[-1]
+    dst = np.repeat(np.arange(n, dtype=np.int64), indeg)
+    src = np.searchsorted(weights, rng.random(dst.size) * capacity, side="right")
+    rounds = 0
+    for _ in range(100):
+        loops = np.flatnonzero(src == dst)
+        if loops.size == 0:
+            break
+        rounds += 1
+        src[loops] = np.searchsorted(weights, rng.random(loops.size) * capacity,
+                                     side="right")
+    return Graph.from_edges(src, dst, n), rounds
+
+
+def rescaled_spec():
+    with pytest.warns(UserWarning, match="rescaled"):
+        return SynthSpec(n=3_000, alpha=1.5, d=3.0, outdeg_hist={0: 0.5, 2: 0.3, 5: 0.2},
+                         seed=8)
+
+
+@pytest.mark.parametrize("make_spec, redraws", [
+    *[(lambda seed=seed: spec_for(n=20_000, seed=seed), None) for seed in (0, 1, 5, 12)],
+    (lambda: SynthSpec(n=20_000, alpha=1.3, d=11.2, outdeg_hist={0: 0.2, 8: 0.65, 40: 0.15},
+                       seed=3), None),
+    (lambda: SynthSpec(n=5_000, alpha=2.5, d=3.0, outdeg_hist={3: 1.0}, seed=4), None),
+    (rescaled_spec, None),
+    (lambda: SynthSpec(n=1_000, alpha=1.5, d=1.0, outdeg_hist={1: 1.0}, seed=4,
+                       fixed_indegree=1), None),
+    # every node has one in-stub and one or two nodes own every out-stub, so
+    # the owners' in-stubs are self-loops until redrawn: a lone owner's
+    # never goes away and runs the redraws to their cap
+    (lambda: SynthSpec(n=1_000, alpha=1.5, d=1.0, outdeg_hist={0: 0.999, 1_000: 0.001},
+                       seed=0, fixed_indegree=1), 100),
+    (lambda: SynthSpec(n=1_000, alpha=1.5, d=1.0, outdeg_hist={0: 0.999, 1_000: 0.001},
+                       seed=1, fixed_indegree=1), 6),
+], ids=["seed0", "seed1", "seed5", "seed12", "class0", "single-class", "rescaled",
+        "fixed-indegree", "redraw-cap", "redraws"])
+def test_same_graph_as_searchsorted_wiring(make_spec, redraws):
+    spec = make_spec()
+    expected, rounds = searchsorted_reference(spec)
+    g = generate(spec)
+    assert g.m == expected.m > 0
+    for name in ("in_ptr", "in_src", "out_deg"):
+        assert np.array_equal(getattr(g, name), getattr(expected, name)), name
+    if redraws is not None:
+        assert rounds == redraws
 
 
 @pytest.mark.slow

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from ranktail.graph import Graph, load_edge_list, write_edge_list
+from ranktail.graph import Graph, load_edge_list, write_edge_list, write_rows
 from ranktail.pagerank import export_scores
 from ranktail.tails import ccdf, decimate_ccdf, write_ccdf_csv
 
@@ -76,6 +76,39 @@ def test_edge_list_over_one_chunk(rng):
                              delimiter="\t", lineterminator="\n")
     assert expected.count("\n") == m
     assert written(write_edge_list, g) == expected
+
+
+def fstring_rows(header, first, second, sep, eol):
+    """The rows as one f-string per row writes them: the reference format."""
+    head = "" if header is None else header + eol
+    return head + "".join(f"{a}{sep}{b}{eol}" for a, b in zip(first.tolist(), second.tolist()))
+
+
+FLOATS = [5e-324, 1e16, -0.0, float("inf"), float("-inf"), float("nan"), 0.1, 2 / 3,
+          1e-05, 123456789.0, -1.5e300]
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_536, 65_537])
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_write_rows_matches_fstring_rows(rng, size, kind):
+    first = rng.integers(-10**15, 10**15, size)
+    if kind == "int":
+        second = rng.integers(0, 2**63 - 1, size, dtype=np.int64)
+    else:
+        second = np.resize(np.array(FLOATS), size) * rng.choice([1.0, -1.0], size)
+    for header, sep, eol in [("a,b", ",", "\r\n"), (None, "\t", "\n"),
+                             ("%d %s", "%s%%", "%\n")]:
+        expected = fstring_rows(header, first, second, sep, eol)
+        assert written(lambda dest: write_rows(dest, header, first, second, sep, eol)) == expected
+
+
+def test_write_rows_to_gz_matches_fstring_rows(tmp_path, rng):
+    first = np.arange(70_000)
+    second = np.resize(np.array(FLOATS), first.size)
+    path = tmp_path / "rows.csv.gz"
+    write_rows(path, "x,y", first, second, ",", "\r\n")
+    with gzip.open(path, "rb") as fh:
+        assert fh.read() == fstring_rows("x,y", first, second, ",", "\r\n").encode("utf-8")
 
 
 SCORES = [1e-05, 1e+16, 0.1, 123456789.0, 1.0, 2 / 3, -0.0, float("inf")]
