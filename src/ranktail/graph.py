@@ -70,9 +70,6 @@ class Graph:
         return cls(n=n, m=m, in_ptr=in_ptr, in_src=in_src,
                    out_deg=out_deg, orig_ids=np.asarray(orig_ids, dtype=np.int64))
 
-    def in_neighbors(self, i: int) -> np.ndarray:
-        return self.in_src[self.in_ptr[i]:self.in_ptr[i + 1]]
-
     @property
     def in_deg(self) -> np.ndarray:
         return np.diff(self.in_ptr)
@@ -136,11 +133,13 @@ def decode_fields(obj, what: str, fields: dict, defaults: dict) -> dict:
 
 def as_number(value, kind=float):
     """A decoded JSON number as `kind` (int or float).  A number is an int or
-    float that is not a bool, so true/false and numeric strings are refused."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    float that is not a bool, so true/false and numeric strings are refused;
+    an int must be integral (1e6 is, 1.5 and inf are not)."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (kind is float or isinstance(value, int) or value.is_integer())):
         try:
             return kind(value)
-        except OverflowError:  # an infinite float as int
+        except OverflowError:  # an int beyond the float range
             pass
     raise TypeError(f"expected {kind.__name__}, got {value!r}")
 

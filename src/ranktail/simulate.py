@@ -25,6 +25,8 @@ from .theory import validate_outdegree_hist
 _CHUNK = 1 << 22
 _W1_TOL = 1e-3
 _MAX_GENERATIONS = 200
+_CCDF_WINDOW = (1e-5, 1e-3)  # CCDF levels where the tail ratio is checked
+_NODE_BUDGET = 10_000_000  # nodes one Y-level tree may grow before it is aborted
 
 
 class SimulationConvergenceError(RuntimeError):
@@ -216,14 +218,14 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
     return pool
 
 
-def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float,
-                     ccdf_window: tuple[float, float] = (1e-5, 1e-3)) -> list[dict]:
+def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float) -> list[dict]:
     """Empirical tail versus the predicted c_value * P(T > x).
 
-    Five probes are log-spaced between the pool quantiles at the window's CCDF
-    levels; rows outside the window (after measuring) carry in_window=False.
+    Five probes are log-spaced between the pool quantiles at the CCDF levels
+    of ``_CCDF_WINDOW``; rows outside the window (after measuring) carry
+    in_window=False.
     """
-    lo_ccdf, hi_ccdf = ccdf_window
+    lo_ccdf, hi_ccdf = _CCDF_WINDOW
     vals = pool.values
     x_lo = np.quantile(vals, 1.0 - hi_ccdf)
     x_hi = np.quantile(vals, 1.0 - lo_ccdf)
@@ -250,22 +252,22 @@ class YLevelResult:
     aborted: np.ndarray
 
 
-def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
-                      node_budget: int = 10_000_000) -> YLevelResult:
+def simulate_Y_levels(spec: ModelSpec, max_level: int,
+                      n_samples: int = 10_000) -> YLevelResult:
     """Explicit tree expansion of the level totals Y_0..Y_max_level.
 
     Each sample grows a tree where every node has an independent in-degree-N
     number of children and every edge carries weight 1/D; Y_n sums the
     products of edge weights over all level-n nodes.  Levels beyond 6 are
     refused (tree size explodes); samples whose node count would exceed
-    ``node_budget`` are aborted and flagged (NaN rows), and trees that die
+    ``_NODE_BUDGET`` are aborted and flagged (NaN rows), and trees that die
     out read 0 from then on.  The spec's seed drives every draw.
 
     All samples grow together, one level at a time: every node carries the
     index of its sample, per-sample child counts come from ``bincount`` and
     the children from ``np.repeat``.  A block of samples whose next level
     would hold more than ``_CHUNK`` children is split in halves, down to a
-    single sample, so no level holds more than max(_CHUNK, node_budget)
+    single sample, so no level holds more than max(_CHUNK, _NODE_BUDGET)
     nodes at once.
     """
     if not 0 <= max_level <= 6:
@@ -284,7 +286,7 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int, n_samples: int = 10_000,
         while True:
             totals = np.bincount(owner, weights=offspring,
                                  minlength=samples.size).astype(np.int64)
-            over = nodes[samples] + totals > node_budget
+            over = nodes[samples] + totals > _NODE_BUDGET
             if samples.size > 1 and totals[~over].sum() > _CHUNK:
                 half = samples.size // 2
                 cut = np.searchsorted(owner, half)

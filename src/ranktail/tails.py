@@ -16,12 +16,15 @@ import numpy as np
 
 from .graph import write_rows
 
+_MIN_TAIL = 10  # samples at or above x_min that a fit needs
+_MAX_CCDF_POINTS = 4096  # x positions a written CCDF keeps
+
 
 class InsufficientTailError(ValueError):
     """Too few samples at or above the tail threshold."""
 
-    def __init__(self, tail_count: int, needed: int = 10):
-        super().__init__(f"only {tail_count} tail samples (need >= {needed})")
+    def __init__(self, tail_count: int):
+        super().__init__(f"only {tail_count} tail samples (need >= {_MIN_TAIL})")
         self.tail_count = tail_count
 
 
@@ -76,11 +79,11 @@ def ccdf(values) -> CcdfSeries:
     return CcdfSeries(xs=xs[keep], fractions=fractions[keep])
 
 
-def decimate_ccdf(series: CcdfSeries, max_points: int = 4096) -> CcdfSeries:
-    """Thin a CCDF to at most max_points log-spaced x positions."""
-    if series.xs.size <= max_points:
+def decimate_ccdf(series: CcdfSeries) -> CcdfSeries:
+    """Thin a CCDF to at most ``_MAX_CCDF_POINTS`` log-spaced x positions."""
+    if series.xs.size <= _MAX_CCDF_POINTS:
         return series
-    grid = np.geomspace(series.xs[0], series.xs[-1], max_points)
+    grid = np.geomspace(series.xs[0], series.xs[-1], _MAX_CCDF_POINTS)
     idx = np.unique(np.searchsorted(series.xs, grid, side="left").clip(0, series.xs.size - 1))
     return CcdfSeries(xs=series.xs[idx], fractions=series.fractions[idx])
 
@@ -102,7 +105,7 @@ def fit_exponent_mle(values, x_min: float) -> TailFit:
         raise ValueError("x_min must be positive")
     v = np.asarray(values, dtype=float).ravel()
     tail = v[v >= x_min]
-    if tail.size < 10:
+    if tail.size < _MIN_TAIL:
         raise InsufficientTailError(int(tail.size))
     log_sum = np.log(tail / x_min).sum()
     if log_sum <= 0:

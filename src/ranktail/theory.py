@@ -160,6 +160,8 @@ def coefficient_table(params: TheoryParams, k_max: int | None = None) -> Coeffic
     if k_max is None:
         r = params.geometric_ratio
         k_max = 1 if r == 0 else min(10_000, math.ceil(math.log(1e-12) / math.log(r)))
+    elif k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     cks = [coefficient_Ck(params, k) for k in range(1, k_max + 1)]
     return CoefficientTable(b=params.b, c_k=cks, c_limit=coefficient_C(params),
                             c_lower_bound=coefficient_lower_bound(params))

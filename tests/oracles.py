@@ -16,7 +16,7 @@ def dense_pagerank(g: Graph, c: float) -> np.ndarray:
     n = g.n
     A = np.zeros((n, n))
     for i in range(n):
-        for j in g.in_neighbors(i):
+        for j in g.in_src[g.in_ptr[i]:g.in_ptr[i + 1]]:
             A[i, j] += 1.0 / g.out_deg[j]
     M = np.eye(n) - c * A
     M[:, np.asarray(g.dangling)] -= c / n

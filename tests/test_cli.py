@@ -144,7 +144,8 @@ class TestAnalyzeCmd:
         assert main(["analyze", str(tmp_path / "missing.txt"), "--alpha", "5"]) == 2
         assert "density" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [{"alpha": "2.0"}, {"xmin": "1"}, {"damping": 0.5}])
+    @pytest.mark.parametrize("config", [{"alpha": "2.0"}, {"xmin": "1"}, {"damping": 0.5},
+                                        {"max_iters": 100.5}])
     def test_mistyped_config_value_is_usage_error(self, star_file, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -194,6 +195,12 @@ class TestPredictCmd:
     def test_density_exponent_rejected(self, capsys):
         assert main(["predict", "--alpha", "5", "--d", "8", "--b", "0.5"]) == 2
         assert "density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_nonpositive_k_max_is_usage_error(self, capsys, k_max):
+        assert main(["predict", "--alpha", "1.5", "--d", "8", "--b", "0.5",
+                     "--damping", "0.5", "--k-max", k_max]) == 2
+        assert "k_max must be >= 1" in capsys.readouterr().err
 
 
 class TestSimulateCmd:
@@ -326,11 +333,16 @@ GENERATE_1K = ["generate", "--nodes", "1000", "--alpha", "1.5", "--mean-degree",
     (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "n": "4"}),
     (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "d": True}),
     (["pagerank", "missing.txt", "--config"], {"max_iters": float("inf")}),
+    # an int field takes an integral number (1e6 is one) and refuses a fraction
+    (["simulate"], {**SPEC, "pool_size": 10000.9}),
+    (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "n": 4.5}),
+    (["pagerank", "missing.txt", "--config"], {"max_iters": 100.5}),
 ], ids=["profile-empty", "profile-list", "profile-null-n", "spec-hist-list",
         "spec-null-c", "spec-null-fraction", "generate-hist-list",
         "generate-null-fraction", "generate-bool-fractions", "generate-string-fractions",
         "spec-string-pool-size", "spec-string-alpha", "spec-infinite-pool-size",
-        "profile-string-n", "profile-bool-d", "config-infinite-int"])
+        "profile-string-n", "profile-bool-d", "config-infinite-int",
+        "spec-fractional-pool-size", "profile-fractional-n", "config-fractional-int"])
 def test_malformed_json_input_is_usage_error(tmp_path, monkeypatch, capsys, command,
                                              document):
     monkeypatch.chdir(tmp_path)  # outputs, if any, land in tmp_path

@@ -47,14 +47,14 @@ class TestLoadEdgeList:
     def test_basic_triangle(self):
         g = graph_from_text("0 1\n1 0\n2 1\n")
         assert (g.n, g.m) == (3, 3)
-        assert sorted(g.in_neighbors(1)) == [0, 2]
+        assert sorted(g.in_src[g.in_ptr[1]:g.in_ptr[2]]) == [0, 2]
         assert list(g.out_deg) == [1, 1, 1]
 
     def test_multi_edge_kept(self):
         g = graph_from_text("0 1\n0 1\n")
         assert g.m == 2
         assert g.out_deg[0] == 2
-        assert list(g.in_neighbors(1)) == [0, 0]
+        assert list(g.in_src[g.in_ptr[1]:g.in_ptr[2]]) == [0, 0]
 
     def test_tabs_comments_blank_lines(self):
         g = graph_from_text("# header\n0\t1\n\n1\t2\n")
@@ -70,7 +70,7 @@ class TestLoadEdgeList:
     def test_self_loop_kept_by_default(self):
         g = graph_from_text("3 3\n3 4\n")  # ids remap to 0, 1
         assert g.m == 2
-        assert list(g.in_neighbors(0)) == [0]
+        assert list(g.in_src[g.in_ptr[0]:g.in_ptr[1]]) == [0]
         assert g.out_deg[0] == 2
 
     def test_drop_self_loops_flag(self):

@@ -66,6 +66,13 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="alpha"):
             ModelSpec.from_dict({"c": 0.5, "d": 1.0, "outdeg_hist": {"1": 1.0}})
 
+    def test_int_fields_take_integral_numbers_only(self):
+        obj = {**calm_spec().to_dict(), "pool_size": 1e6, "seed": 3.0}
+        spec = ModelSpec.from_dict(obj)
+        assert (spec.pool_size, spec.seed) == (1_000_000, 3)
+        with pytest.raises(ValueError, match=r"field 'seed': expected int, got 1\.5"):
+            ModelSpec.from_dict({**obj, "seed": 1.5})
+
 
 class TestInDegreeSampler:
     def test_mean_matches_d(self, rng):
@@ -266,23 +273,24 @@ class TestSimulateR:
             simulate_R(spec, "converged")
         assert err.value.generations == 7598
 
-    def test_first_generation_tail_tracks_theory(self):
+    def test_first_generation_tail_tracks_theory(self, monkeypatch):
         # one iteration from the unit pool: summands are bounded, so the
         # predicted tail constant is accurate at moderate depth
+        monkeypatch.setattr(simulate, "_CCDF_WINDOW", (3e-4, 1e-2))
         spec = heavy_spec(seed=42)
         pool = simulate_R(spec, 1)
         params = TheoryParams.from_histogram(spec.c, spec.alpha,
                                              spec.outdeg_hist, d=spec.d)
-        rows = tail_ratio_table(pool, spec, coefficient_Ck(params, 1),
-                                ccdf_window=(3e-4, 1e-2))
+        rows = tail_ratio_table(pool, spec, coefficient_Ck(params, 1))
         assert all(0.85 <= r["ratio"] <= 1.15 for r in rows if r["in_window"]), rows
 
 
 class TestTailRatioTable:
-    def test_row_structure(self):
+    def test_row_structure(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CCDF_WINDOW", (1e-3, 1e-1))
         spec = calm_spec(pool_size=100_000)
         pool = simulate_R(spec, 2)
-        rows = tail_ratio_table(pool, spec, 0.05, ccdf_window=(1e-3, 1e-1))
+        rows = tail_ratio_table(pool, spec, 0.05)
         assert len(rows) == 5
         for row in rows:
             assert set(row) == {"x", "empirical", "theory", "ratio", "in_window"}
@@ -316,25 +324,28 @@ class TestTreeLevels:
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - 1.0) <= 4 * se
 
-    def test_budget_abort_flagged(self):
+    def test_budget_abort_flagged(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_NODE_BUDGET", 8)
         spec = calm_spec(pool_size=10_000, seed=3)
-        res = simulate_Y_levels(spec, 5, n_samples=300, node_budget=8)
+        res = simulate_Y_levels(spec, 5, n_samples=300)
         assert res.aborted.mean() > 0
         assert np.isnan(res.values[res.aborted]).all()
 
-    def test_same_seed_same_levels(self):
+    def test_same_seed_same_levels(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_NODE_BUDGET", 200)
         spec = calm_spec(pool_size=10_000, seed=13)
-        a = simulate_Y_levels(spec, 4, n_samples=2_000, node_budget=200)
-        b = simulate_Y_levels(spec, 4, n_samples=2_000, node_budget=200)
+        a = simulate_Y_levels(spec, 4, n_samples=2_000)
+        b = simulate_Y_levels(spec, 4, n_samples=2_000)
         assert a.aborted.any()
         assert a.values.tobytes() == b.values.tobytes()
         assert a.aborted.tobytes() == b.aborted.tobytes()
 
-    def test_completed_trees_within_node_budget(self):
+    def test_completed_trees_within_node_budget(self, monkeypatch):
         # with D == 1 every weight is 1, so 1 + sum_{n>=1} Y_n counts the nodes
+        monkeypatch.setattr(simulate, "_NODE_BUDGET", 20)
         spec = ModelSpec(c=0.5, alpha=2.5, d=1.0, outdeg_hist={1: 1.0},
                          pool_size=10_000, seed=11)
-        res = simulate_Y_levels(spec, 4, n_samples=5_000, node_budget=20)
+        res = simulate_Y_levels(spec, 4, n_samples=5_000)
         assert res.aborted.any()
         assert (1 + res.values[~res.aborted, 1:].sum(axis=1) <= 20).all()
 
@@ -358,8 +369,9 @@ class TestTreeLevels:
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - expected) <= max(4 * se, 1e-12), level
         sizes.clear()
-        simulate_Y_levels(spec, 4, n_samples=8_000, node_budget=100)
-        assert max(sizes) <= 100  # max(_CHUNK, node_budget) children per block
+        monkeypatch.setattr(simulate, "_NODE_BUDGET", 100)
+        simulate_Y_levels(spec, 4, n_samples=8_000)
+        assert max(sizes) <= 100  # max(_CHUNK, _NODE_BUDGET) children per block
 
     def test_level_cap(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_ccdf, pareto_samples
+from ranktail import tails
 from ranktail.tails import (InsufficientTailError, ccdf, choose_xmin, decimate_ccdf,
                             fit_exponent_mle)
 
@@ -37,9 +38,10 @@ class TestCcdf:
         assert (np.diff(s.fractions) < 0).all()
         assert s.fractions[0] <= 1.0
 
-    def test_decimation_preserves_ends(self, rng):
+    def test_decimation_preserves_ends(self, rng, monkeypatch):
+        monkeypatch.setattr(tails, "_MAX_CCDF_POINTS", 64)
         s = ccdf(rng.pareto(1.2, 20000) + 1.0)
-        thin = decimate_ccdf(s, 64)
+        thin = decimate_ccdf(s)
         assert thin.xs.size <= 64
         assert thin.xs[0] == s.xs[0]
 
