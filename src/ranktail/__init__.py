@@ -4,7 +4,8 @@ validation of the score recursion."""
 
 from .graph import (DegreeProfile, EdgeListParseError, Graph, degree_profile,
                     load_edge_list, write_edge_list)
-from .pagerank import PageRankParams, PageRankResult, export_scores, pagerank
+from .pagerank import (PageRankParams, PageRankResult, export_scores, pagerank,
+                       pagerank_series)
 from .simulate import (EffectiveOutdegreeSampler, ModelSpec, SamplePool,
                        SimulationConvergenceError, YLevelResult, initial_pool,
                        iterate_pool, sample_indegree, simulate_R,

@@ -18,7 +18,7 @@ from . import simulate as sim
 from . import theory
 from .graph import (DegreeProfile, EdgeListParseError, as_number, degree_profile,
                     load_edge_list, hist_to_json, open_text, parse_hist, write_edge_list)
-from .pagerank import PageRankParams, export_scores, pagerank
+from .pagerank import export_scores, pagerank_series
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
 from .tails import TailFit, ccdf, write_ccdf_csv
@@ -113,10 +113,8 @@ def cmd_pagerank(args) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     all_converged = True
-    for c in args.damping:
-        params = PageRankParams(c=c, tol=args.tol, max_iters=args.max_iters,
-                                snapshot_iters=args.snapshots)
-        result = pagerank(g, params)
+    results = pagerank_series(g, args.damping, args.tol, args.max_iters, args.snapshots)
+    for c, result in zip(args.damping, results):
         key = repr(float(c))
         export_scores(g, result.scores, outdir / f"scores_c{key}.csv")
         for k, vec in sorted(result.snapshots.items()):

@@ -12,6 +12,7 @@ import gzip
 import io
 import json
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _ID_MAX = np.iinfo(np.int64).max
+_DEGREE_KEY = re.compile("0|[1-9][0-9]*")
 
 
 class EdgeListParseError(ValueError):
@@ -145,17 +147,20 @@ def as_number(value, kind=float):
 
 
 def parse_hist(obj) -> dict[int, float]:
-    """Normalize a JSON-style histogram (string keys) to {int: float}."""
+    """Normalize a JSON-style histogram (string keys) to {int: float}.  A key
+    is a degree in canonical decimal form, "0" or [1-9][0-9]*, so "04", " 4",
+    "+4" and "1_0" are refused instead of read as (or merged into) a degree."""
     if not isinstance(obj, dict):
         raise ValueError("histogram must be a JSON object {degree: fraction}")
     hist = {}
     for key, val in obj.items():
+        if not (isinstance(key, str) and _DEGREE_KEY.fullmatch(key)):
+            raise ValueError(f"histogram key {key!r} is not a degree "
+                             "(0, or digits with no sign, space or leading zero)")
         try:
             hist[int(key)] = as_number(val)
-        except (TypeError, ValueError):
+        except TypeError:
             raise ValueError(f"bad histogram entry {key!r}: {val!r}") from None
-    if min(hist, default=0) < 0:
-        raise ValueError(f"negative degree {min(hist)} in histogram")
     return hist
 
 

@@ -1,12 +1,27 @@
 """Scale-free PageRank by power iteration with explicit dangling-mass handling.
 
-Scores are normalized so the population mean is 1.  Each iteration applies
+Scores are normalized so the population mean is 1.  For a damping c they
+solve
 
-    R_new(i) = c * sum_{j -> i} R(j)/out_deg(j) + c * dm + (1 - c),
+    R(i) = c * sum_{j -> i} R(j)/out_deg(j) + c * dm + (1 - c),
 
-where dm = (1/n) * sum over dangling j of R(j).  The update is two-buffer
-(Jacobi): iteration k is a pure function of iteration k-1, which makes the
-per-iteration snapshots well defined.
+where dm = (1/n) * sum over dangling j of R(j).  Let A be the linear map
+r -> (in-edge sums of r/out_deg) + dm(r) and x_i = A^i 1.  The Jacobi
+iteration from R_0 = 1 is then the series
+
+    R_k(c) = (1 - c) * sum_{i<k} c^i x_i + c^k x_k,
+
+and the x_i do not depend on c, so every damping shares one sequence of
+sparse products (Boldi, Santini & Vigna 2005, "PageRank as a function of the
+damping factor").  Each step is R_k - R_{k-1} = c^k (x_k - x_{k-1}), so a
+damping's residual (1/n) ||R_k - R_{k-1}||_1 is c^k times the shared
+(1/n) ||x_k - x_{k-1}||_1.  Each damping stops, keeps its snapshots and
+reports on its own; iteration k is a pure function of iteration k-1, which
+makes the per-iteration snapshots well defined.
+
+The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges through
+one reused buffer, so a block's gathered values are still in cache when they
+are reduced and the scratch memory does not grow with the edge count.
 """
 
 from __future__ import annotations
@@ -16,6 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, write_rows
+
+_BLOCK_EDGES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,52 +68,104 @@ class PageRankResult:
     converged: bool
 
 
-def _in_edge_sums(g: Graph, w: np.ndarray) -> np.ndarray:
-    # Per-destination sums of w over in-edges.  reduceat mishandles empty
-    # segments, so reduce only over non-empty rows; consecutive non-empty
-    # starts still delimit the right segments because empty rows contribute
-    # no elements in between.
-    sums = np.zeros(g.n)
-    gathered = w[g.in_src]
-    if gathered.size:
-        starts = g.in_ptr[:-1]
-        nonempty = g.in_ptr[1:] > starts
-        sums[nonempty] = np.add.reduceat(gathered, starts[nonempty])
+def _in_edge_kernel(g: Graph):
+    """A function ``sums(w, out)`` that sets out[i] to the sum of w over the
+    in-edges of i.
+
+    The table of non-empty rows and the block cuts are built once, here.  A
+    block holds whole rows, so a row longer than _BLOCK_EDGES makes a block of
+    its own length.  reduceat mishandles empty segments, so it runs over the
+    non-empty rows only and their sums are scattered into ``out``.
+    """
+    rows = np.flatnonzero(np.diff(g.in_ptr))
+    starts = g.in_ptr[rows]
+    cuts = np.append(np.unique(np.searchsorted(starts, np.arange(0, g.m, _BLOCK_EDGES))),
+                     rows.size)
+    edge_cuts = np.append(starts, g.m)[cuts]
+    offsets = starts - np.repeat(edge_cuts[:-1], np.diff(cuts))  # row starts within a block
+    blocks = list(zip(edge_cuts[:-1].tolist(), edge_cuts[1:].tolist(),
+                      cuts[:-1].tolist(), cuts[1:].tolist()))
+    gathered = np.empty(int(np.diff(edge_cuts).max(initial=0)))
+    reduced = np.empty(int(np.diff(cuts).max(initial=0)))
+    in_src = g.in_src
+
+    def sums(w: np.ndarray, out: np.ndarray) -> None:
+        out.fill(0.0)
+        for e0, e1, r0, r1 in blocks:
+            seg = gathered[:e1 - e0]
+            # a Graph's ids lie in [0, n), and "clip" skips the bounds check
+            np.take(w, in_src[e0:e1], out=seg, mode="clip")
+            red = reduced[:r1 - r0]
+            np.add.reduceat(seg, offsets[r0:r1], out=red)
+            out[rows[r0:r1]] = red
+
     return sums
 
 
-def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:
-    """Power iteration from R = 1, stopping at L1 tolerance or max_iters."""
-    if params is None:
-        params = PageRankParams()
+def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
+                    max_iters: int = PageRankParams.max_iters,
+                    snapshot_iters=()) -> list[PageRankResult]:
+    """Power iteration from R = 1 for every damping at once; each damping stops
+    at L1 tolerance or max_iters.  Results come in the order of ``dampings``."""
+    params = [PageRankParams(c=c, tol=tol, max_iters=max_iters, snapshot_iters=snapshot_iters)
+              for c in dampings]
     if g.n < 1:
         raise ValueError("graph must have at least one node")
+    if not params:
+        PageRankParams(tol=tol, max_iters=max_iters)  # still refuse a bad tol or cap
+        return []
+    snapshot_iters = params[0].snapshot_iters
     n = g.n
-    c = params.c
     inv_out = np.zeros(n)
     linked = g.out_deg > 0
     inv_out[linked] = 1.0 / g.out_deg[linked]
-    dangling = ~linked
+    dangling = np.flatnonzero(~linked)
+    in_edge_sums = _in_edge_kernel(g)
 
-    r = np.ones(n)
-    residuals = []
-    snapshots: dict[int, np.ndarray] = {}
-    converged = False
-    iters = 0
-    for k in range(1, params.max_iters + 1):
-        dm = r[dangling].sum() / n
-        r_new = c * (_in_edge_sums(g, r * inv_out) + dm) + (1.0 - c)
-        resid = np.abs(r_new - r).sum() / n
-        residuals.append(resid)
-        r = r_new
-        iters = k
-        if k in params.snapshot_iters:
-            snapshots[k] = r.copy()
-        if resid <= params.tol:
-            converged = True
+    x, x_next, scratch = np.ones(n), np.empty(n), np.empty(n)
+    # per damping: (1 - c) * sum_{i<k} c^i x_i, which becomes R_k when it stops
+    accs = [np.zeros(n) for _ in params]
+    residuals: list[list[float]] = [[] for _ in params]
+    snapshots: list[dict[int, np.ndarray]] = [{} for _ in params]
+    results: list[PageRankResult | None] = [None] * len(params)
+    live = list(range(len(params)))
+    for k in range(1, max_iters + 1):
+        np.multiply(x, inv_out, out=scratch)
+        in_edge_sums(scratch, x_next)
+        x_next += x[dangling].sum() / n
+        np.subtract(x_next, x, out=scratch)
+        step = float(np.abs(scratch, out=scratch).sum()) / n
+        for d in live:
+            c, acc = params[d].c, accs[d]
+            np.multiply(x, (1.0 - c) * c ** (k - 1), out=scratch)
+            acc += scratch
+            resid = c ** k * step
+            residuals[d].append(resid)
+            done = resid <= tol or k == max_iters
+            if not (done or k in snapshot_iters):
+                continue
+            np.multiply(x_next, c ** k, out=scratch)
+            if k in snapshot_iters:
+                snapshots[d][k] = acc + scratch
+            if done:
+                acc += scratch
+                results[d] = PageRankResult(scores=acc, iters_run=k,
+                                            residuals=np.asarray(residuals[d]),
+                                            snapshots=snapshots[d], converged=resid <= tol)
+        live = [d for d in live if results[d] is None]
+        if not live:
             break
-    return PageRankResult(scores=r, iters_run=iters, residuals=np.asarray(residuals),
-                          snapshots=snapshots, converged=converged)
+        x, x_next = x_next, x
+    return results
+
+
+def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:
+    """Power iteration from R = 1 for one damping, stopping at L1 tolerance or
+    max_iters."""
+    if params is None:
+        params = PageRankParams()
+    return pagerank_series(g, [params.c], params.tol, params.max_iters,
+                           params.snapshot_iters)[0]
 
 
 def export_scores(g: Graph, scores: np.ndarray, dest) -> None:

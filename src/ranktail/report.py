@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tails, theory
 from .graph import Graph, degree_profile
-from .pagerank import PageRankParams, pagerank
+from .pagerank import pagerank_series
 from .tails import TailFit, ccdf, choose_xmin, fit_exponent_mle
 
 SCHEMA_VERSION = 1
@@ -70,11 +70,10 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
         "warnings": warnings_out,
     }
 
-    for c in options.dampings:
+    results = pagerank_series(g, options.dampings, options.tol, options.max_iters,
+                              options.snapshot_iters)
+    for c, result in zip(options.dampings, results):
         key = repr(float(c))
-        params = PageRankParams(c=c, tol=options.tol, max_iters=options.max_iters,
-                                snapshot_iters=frozenset(options.snapshot_iters))
-        result = pagerank(g, params)
         scores_by_label = {"final": result.scores}
         for k in sorted(result.snapshots):
             scores_by_label[str(k)] = result.snapshots[k]

@@ -337,12 +337,20 @@ GENERATE_1K = ["generate", "--nodes", "1000", "--alpha", "1.5", "--mean-degree",
     (["simulate"], {**SPEC, "pool_size": 10000.9}),
     (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "n": 4.5}),
     (["pagerank", "missing.txt", "--config"], {"max_iters": 100.5}),
+    # a histogram key is a canonical decimal degree
+    ([*GENERATE, "--outdeg-hist"], {"1_0": 1.0}),
+    ([*GENERATE, "--outdeg-hist"], {"4": 0.5, "04": 0.5}),
+    (["simulate"], {**SPEC, "outdeg_hist": {"0": 0.5, "+2": 0.5}}),
+    (["predict", "--alpha", "1.5", "--profile"],
+     {**PROFILE, "p_hist": {"0": 0.2, " 1": 0.6, "2": 0.2}}),
 ], ids=["profile-empty", "profile-list", "profile-null-n", "spec-hist-list",
         "spec-null-c", "spec-null-fraction", "generate-hist-list",
         "generate-null-fraction", "generate-bool-fractions", "generate-string-fractions",
         "spec-string-pool-size", "spec-string-alpha", "spec-infinite-pool-size",
         "profile-string-n", "profile-bool-d", "config-infinite-int",
-        "spec-fractional-pool-size", "profile-fractional-n", "config-fractional-int"])
+        "spec-fractional-pool-size", "profile-fractional-n", "config-fractional-int",
+        "generate-underscore-key", "generate-leading-zero-key", "spec-plus-sign-key",
+        "profile-space-key"])
 def test_malformed_json_input_is_usage_error(tmp_path, monkeypatch, capsys, command,
                                              document):
     monkeypatch.chdir(tmp_path)  # outputs, if any, land in tmp_path

@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _parse_lines,
-                            _parse_table, degree_profile, load_edge_list, write_edge_list)
+                            _parse_table, degree_profile, load_edge_list, parse_hist,
+                            write_edge_list)
 from ranktail.simulate import EffectiveOutdegreeSampler
 
 
@@ -187,6 +189,21 @@ class TestDegreeProfile:
         g = graph_from_text("0 1\n1 0\n2 1\n")
         p = degree_profile(g)
         assert DegreeProfile.from_json(json.dumps(p.to_dict())) == p
+
+
+class TestParseHist:
+    def test_canonical_keys(self):
+        assert parse_hist({"0": 0.1, "7": 0.4, "10": 0.5}) == {0: 0.1, 7: 0.4, 10: 0.5}
+
+    @pytest.mark.parametrize("key", ["1_0", " 4", "4 ", "+4", "-1", "04", "00", "4.0",
+                                     "", "\u0664", "0x4"])
+    def test_noncanonical_key_is_named(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"histogram key {key!r}")):
+            parse_hist({key: 1.0})
+
+    def test_padded_duplicate_is_refused_not_merged(self):
+        with pytest.raises(ValueError, match="'04'"):
+            parse_hist({"4": 0.5, "04": 0.5})
 
 
 class TestEffectiveOutdegree:

@@ -1,3 +1,4 @@
+import importlib
 import io
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 
 from oracles import dense_pagerank, random_small_graph
 from ranktail.graph import Graph, load_edge_list
-from ranktail.pagerank import PageRankParams, export_scores, pagerank
+from ranktail.pagerank import PageRankParams, export_scores, pagerank, pagerank_series
+
+# the package re-exports the function ``pagerank`` under the module's name
+pagerank_mod = importlib.import_module("ranktail.pagerank")
 
 
 def graph_from_text(text):
@@ -104,6 +108,104 @@ class TestIterationStructure:
             dm = res.scores[g.dangling].sum() / g.n
             assert res.scores.min() >= (1 - c) + c * dm - 1e-9
             assert res.scores.min() >= (1 - c) - 1e-12
+
+
+class TestSeries:
+    DAMPINGS = [0.85, 0.2, 0.5]  # unsorted on purpose
+
+    def test_each_damping_matches_its_own_run(self, rng):
+        graphs = [path_graph(), graph_from_text("0 1\n1 0\n1 2\n2 0\n3 3\n")]
+        graphs += [random_small_graph(rng, n_max=8) for _ in range(10)]
+        for g in graphs:
+            results = pagerank_series(g, self.DAMPINGS, tol=1e-12, max_iters=500,
+                                      snapshot_iters={1, 2})
+            assert len(results) == len(self.DAMPINGS)
+            for c, res in zip(self.DAMPINGS, results):
+                alone = pagerank(g, PageRankParams(c=c, tol=1e-12, max_iters=500,
+                                                   snapshot_iters={1, 2}))
+                assert res.iters_run == alone.iters_run
+                assert res.converged == alone.converged
+                assert sorted(res.snapshots) == sorted(alone.snapshots)
+                assert np.abs(res.scores - alone.scores).max() <= 1e-12
+                for k in res.snapshots:
+                    assert np.abs(res.snapshots[k] - alone.snapshots[k]).max() <= 1e-12
+
+    def test_scores_match_dense_solve(self, rng):
+        for _ in range(20):
+            g = random_small_graph(rng, n_max=8)
+            results = pagerank_series(g, self.DAMPINGS, tol=1e-13, max_iters=2000)
+            for c, res in zip(self.DAMPINGS, results):
+                assert res.converged
+                assert np.abs(res.scores - dense_pagerank(g, c)).max() <= 1e-8
+
+    def test_residual_contraction_for_every_damping(self, rng):
+        for _ in range(5):
+            g = random_small_graph(rng, n_max=8)
+            results = pagerank_series(g, self.DAMPINGS, tol=1e-15, max_iters=60)
+            for c, res in zip(self.DAMPINGS, results):
+                r = res.residuals
+                assert r.size == res.iters_run
+                assert (r[1:] <= c * r[:-1] + 1e-12).all()
+
+    def test_capped_damping_stops_alone(self):
+        g = graph_from_text("0 1\n1 0\n1 2\n2 0\n")
+        fast, slow = pagerank_series(g, [0.2, 0.95], tol=1e-6, max_iters=12)
+        assert fast.converged and fast.iters_run < 12
+        assert not slow.converged and slow.iters_run == 12
+
+    def test_no_dampings(self):
+        assert pagerank_series(path_graph(), []) == []
+        with pytest.raises(ValueError):
+            pagerank_series(path_graph(), [], tol=-1.0)
+        with pytest.raises(ValueError):
+            pagerank_series(path_graph(), [], max_iters=0)
+
+    def test_each_damping_validated(self):
+        with pytest.raises(ValueError):
+            pagerank_series(path_graph(), [0.5, 1.0])
+
+
+def _kernel_sums(g, w):
+    out = np.full(g.n, np.nan)
+    pagerank_mod._in_edge_kernel(g)(w, out)
+    return out
+
+
+class TestInEdgeKernel:
+    def test_blocks_against_bincount(self, rng):
+        block = pagerank_mod._BLOCK_EDGES
+        n = 40_000
+        deg = rng.integers(0, 4, size=n)      # about a quarter of the rows empty
+        deg[:3] = 0                           # empty rows at the start
+        deg[-5:] = 0                          # and at the end
+        deg[3] = block + 34_464               # a hub longer than one block
+        deg[4] = 2 * block - deg[3]           # row 5 starts exactly at a block cut
+        dst = np.repeat(np.arange(n), deg)
+        src = rng.integers(0, n, size=dst.size)
+        g = Graph.from_edges(src, dst, n)
+        assert 2 * block in g.in_ptr and g.m > 150_000
+        kernel = pagerank_mod._in_edge_kernel(g)
+        out = np.empty(n)
+        for _ in range(2):  # the buffers are reused between calls
+            w = rng.random(n)
+            kernel(w, out)
+            expected = np.bincount(dst, weights=w[src], minlength=n)
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+            assert (out[deg == 0] == 0).all()
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_small_blocks(self, rng, monkeypatch, block):
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", block)
+        for _ in range(10):
+            g = random_small_graph(rng, n_max=12)
+            src, dst = g.edge_arrays()
+            w = rng.random(g.n)
+            expected = np.bincount(dst, weights=w[src], minlength=g.n)
+            np.testing.assert_allclose(_kernel_sums(g, w), expected, rtol=1e-12, atol=0)
+
+    def test_no_edges(self):
+        g = Graph.from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
+        assert (_kernel_sums(g, np.ones(3)) == 0).all()
 
 
 def test_export_scores_uses_original_ids(tmp_path):
