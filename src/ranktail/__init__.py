@@ -11,8 +11,7 @@ from .simulate import (EffectiveOutdegreeSampler, ModelSpec, SamplePool,
                        iterate_pool, sample_indegree, simulate_R,
                        simulate_Y_levels, tail_ratio_table)
 from .synth import SynthSpec, generate
-from .tails import (CcdfSeries, InsufficientTailError, TailFit, ccdf, choose_xmin,
-                    fit_exponent_mle)
+from .tails import CcdfSeries, TailFit, ccdf, choose_xmin, fit_exponent_mle
 from .theory import (CoefficientTable, TheoryParams, b_coefficient, coefficient_C,
                      coefficient_Ck, coefficient_lower_bound, coefficient_table,
                      predict_line)

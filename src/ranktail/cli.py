@@ -18,7 +18,7 @@ from . import simulate as sim
 from . import theory
 from .graph import (DegreeProfile, EdgeListParseError, as_number, degree_profile,
                     load_edge_list, hist_to_json, open_text, parse_hist, write_edge_list)
-from .pagerank import export_scores, pagerank_series
+from .pagerank import PageRankParams, export_scores, pagerank_series
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
 from .tails import TailFit, ccdf, write_ccdf_csv
@@ -26,8 +26,8 @@ from .tails import TailFit, ccdf, write_ccdf_csv
 # option -> (default, the flag's argparse type; [kind] is a list of them)
 _OPTIONS = {
     "damping": ([0.85], [float]),
-    "tol": (1e-10, float),
-    "max_iters": (200, int),
+    "tol": (PageRankParams.tol, float),
+    "max_iters": (PageRankParams.max_iters, int),
     "snapshots": ([], [int]),
     "xmin": (None, float),
     "alpha": (None, float),

@@ -76,11 +76,6 @@ class Graph:
     def in_deg(self) -> np.ndarray:
         return np.diff(self.in_ptr)
 
-    @property
-    def dangling(self) -> np.ndarray:
-        """Boolean mask of nodes with no outgoing edges."""
-        return self.out_deg == 0
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays in in-adjacency order."""
         dst = np.repeat(np.arange(self.n, dtype=np.int64), self.in_deg)

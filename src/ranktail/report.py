@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tails, theory
 from .graph import Graph, degree_profile
-from .pagerank import pagerank_series
+from .pagerank import PageRankParams, pagerank_series
 from .tails import TailFit, ccdf, choose_xmin, fit_exponent_mle
 
 SCHEMA_VERSION = 1
@@ -20,8 +20,8 @@ SCHEMA_VERSION = 1
 @dataclass
 class AnalysisOptions:
     dampings: list[float] = field(default_factory=lambda: [0.85])
-    tol: float = 1e-10
-    max_iters: int = 200
+    tol: float = PageRankParams.tol
+    max_iters: int = PageRankParams.max_iters
     snapshot_iters: list[int] = field(default_factory=list)
     xmin: float | None = None
     alpha: float | None = None
@@ -31,20 +31,24 @@ class AnalysisOptions:
             theory.validate_cumulative_alpha(self.alpha)
 
 
-def _safe_fit(values, xmin: float | None, warnings_out: list[str], label: str) -> TailFit | None:
+def _analyze_vector(values, xmin: float | None, warnings_out: list[str],
+                    label: str) -> tuple[tails.CcdfSeries, TailFit | None]:
+    """Sort ``values`` into one CCDF; return its written (decimated) points and
+    the tail fit, with x_min read off that CCDF unless ``xmin`` is given."""
+    series = ccdf(values)
     try:
-        x_min = xmin if xmin is not None else choose_xmin(values)
-        return fit_exponent_mle(values, x_min)
+        fit = fit_exponent_mle(values, xmin if xmin is not None else choose_xmin(series))
     except ValueError as exc:
         warnings_out.append(f"{label}: tail fit skipped ({exc})")
-        return None
+        fit = None
+    return tails.decimate_ccdf(series), fit
 
 
 def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
     """Run the full pipeline.
 
     Returns (report dict, distributions dict); the distributions map CSV
-    stem names to CcdfSeries for plot-ready export.
+    stem names to the decimated CcdfSeries that ``write_analysis`` writes.
     """
     if options is None:
         options = AnalysisOptions()
@@ -52,8 +56,9 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
     profile = degree_profile(g)
     indeg = np.asarray(g.in_deg, dtype=float)
 
-    distributions = {"ccdf_indegree": ccdf(indeg)}
-    indegree_fit = _safe_fit(indeg, options.xmin, warnings_out, "in-degree")
+    distributions = {}
+    distributions["ccdf_indegree"], indegree_fit = _analyze_vector(
+        indeg, options.xmin, warnings_out, "in-degree")
 
     alpha_used = options.alpha if options.alpha is not None else (
         indegree_fit.alpha_hat if indegree_fit else None)
@@ -81,9 +86,8 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
         fits = {}
         for label, scores in scores_by_label.items():
             suffix = f"c{key}" if label == "final" else f"c{key}_iter{label}"
-            distributions[f"ccdf_pagerank_{suffix}"] = ccdf(scores)
-            fit = _safe_fit(scores, None, warnings_out, f"pagerank c={key} {label}")
-            fits[label] = fit
+            distributions[f"ccdf_pagerank_{suffix}"], fits[label] = _analyze_vector(
+                scores, None, warnings_out, f"pagerank c={key} {label}")
 
         report["pagerank"][key] = {
             "iters_run": result.iters_run,

@@ -20,14 +20,6 @@ _MIN_TAIL = 10  # samples at or above x_min that a fit needs
 _MAX_CCDF_POINTS = 4096  # x positions a written CCDF keeps
 
 
-class InsufficientTailError(ValueError):
-    """Too few samples at or above the tail threshold."""
-
-    def __init__(self, tail_count: int):
-        super().__init__(f"only {tail_count} tail samples (need >= {_MIN_TAIL})")
-        self.tail_count = tail_count
-
-
 @dataclass(frozen=True)
 class CcdfSeries:
     """Empirical tail fractions P(X > x) at the distinct positive values."""
@@ -104,32 +96,30 @@ def fit_exponent_mle(values, x_min: float) -> TailFit:
     if x_min <= 0:
         raise ValueError("x_min must be positive")
     v = np.asarray(values, dtype=float).ravel()
-    tail = v[v >= x_min]
+    if (v < 0).any():
+        raise ValueError("values must be non-negative")
+    in_tail = v >= x_min
+    tail = v[in_tail]
     if tail.size < _MIN_TAIL:
-        raise InsufficientTailError(int(tail.size))
+        raise ValueError(f"only {tail.size} tail samples (need >= {_MIN_TAIL})")
     log_sum = np.log(tail / x_min).sum()
     if log_sum <= 0:
         raise ValueError("tail has no spread above x_min; exponent undefined")
     alpha_hat = tail.size / log_sum  # = (density exponent) - 1
-    series = ccdf(v)
-    mask = series.xs >= x_min
-    if not mask.any():
+    # samples below x_min stay in the denominator as zeros, so only the tail is sorted
+    series = ccdf(np.where(in_tail, v, 0.0))
+    if series.xs.size == 0:
         raise ValueError("no CCDF points at or above x_min")
-    intercept = float(np.mean(np.log10(series.fractions[mask])
-                              + alpha_hat * np.log10(series.xs[mask])))
+    intercept = float(np.mean(np.log10(series.fractions)
+                              + alpha_hat * np.log10(series.xs)))
     return TailFit(alpha_hat=float(alpha_hat), x_min=float(x_min),
                    intercept=intercept, tail_count=int(tail.size))
 
 
-def choose_xmin(values) -> float:
-    """Default tail threshold: smallest distinct value exceeded by between
-    1% and 10% of the samples.  Falls back to the median (with a warning)
-    when no value qualifies, e.g. for (near-)constant data."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0 or v.any():  # all-zero data has no CCDF: median fallback
-        series = ccdf(v)
-        ok = (series.fractions >= 0.01) & (series.fractions <= 0.10)
-        if ok.any():
-            return float(series.xs[np.argmax(ok)])
-    warnings.warn("degenerate data for x_min heuristic; falling back to the median")
-    return float(np.median(v))
+def choose_xmin(series: CcdfSeries) -> float:
+    """Default tail threshold: the smallest CCDF point exceeded by between
+    1% and 10% of the samples."""
+    ok = (series.fractions >= 0.01) & (series.fractions <= 0.10)
+    if not ok.any():
+        raise ValueError("no CCDF point has a tail fraction in [1%, 10%]")
+    return float(series.xs[np.argmax(ok)])

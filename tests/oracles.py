@@ -19,7 +19,7 @@ def dense_pagerank(g: Graph, c: float) -> np.ndarray:
         for j in g.in_src[g.in_ptr[i]:g.in_ptr[i + 1]]:
             A[i, j] += 1.0 / g.out_deg[j]
     M = np.eye(n) - c * A
-    M[:, np.asarray(g.dangling)] -= c / n
+    M[:, g.out_deg == 0] -= c / n
     return np.linalg.solve(M, (1.0 - c) * np.ones(n))
 
 

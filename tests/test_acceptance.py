@@ -15,7 +15,7 @@ from ranktail.pagerank import PageRankParams, pagerank
 from ranktail.simulate import ModelSpec, initial_pool, iterate_pool, simulate_R, \
     simulate_Y_levels, tail_ratio_table
 from ranktail.synth import SynthSpec, generate
-from ranktail.tails import choose_xmin, fit_exponent_mle
+from ranktail.tails import ccdf, choose_xmin, fit_exponent_mle
 from ranktail.theory import (TheoryParams, coefficient_C, coefficient_Ck)
 
 GOLDEN_LIMIT_COEFFICIENTS = [
@@ -194,10 +194,10 @@ def test_crit6_end_to_end_synthetic_reproduction():
     profile = degree_profile(g)
 
     indeg = np.asarray(g.in_deg, dtype=float)
-    fit_n = fit_exponent_mle(indeg, choose_xmin(indeg))
+    fit_n = fit_exponent_mle(indeg, choose_xmin(ccdf(indeg)))
     result = pagerank(g, PageRankParams(c=0.85, tol=1e-9, max_iters=300))
     assert result.converged
-    fit_r = fit_exponent_mle(result.scores, choose_xmin(result.scores))
+    fit_r = fit_exponent_mle(result.scores, choose_xmin(ccdf(result.scores)))
 
     assert abs(fit_r.alpha_hat - fit_n.alpha_hat) <= 0.1
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import solved_histogram
+from ranktail import report as report_mod
+from ranktail import tails
+from ranktail.pagerank import pagerank_series
 from ranktail.report import AnalysisOptions, analyze_graph, write_analysis
 from ranktail.synth import SynthSpec, generate
 
@@ -45,6 +48,37 @@ def test_full_pipeline_schema(small_graph, tmp_path):
     assert (tmp_path / "ccdf_indegree.csv").read_text().startswith("x,ccdf")
     reloaded = json.loads(path.read_text())
     assert reloaded["degree_profile"]["n"] == small_graph.n
+
+
+def test_each_vector_is_sorted_in_full_once(small_graph, monkeypatch):
+    # the in-degree and 3 dampings x (final + 2 snapshots): 10 vectors; the
+    # fit's own ccdf call sorts only the tail, below x_min it sees zeros
+    real = tails.ccdf
+    sorted_sizes = []
+
+    def spy(values):
+        sorted_sizes.append(int(np.count_nonzero(np.asarray(values) > 0)))
+        return real(values)
+
+    monkeypatch.setattr(tails, "ccdf", spy)
+    monkeypatch.setattr(report_mod, "ccdf", spy)
+    analyze_graph(small_graph, AnalysisOptions(dampings=[0.2, 0.5, 0.85],
+                                               snapshot_iters=[1, 2], tol=1e-9))
+    full = {int(np.count_nonzero(small_graph.in_deg)), small_graph.n}
+    assert sum(size in full for size in sorted_sizes) == 10
+    assert len(sorted_sizes) == 20
+
+
+def test_distributions_hold_only_written_points(small_graph):
+    _, dists = analyze_graph(small_graph, AnalysisOptions(dampings=[0.85], tol=1e-9))
+    assert all(series.xs.size <= tails._MAX_CCDF_POINTS for series in dists.values())
+    # the full score CCDF is longer than the cap, so it was thinned
+    [result] = pagerank_series(small_graph, [0.85], tol=1e-9)
+    full = tails.ccdf(result.scores)
+    assert full.xs.size > tails._MAX_CCDF_POINTS
+    thin, written = tails.decimate_ccdf(full), dists["ccdf_pagerank_c0.85"]
+    assert np.array_equal(written.xs, thin.xs)
+    assert np.array_equal(written.fractions, thin.fractions)
 
 
 def test_no_dampings_gives_stats_and_indegree_only(small_graph):

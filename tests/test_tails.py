@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_ccdf, pareto_samples
 from ranktail import tails
-from ranktail.tails import (InsufficientTailError, ccdf, choose_xmin, decimate_ccdf,
-                            fit_exponent_mle)
+from ranktail.tails import ccdf, choose_xmin, decimate_ccdf, fit_exponent_mle
 
 
 class TestCcdf:
@@ -91,13 +90,35 @@ class TestMleFit:
 
     def test_insufficient_tail_carries_count(self, rng):
         x = np.linspace(1, 10, 50)
-        with pytest.raises(InsufficientTailError) as err:
+        with pytest.raises(ValueError, match=r"only 1 tail samples \(need >= 10\)"):
             fit_exponent_mle(x, 9.9)
-        assert err.value.tail_count == 1
 
     def test_nonpositive_xmin_rejected(self):
         with pytest.raises(ValueError):
             fit_exponent_mle([1, 2, 3] * 10, 0.0)
+
+    def test_negative_rejected(self):
+        # a negative below x_min would be masked out of the tail; it is refused
+        x = np.concatenate([[-1.0], np.arange(1.0, 100.0)])
+        with pytest.raises(ValueError, match="non-negative"):
+            fit_exponent_mle(x, 10.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("x_min", [1.0, 3.0, 4.5, 17.0])
+    def test_matches_full_ccdf_formula(self, seed, x_min):
+        # the fit's tail-only CCDF gives the same intercept, bit for bit, as
+        # the full-vector CCDF masked to xs >= x_min; ties and zeros included
+        rng = np.random.default_rng(seed)
+        x = np.floor(pareto_samples(rng, 1.3, 1.0, 3_000)) - (rng.random(3_000) < 0.2)
+        fit = fit_exponent_mle(x, x_min)
+        tail = x[x >= x_min]
+        alpha_hat = tail.size / np.log(tail / x_min).sum()
+        series = ccdf(x)
+        mask = series.xs >= x_min
+        intercept = float(np.mean(np.log10(series.fractions[mask])
+                                  + alpha_hat * np.log10(series.xs[mask])))
+        assert fit.alpha_hat == float(alpha_hat)
+        assert fit.intercept == intercept
 
     def test_standard_error_band_over_seeds(self):
         # MLE standard error ~ alpha_hat / sqrt(n_tail)
@@ -119,21 +140,18 @@ class TestMleFit:
 class TestChooseXmin:
     def test_pareto_lands_in_band(self, rng):
         x = pareto_samples(rng, 1.5, 1.0, 10_000)
-        x_min = choose_xmin(x)
+        x_min = choose_xmin(ccdf(x))
         frac = np.mean(x > x_min)
         assert 0.01 <= frac <= 0.10
 
-    def test_constant_data_falls_back_to_median(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert choose_xmin([7.0] * 200) == 7.0
-
-    def test_all_zero_data_falls_back_to_median(self):
-        with pytest.warns(UserWarning, match="degenerate data"):
-            assert choose_xmin([0.0] * 50) == 0.0
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            choose_xmin([1.0, -2.0, 3.0])
+            choose_xmin(ccdf([1.0, -2.0, 3.0]))
+
+    def test_empty_band_rejected(self):
+        # two values: the only CCDF point reads 50%, outside [1%, 10%]
+        with pytest.raises(ValueError, match=r"\[1%, 10%\]"):
+            choose_xmin(ccdf([1.0] * 100 + [2.0] * 100))
 
     def test_body_plus_tail_splice(self):
         # uniform body and a 20% Pareto tail: above the 10% level the
@@ -144,12 +162,12 @@ class TestChooseXmin:
             rng = np.random.default_rng(seed)
             body = rng.uniform(0, splice, 8_000)
             tail = pareto_samples(rng, 1.5, splice, 2_000)
-            x_min = choose_xmin(np.concatenate([body, tail]))
+            x_min = choose_xmin(ccdf(np.concatenate([body, tail])))
             hits += x_min >= splice
         assert hits >= 18  # >= 90% of seeded runs
 
     def test_mle_after_heuristic(self, rng):
         x = pareto_samples(rng, 1.5, 1.0, 50_000)
-        fit = fit_exponent_mle(x, choose_xmin(x))
+        fit = fit_exponent_mle(x, choose_xmin(ccdf(x)))
         assert fit.alpha_hat == pytest.approx(1.5, abs=0.1)
         assert fit.tail_count >= 10
