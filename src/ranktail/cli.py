@@ -110,10 +110,10 @@ def cmd_stats(args) -> int:
 
 def cmd_pagerank(args) -> int:
     g = _load_graph(args)
+    results = pagerank_series(g, args.damping, args.tol, args.max_iters, args.snapshots)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     all_converged = True
-    results = pagerank_series(g, args.damping, args.tol, args.max_iters, args.snapshots)
     for c, result in zip(args.damping, results):
         key = repr(float(c))
         export_scores(g, result.scores, outdir / f"scores_c{key}.csv")

@@ -49,7 +49,26 @@ class Graph:
     orig_ids: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.in_ptr, self.in_src, self.out_deg, self.orig_ids):
+        """Check the arrays against n and m, then freeze them.  The PageRank
+        kernel reads in_src without a bounds check, so its ids must lie in
+        [0, n)."""
+        n, m = self.n, self.m
+        arrays = (self.in_ptr, self.in_src, self.out_deg, self.orig_ids)
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "i"
+                   for a in arrays):
+            raise ValueError("in_ptr, in_src, out_deg and orig_ids must be 1-D arrays "
+                             "of a signed integer type")
+        ptr, src, deg = self.in_ptr, self.in_src, self.out_deg
+        if (n < 0 or ptr.size != n + 1 or ptr[0] != 0 or ptr[-1] != m
+                or (ptr[1:] < ptr[:-1]).any()):
+            raise ValueError("in_ptr must hold n + 1 offsets rising from 0 to m")
+        if src.size != m or (m and (src.min() < 0 or src.max() >= n)):
+            raise ValueError("in_src must hold m node ids in [0, n)")
+        if deg.size != n or (deg < 0).any() or deg.sum() != m:
+            raise ValueError("out_deg must hold n non-negative counts summing to m")
+        if self.orig_ids.size != n:
+            raise ValueError("orig_ids must hold n ids")
+        for arr in arrays:
             arr.setflags(write=False)
 
     @classmethod
@@ -60,7 +79,7 @@ class Graph:
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same length")
         m = int(src.size)
-        if m and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        if m and (dst.min() < 0 or dst.max() >= n):
             raise ValueError("node ids must lie in [0, n)")
         order = np.argsort(dst, kind="stable")  # group in-edges by destination
         in_src = src[order]

@@ -20,12 +20,20 @@ reports on its own; iteration k is a pure function of iteration k-1, which
 makes the per-iteration snapshots well defined.
 
 The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges through
-one reused buffer, so a block's gathered values are still in cache when they
-are reduced and the scratch memory does not grow with the edge count.
+reused buffers, so a block's gathered values are still in cache when they are
+reduced and the scratch memory does not grow with the edge count.  The blocks
+are split into runs of consecutive blocks with about equal edge counts, one
+run per CPU the process may use.  The calling thread does the first run and a
+thread pool that lives for one ``pagerank_series`` call does the others; numpy
+releases the interpreter lock in the gather and the reduce.  A row's sum is
+the same reduceat over the same block whichever run does it, so scores,
+snapshots and residuals are bit-identical for every worker count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +76,15 @@ class PageRankResult:
     converged: bool
 
 
-def _in_edge_kernel(g: Graph):
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_edge_kernel(g: Graph, workers: int, pool: ThreadPoolExecutor):
     """A function ``sums(w, out)`` that sets out[i] to the sum of w over the
     in-edges of i.
 
@@ -76,6 +92,12 @@ def _in_edge_kernel(g: Graph):
     block holds whole rows, so a row longer than _BLOCK_EDGES makes a block of
     its own length.  reduceat mishandles empty segments, so it runs over the
     non-empty rows only and their sums are scattered into ``out``.
+
+    The blocks are split into at most ``workers`` runs of consecutive blocks;
+    a block joins the run whose equal share of the edges holds its middle
+    edge.  The calling thread does the first run and ``pool`` the others.
+    Runs write disjoint rows of ``out``, and each has its own buffers, sized
+    to its largest block.
     """
     rows = np.flatnonzero(np.diff(g.in_ptr))
     starts = g.in_ptr[rows]
@@ -85,19 +107,33 @@ def _in_edge_kernel(g: Graph):
     offsets = starts - np.repeat(edge_cuts[:-1], np.diff(cuts))  # row starts within a block
     blocks = list(zip(edge_cuts[:-1].tolist(), edge_cuts[1:].tolist(),
                       cuts[:-1].tolist(), cuts[1:].tolist()))
-    gathered = np.empty(int(np.diff(edge_cuts).max(initial=0)))
-    reduced = np.empty(int(np.diff(cuts).max(initial=0)))
+    middles = (edge_cuts[:-1] + edge_cuts[1:]) / 2
+    run_cuts = np.unique(np.searchsorted(middles, np.arange(workers + 1) * (g.m / workers)))
     in_src = g.in_src
+
+    def make_run(blocks):
+        gathered = np.empty(max(e1 - e0 for e0, e1, _, _ in blocks))
+        reduced = np.empty(max(r1 - r0 for _, _, r0, r1 in blocks))
+
+        def run(w: np.ndarray, out: np.ndarray) -> None:
+            for e0, e1, r0, r1 in blocks:
+                seg = gathered[:e1 - e0]
+                # a Graph's ids lie in [0, n), and "clip" skips the bounds check
+                np.take(w, in_src[e0:e1], out=seg, mode="clip")
+                red = reduced[:r1 - r0]
+                np.add.reduceat(seg, offsets[r0:r1], out=red)
+                out[rows[r0:r1]] = red
+        return run
+
+    runs = [make_run(blocks[b0:b1]) for b0, b1 in zip(run_cuts[:-1], run_cuts[1:])]
 
     def sums(w: np.ndarray, out: np.ndarray) -> None:
         out.fill(0.0)
-        for e0, e1, r0, r1 in blocks:
-            seg = gathered[:e1 - e0]
-            # a Graph's ids lie in [0, n), and "clip" skips the bounds check
-            np.take(w, in_src[e0:e1], out=seg, mode="clip")
-            red = reduced[:r1 - r0]
-            np.add.reduceat(seg, offsets[r0:r1], out=red)
-            out[rows[r0:r1]] = red
+        futures = [pool.submit(run, w, out) for run in runs[1:]]
+        if runs:
+            runs[0](w, out)
+        for future in futures:
+            future.result()
 
     return sums
 
@@ -106,7 +142,9 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
                     max_iters: int = PageRankParams.max_iters,
                     snapshot_iters=()) -> list[PageRankResult]:
     """Power iteration from R = 1 for every damping at once; each damping stops
-    at L1 tolerance or max_iters.  Results come in the order of ``dampings``."""
+    at L1 tolerance or max_iters.  Results come in the order of ``dampings``,
+    which must be distinct.  The in-edge sums run on one thread per CPU the
+    process may use, from a pool that lives for this call."""
     params = [PageRankParams(c=c, tol=tol, max_iters=max_iters, snapshot_iters=snapshot_iters)
               for c in dampings]
     if g.n < 1:
@@ -114,13 +152,14 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     if not params:
         PageRankParams(tol=tol, max_iters=max_iters)  # still refuse a bad tol or cap
         return []
+    if len({p.c for p in params}) < len(params):
+        raise ValueError(f"dampings must be distinct, got {[p.c for p in params]}")
     snapshot_iters = params[0].snapshot_iters
     n = g.n
     inv_out = np.zeros(n)
     linked = g.out_deg > 0
     inv_out[linked] = 1.0 / g.out_deg[linked]
     dangling = np.flatnonzero(~linked)
-    in_edge_sums = _in_edge_kernel(g)
 
     x, x_next, scratch = np.ones(n), np.empty(n), np.empty(n)
     # per damping: (1 - c) * sum_{i<k} c^i x_i, which becomes R_k when it stops
@@ -129,33 +168,36 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     snapshots: list[dict[int, np.ndarray]] = [{} for _ in params]
     results: list[PageRankResult | None] = [None] * len(params)
     live = list(range(len(params)))
-    for k in range(1, max_iters + 1):
-        np.multiply(x, inv_out, out=scratch)
-        in_edge_sums(scratch, x_next)
-        x_next += x[dangling].sum() / n
-        np.subtract(x_next, x, out=scratch)
-        step = float(np.abs(scratch, out=scratch).sum()) / n
-        for d in live:
-            c, acc = params[d].c, accs[d]
-            np.multiply(x, (1.0 - c) * c ** (k - 1), out=scratch)
-            acc += scratch
-            resid = c ** k * step
-            residuals[d].append(resid)
-            done = resid <= tol or k == max_iters
-            if not (done or k in snapshot_iters):
-                continue
-            np.multiply(x_next, c ** k, out=scratch)
-            if k in snapshot_iters:
-                snapshots[d][k] = acc + scratch
-            if done:
+    workers = _cpu_count()
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        in_edge_sums = _in_edge_kernel(g, workers, pool)
+        for k in range(1, max_iters + 1):
+            np.multiply(x, inv_out, out=scratch)
+            in_edge_sums(scratch, x_next)
+            x_next += x[dangling].sum() / n
+            np.subtract(x_next, x, out=scratch)
+            step = float(np.abs(scratch, out=scratch).sum()) / n
+            for d in live:
+                c, acc = params[d].c, accs[d]
+                np.multiply(x, (1.0 - c) * c ** (k - 1), out=scratch)
                 acc += scratch
-                results[d] = PageRankResult(scores=acc, iters_run=k,
-                                            residuals=np.asarray(residuals[d]),
-                                            snapshots=snapshots[d], converged=resid <= tol)
-        live = [d for d in live if results[d] is None]
-        if not live:
-            break
-        x, x_next = x_next, x
+                resid = c ** k * step
+                residuals[d].append(resid)
+                done = resid <= tol or k == max_iters
+                if not (done or k in snapshot_iters):
+                    continue
+                np.multiply(x_next, c ** k, out=scratch)
+                if k in snapshot_iters:
+                    snapshots[d][k] = acc + scratch
+                if done:
+                    acc += scratch
+                    results[d] = PageRankResult(scores=acc, iters_run=k,
+                                                residuals=np.asarray(residuals[d]),
+                                                snapshots=snapshots[d], converged=resid <= tol)
+            live = [d for d in live if results[d] is None]
+            if not live:
+                break
+            x, x_next = x_next, x
     return results
 
 

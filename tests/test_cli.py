@@ -154,6 +154,16 @@ class TestAnalyzeCmd:
         assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "pagerank"])
+def test_repeated_damping_is_usage_error(tmp_path, capsys, command):
+    graph, out = tmp_path / "g.txt", tmp_path / "o"
+    graph.write_text("0 1\n0 2\n1 2\n2 0\n3 2\n3 1\n4 2\n")
+    assert main([command, str(graph), "--damping", "0.85", "--damping", "0.5",
+                 "--damping", "0.85", "--output-dir", str(out)]) == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPredictCmd:
     def test_small_web_sample_golden(self, capsys):
         code = main(["predict", "--alpha", "1.1", "--d", "8.2032", "--p0", "0.006",

@@ -169,6 +169,50 @@ class TestLoadEdgeList:
         assert graph_from_text(f"{2**63 - 1} 0\n").orig_ids.tolist() == [0, 2**63 - 1]
 
 
+def two_cycle_fields(**changes):
+    """The fields of the graph 0 -> 1 -> 0, with ``changes`` applied."""
+    fields = {"n": 2, "m": 2, "in_ptr": [0, 1, 2], "in_src": [1, 0], "out_deg": [1, 1],
+              "orig_ids": [0, 1], **changes}
+    return {key: np.asarray(val) if isinstance(val, list) else val
+            for key, val in fields.items()}
+
+
+class TestGraphConstructor:
+    def test_valid_arrays_frozen(self):
+        g = Graph(**two_cycle_fields())
+        assert not any(a.flags.writeable for a in (g.in_ptr, g.in_src, g.out_deg, g.orig_ids))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"in_src": [7, 0]}, "in_src"),
+        ({"in_src": [1, -1]}, "in_src"),
+        ({"in_src": [1]}, "in_src"),
+        ({"in_ptr": [0, 2]}, "in_ptr"),
+        ({"in_ptr": [1, 1, 2]}, "in_ptr"),
+        ({"in_ptr": [0, 1, 1]}, "in_ptr"),
+        ({"in_ptr": [0, 3, 2]}, "in_ptr"),
+        ({"n": -1, "in_ptr": [], "out_deg": [], "orig_ids": []}, "in_ptr"),
+        ({"out_deg": [3, -1]}, "out_deg"),
+        ({"out_deg": [1, 0]}, "out_deg"),
+        ({"out_deg": [2]}, "out_deg"),
+        ({"orig_ids": [0]}, "orig_ids"),
+        ({"in_ptr": [0.0, 1.0, 2.0]}, "integer"),
+        ({"out_deg": (1, 1)}, "integer"),
+        ({"in_src": [[1, 0]]}, "integer"),
+        ({"in_src": np.array([1, 0], dtype=np.uint64)}, "signed"),
+    ], ids=["src-beyond-n", "src-negative", "src-length", "ptr-length", "ptr-start",
+            "ptr-end", "ptr-decreasing", "negative-n", "outdeg-negative", "outdeg-sum",
+            "outdeg-length", "orig-ids-length", "float-array", "tuple", "2-d", "unsigned"])
+    def test_malformed_arrays_refused(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(**two_cycle_fields(**changes))
+
+    @pytest.mark.parametrize("src, dst", [([0, 2], [1, 0]), ([0, 1], [1, 2]),
+                                          ([0, 1], [-1, 0])])
+    def test_from_edges_refuses_ids_beyond_n(self, src, dst):
+        with pytest.raises(ValueError, match=r"\[0, n\)"):
+            Graph.from_edges(src, dst, 2)
+
+
 class TestDegreeProfile:
     def test_three_cycle(self):
         g = graph_from_text("0 1\n1 2\n2 0\n")

@@ -1,5 +1,8 @@
 import importlib
 import io
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +22,60 @@ def graph_from_text(text):
 def path_graph():
     # 0 -> 1 -> 2 with node 2 dangling
     return graph_from_text("0 1\n1 2\n")
+
+
+def hub_graph(rng):
+    """About 190k edges in rows of 0-3 edges, with empty rows at both ends, a
+    hub row longer than a block and a row starting exactly at edge 2 * block."""
+    block = pagerank_mod._BLOCK_EDGES
+    n = 40_000
+    deg = rng.integers(0, 4, size=n)      # about a quarter of the rows empty
+    deg[:3] = 0                           # empty rows at the start
+    deg[-5:] = 0                          # and at the end
+    deg[3] = block + 34_464               # a hub longer than one block
+    deg[4] = 2 * block - deg[3]           # row 5 starts exactly at a block cut
+    dst = np.repeat(np.arange(n), deg)
+    src = rng.integers(0, n, size=dst.size)
+    g = Graph.from_edges(src, dst, n)
+    assert 2 * block in g.in_ptr and g.m > 150_000
+    return g
+
+
+class SpyPool(ThreadPoolExecutor):
+    """A thread pool that records its instances, its submits and its shutdown."""
+
+    made: list["SpyPool"] = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submits = 0
+        self.shut_down = False
+        SpyPool.made.append(self)
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        return super().submit(fn, *args, **kwargs)
+
+    def shutdown(self, wait=True, **kwargs):
+        self.shut_down = wait
+        super().shutdown(wait, **kwargs)
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    monkeypatch.setattr(SpyPool, "made", [])
+    monkeypatch.setattr(pagerank_mod, "ThreadPoolExecutor", SpyPool)
+    return SpyPool
+
+
+def same_results(a, b):
+    """Whether two pagerank_series results agree bit for bit."""
+    return all(
+        x.iters_run == y.iters_run and x.converged == y.converged
+        and np.array_equal(x.scores, y.scores) and np.array_equal(x.residuals, y.residuals)
+        and sorted(x.snapshots) == sorted(y.snapshots)
+        and all(np.array_equal(x.snapshots[k], y.snapshots[k]) for k in x.snapshots)
+        for x, y in zip(a, b, strict=True))
 
 
 class TestParams:
@@ -164,48 +221,126 @@ class TestSeries:
         with pytest.raises(ValueError):
             pagerank_series(path_graph(), [0.5, 1.0])
 
+    def test_repeated_damping_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            pagerank_series(path_graph(), [0.85, 0.5, 0.85])
 
-def _kernel_sums(g, w):
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_results_equal_for_every_worker_count(self, rng, monkeypatch, block):
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", block)
+        for _ in range(5):
+            g = random_small_graph(rng, n_max=12)
+            runs = []
+            for workers in (1, 2, 3, g.m + 2):  # the last exceeds the block count
+                monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: workers)
+                runs.append(pagerank_series(g, self.DAMPINGS, tol=1e-12, max_iters=500,
+                                            snapshot_iters={1, 2}))
+            assert all(same_results(runs[0], other) for other in runs[1:])
+
+    def test_hub_graph_results_equal_for_every_worker_count(self, rng, monkeypatch):
+        g = hub_graph(rng)
+        runs = []
+        for workers in (1, 2, 3, 8):  # 8 exceeds the block count
+            monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: workers)
+            runs.append(pagerank_series(g, self.DAMPINGS, tol=1e-9, snapshot_iters={1, 2}))
+        assert all(same_results(runs[0], other) for other in runs[1:])
+
+    def test_pool_shut_down_after_return(self, monkeypatch, spy_pool):
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 1)
+        monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: 3)
+        before = set(threading.enumerate())
+        pagerank_series(graph_from_text("0 1\n1 2\n2 0\n3 1\n"), self.DAMPINGS)
+        [pool] = spy_pool.made
+        assert pool.submits > 0 and pool.shut_down
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_pool_shut_down_after_exception(self, monkeypatch, spy_pool, where):
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 1)
+        monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: 3)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        if where == "worker":
+            submit = SpyPool.submit
+            monkeypatch.setattr(SpyPool, "submit",
+                                lambda self, fn, *args: submit(self, fail, *args))
+        else:  # raised on the calling thread when the first damping stops
+            monkeypatch.setattr(pagerank_mod, "PageRankResult", fail)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="boom"):
+            pagerank_series(graph_from_text("0 1\n1 2\n2 0\n3 1\n"), self.DAMPINGS)
+        [pool] = spy_pool.made
+        assert pool.submits > 0 and pool.shut_down
+        assert set(threading.enumerate()) <= before
+
+
+def _kernel_sums(g, w, workers=1):
     out = np.full(g.n, np.nan)
-    pagerank_mod._in_edge_kernel(g)(w, out)
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        pagerank_mod._in_edge_kernel(g, workers, pool)(w, out)
     return out
 
 
 class TestInEdgeKernel:
     def test_blocks_against_bincount(self, rng):
-        block = pagerank_mod._BLOCK_EDGES
-        n = 40_000
-        deg = rng.integers(0, 4, size=n)      # about a quarter of the rows empty
-        deg[:3] = 0                           # empty rows at the start
-        deg[-5:] = 0                          # and at the end
-        deg[3] = block + 34_464               # a hub longer than one block
-        deg[4] = 2 * block - deg[3]           # row 5 starts exactly at a block cut
-        dst = np.repeat(np.arange(n), deg)
-        src = rng.integers(0, n, size=dst.size)
-        g = Graph.from_edges(src, dst, n)
-        assert 2 * block in g.in_ptr and g.m > 150_000
-        kernel = pagerank_mod._in_edge_kernel(g)
-        out = np.empty(n)
-        for _ in range(2):  # the buffers are reused between calls
-            w = rng.random(n)
-            kernel(w, out)
-            expected = np.bincount(dst, weights=w[src], minlength=n)
-            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
-            assert (out[deg == 0] == 0).all()
+        g = hub_graph(rng)
+        src, dst = g.edge_arrays()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            kernel = pagerank_mod._in_edge_kernel(g, 2, pool)
+            out = np.empty(g.n)
+            for _ in range(2):  # the buffers are reused between calls
+                w = rng.random(g.n)
+                kernel(w, out)
+                expected = np.bincount(dst, weights=w[src], minlength=g.n)
+                np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+                assert (out[g.in_deg == 0] == 0).all()
+
+    def test_hub_graph_sums_equal_for_every_worker_count(self, rng):
+        g = hub_graph(rng)
+        w = rng.random(g.n)
+        alone = _kernel_sums(g, w)
+        for workers in (2, 3, 8):  # 8 exceeds the block count
+            assert np.array_equal(_kernel_sums(g, w, workers), alone)
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_small_blocks(self, rng, monkeypatch, block):
+        # with one-edge blocks every run starts a row, and runs outnumber blocks
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", block)
         for _ in range(10):
             g = random_small_graph(rng, n_max=12)
             src, dst = g.edge_arrays()
             w = rng.random(g.n)
             expected = np.bincount(dst, weights=w[src], minlength=g.n)
-            np.testing.assert_allclose(_kernel_sums(g, w), expected, rtol=1e-12, atol=0)
+            alone = _kernel_sums(g, w)
+            np.testing.assert_allclose(alone, expected, rtol=1e-12, atol=0)
+            for workers in (2, 3, g.m + 2):
+                assert np.array_equal(_kernel_sums(g, w, workers), alone)
+
+    def test_more_workers_than_cores_under_fast_switching(self, rng, monkeypatch):
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 64)
+        n = 2_000
+        g = Graph.from_edges(rng.integers(0, n, 20_000), rng.integers(0, n, 20_000), n)
+        w = rng.random(n)
+        alone = _kernel_sums(g, w)
+        outs = []
+        caller = threading.Thread(target=lambda: outs.extend(_kernel_sums(g, w, 8)
+                                                              for _ in range(20)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(outs) == 20
+        assert all(np.array_equal(out, alone) for out in outs)
 
     def test_no_edges(self):
         g = Graph.from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
-        assert (_kernel_sums(g, np.ones(3)) == 0).all()
+        for workers in (1, 2):
+            assert (_kernel_sums(g, np.ones(3), workers) == 0).all()
 
 
 def test_export_scores_uses_original_ids(tmp_path):
