@@ -95,6 +95,10 @@ def _resolve_options(args) -> None:
             setattr(args, key, default if value is None else _convert(value, kind))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
+    # one PageRank series serves every damping, so a repeat is refused here,
+    # before the graph is read
+    if args.command in ("analyze", "pagerank") and len(set(args.damping)) < len(args.damping):
+        raise ValueError(f"dampings must be distinct, got {args.damping}")
 
 
 def _load_graph(args):

@@ -14,6 +14,8 @@ import json
 import os
 import re
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -21,6 +23,15 @@ import numpy as np
 
 _ID_MAX = np.iinfo(np.int64).max
 _DEGREE_KEY = re.compile("0|[1-9][0-9]*")
+_CHUNK_ROWS = 1 << 16
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 class EdgeListParseError(ValueError):
@@ -186,13 +197,18 @@ def hist_to_json(hist: dict[int, float]) -> dict[str, float]:
 @contextmanager
 def open_text(target, mode: str = "r"):
     """UTF-8 text stream on a path (through gzip when it ends in ".gz"), or an
-    already-open stream passed through and left open.  Writes use newline=""
-    so rows keep exactly the line endings the caller wrote."""
-    if hasattr(target, "read" if mode == "r" else "write"):
+    already-open stream passed through and left open.  Mode "rb" gives the
+    path's bytes instead.  Writes use newline="" so rows keep exactly the line
+    endings the caller wrote."""
+    if hasattr(target, "write" if mode == "w" else "read"):
         yield target
         return
     path = os.fspath(target)
     opener = gzip.open if path.endswith(".gz") else open
+    if mode == "rb":
+        with opener(path, "rb") as stream:
+            yield stream
+        return
     with opener(path, mode + "t", encoding="utf-8",
                 newline=None if mode == "r" else "") as stream:
         yield stream
@@ -207,9 +223,10 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     Duplicate edges are kept as multi-edges; self-loops are kept unless
     ``drop_self_loops`` is set.
 
-    The text is read once.  A plain ASCII table is parsed in one array pass;
-    any other text goes through the per-line parser, which gives the same
-    edges and reports every error.
+    A path is read once, as bytes.  A plain ASCII table is parsed from those
+    bytes in one array pass; any other input is decoded as UTF-8 and goes
+    through the per-line parser, which gives the same edges and reports every
+    error.
 
     Raises EdgeListParseError (with the line number) on malformed lines and
     ValueError on empty input.
@@ -217,37 +234,45 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     src, dst = _read_edges(source, drop_self_loops)
     if not src.size:
         raise ValueError("empty edge list")
-    uniq, inverse = _dense_ids(np.concatenate([src, dst]))
-    m = src.size
-    return Graph.from_edges(inverse[:m], inverse[m:], n=int(uniq.size), orig_ids=uniq)
+    uniq, src, dst = _dense_ids(src, dst)
+    return Graph.from_edges(src, dst, n=int(uniq.size), orig_ids=uniq)
 
 
 def _read_edges(source, drop_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) int64 id arrays of an edge list; the text is dropped on return."""
-    with open_text(source) as stream:
-        text = stream.read()
-    table = _parse_table(text)
+    """(src, dst) int64 id arrays of an edge list; the input is dropped on return.
+
+    A path's line ends are read as text mode reads them (CRLF and lone CR end
+    a line); an open text stream's text is taken as it reads."""
+    with open_text(source, "rb") as stream:
+        data = stream.read()
+    if isinstance(data, str):
+        raw = data.encode("ascii") if data.isascii() else None
+    else:
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raw = data
+    table = None if raw is None else _parse_table(raw)
     if table is None:
+        text = data if isinstance(data, str) else data.decode("utf-8")
         return _parse_lines(text, drop_self_loops)
     if drop_self_loops:
         table = table[table[:, 0] != table[:, 1]]
     return table[:, 0], table[:, 1]
 
 
-def _parse_table(text: str) -> np.ndarray | None:
+def _parse_table(raw: bytes) -> np.ndarray | None:
     """The (m, 2) int64 edge table from numpy's C parser, or None where that
-    parser might not give what _parse_lines gives: non-ASCII text (on which
+    parser might not give what _parse_lines gives: non-ASCII bytes (on which
     numpy 2.4's loadtxt has also crashed the interpreter), a '#' that does not
     open a line, any parse failure or warning, another column count, a
     negative id."""
-    if not text.isascii() or text.count("#") != text.startswith("#") + text.count("\n#"):
+    if not raw.isascii() or raw.count(b"#") != raw.startswith(b"#") + raw.count(b"\n#"):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # bytes hold ASCII at one byte a character, a StringIO at four
-            table = np.loadtxt(io.BytesIO(text.encode("ascii")), dtype=np.int64,
-                               comments="#", ndmin=2)
+            # a BytesIO shares the bytes; a StringIO would hold four per character
+            table = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments="#", ndmin=2)
     except (ValueError, Warning):
         return None
     if table.shape[1] != 2 or table.min() < 0:
@@ -281,43 +306,157 @@ def _parse_lines(text: str, drop_self_loops: bool) -> tuple[np.ndarray, np.ndarr
     return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
 
 
-def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct ids, each id's index among them), as
-    np.unique(ids, return_inverse=True) gives.  When the largest id is below
-    twice the id count, a presence table of that size replaces the sort."""
-    top = int(ids.max())
-    if top >= 2 * ids.size:
-        return np.unique(ids, return_inverse=True)
+def _dense_ids(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted distinct ids, the index of each src id among them, of each dst
+    id), as np.unique over both with return_inverse=True gives.  When the
+    largest id is below twice the id count, a presence table of that size
+    replaces the sort, and src and dst are remapped one at a time."""
+    top = int(max(src.max(), dst.max()))
+    if top >= 2 * (src.size + dst.size):
+        uniq, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
+        return uniq, inverse[:src.size], inverse[src.size:]
     present = np.zeros(top + 1, dtype=bool)
-    present[ids] = True
+    present[src] = True
+    present[dst] = True
     rank = np.cumsum(present)
     rank -= 1
-    return np.flatnonzero(present), rank[ids]
+    return np.flatnonzero(present), rank[src], rank[dst]
 
 
-def write_rows(dest, header: str | None, first, second, sep: str, eol: str) -> None:
+# _DIGITS4[v]: the four ASCII digits of v in 0..9999, zero-padded, as one
+# 4-byte word whose memory holds them in print order
+_DIGITS4 = ((np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# _KEEP[20 + t]: four byte flags as one word, the first t (clipped to [0, 4]) off
+_KEEP = (np.arange(4) >= np.clip(np.arange(-20, 21), 0, 4)[:, None]).astype(
+    np.uint8).view(np.uint32).ravel()
+# a word whose last byte is a minus sign, and the flags that keep that byte only
+_MINUS, _LAST = np.array([[0, 0, 0, ord("-")], [0, 0, 0, 1]], np.uint8).view(np.uint32).ravel()
+
+
+def _text_words(text: str) -> list[tuple]:
+    """(word, flags) pairs that print ``text`` in UTF-8, four bytes a word."""
+    raw = text.encode("utf-8")
+    size = -(-len(raw) // 4) * 4
+    data = np.zeros(size, np.uint8)
+    data[:len(raw)] = np.frombuffer(raw, np.uint8)
+    keep = (np.arange(size) < len(raw)).astype(np.uint8)
+    return list(zip(data.view(np.uint32), keep.view(np.uint32)))
+
+
+def _int_words(x: np.ndarray) -> list[tuple]:
+    """(words, flags) pairs of arrays that print the integers ``x`` as
+    str(int) does: a minus word when any is negative, then four digits a
+    word, most significant first.  The flags drop the leading zeros, and the
+    minus of a non-negative row."""
+    if x.dtype.kind == "u":
+        mag, neg = x.astype(np.uint64, copy=False), None
+    else:
+        x = x.astype(np.int64, copy=False)
+        neg = x < 0
+        if neg.any():
+            mag = x.view(np.uint64)
+            mag = np.where(neg, np.negative(mag), mag)  # also right for int64 min
+        else:
+            mag, neg = x, None
+    top = int(mag.max())
+    if top < 2**31:
+        mag = mag.astype(np.int32)  # narrower arithmetic is faster
+    digits = np.ones(mag.size, np.int32)
+    power = 10
+    while power <= top:
+        digits += mag >= power
+        power *= 10
+    groups = -(-len(str(top)) // 4)
+    values = []  # four digits each, least significant first
+    for _ in range(groups - 1):
+        high = mag // 10_000
+        values.append(mag - high * 10_000)
+        mag = high
+    values.append(mag)
+    words = [] if neg is None else [(_MINUS, np.where(neg, _LAST, np.uint32(0)))]
+    for j, value in enumerate(reversed(values)):
+        # word j holds digit places 4j..4j+3 of 4 * groups; the first
+        # 4 * groups - digits places are not printed
+        words.append((np.take(_DIGITS4, value, mode="wrap"),
+                      np.take(_KEEP, (20 + 4 * (groups - j)) - digits, mode="wrap")))
+    return words
+
+
+def _encode_int_rows(a: np.ndarray, b: np.ndarray, sep_words, eol_words) -> np.ndarray:
+    """The UTF-8 bytes of "<a><sep><b><eol>" rows of two integer columns, as
+    a uint8 array.  Every row is laid out as the same run of words, and one
+    compress keyed on the byte flags drops the bytes not printed."""
+    columns = _int_words(a) + sep_words + _int_words(b) + eol_words
+    data = np.empty((a.size, len(columns)), np.uint32)
+    keep = np.empty((a.size, len(columns)), np.uint32)
+    for j, (word, flags) in enumerate(columns):
+        data[:, j] = word
+        keep[:, j] = flags
+    return data.view(np.uint8).ravel()[keep.view(bool).ravel()]
+
+
+def write_rows(dest, header: str | None, first, second, sep: str, eol: str,
+               ids=None) -> None:
     """Write two equal-length columns as "<a><sep><b><eol>" rows after an optional
     header row; cells print as Python ints and floats (str is repr for both).
-    Each chunk is one %-format of the row template repeated per row."""
+    With ``ids``, a cell v prints as ids[v], looked up one chunk at a time.
+
+    Rows go in chunks of _CHUNK_ROWS.  Integer cells are encoded to bytes with
+    numpy on every CPU the process may use (`_write_int_chunks`); other cells
+    take one %-format of the row template per chunk."""
     if len(first) != len(second):
         raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
-    chunk = 1 << 16
-    row = "%s" + sep.replace("%", "%%") + "%s" + eol.replace("%", "%%")
+
+    def cells(start):
+        a, b = first[start:start + _CHUNK_ROWS], second[start:start + _CHUNK_ROWS]
+        return (a, b) if ids is None else (ids[a], ids[b])
+
+    starts = range(0, len(first), _CHUNK_ROWS)
     with open_text(dest, "w") as stream:
         if header is not None:
             stream.write(header + eol)
-        for start in range(0, len(first), chunk):
-            a = first[start:start + chunk].tolist()
-            cells = [None] * (2 * len(a))
-            cells[0::2] = a
-            cells[1::2] = second[start:start + chunk].tolist()
-            stream.write((row * len(a)) % tuple(cells))
+        if all(col.dtype.kind in "iu" for col in ((first, second) if ids is None else (ids,))):
+            _write_int_chunks(stream, cells, starts, _text_words(sep), _text_words(eol))
+            return
+        row = "%s" + sep.replace("%", "%%") + "%s" + eol.replace("%", "%%")
+        for start in starts:
+            a, b = cells(start)
+            flat = [None] * (2 * len(a))
+            flat[0::2] = a.tolist()
+            flat[1::2] = b.tolist()
+            stream.write((row * len(a)) % tuple(flat))
+
+
+def _write_int_chunks(stream, cells, starts, sep_words, eol_words) -> None:
+    """Encode the integer chunks at ``starts`` and write them in order.
+
+    The calling thread encodes every chunk whose index is a multiple of the
+    CPU count, and a thread pool that lives for this call encodes the others;
+    at most two chunks per CPU are in flight.  The pool threads call numpy
+    only."""
+    def encode(start):
+        return _encode_int_rows(*cells(start), sep_words, eol_words)
+
+    def write(job):
+        out = encode(job) if isinstance(job, int) else job.result()
+        stream.write(str(out, "utf-8"))
+
+    workers = _cpu_count()
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        for i, start in enumerate(starts):
+            pending.append(start if i % workers == 0 else pool.submit(encode, start))
+            if len(pending) == 2 * workers:
+                write(pending.popleft())
+        while pending:
+            write(pending.popleft())
 
 
 def write_edge_list(g: Graph, dest) -> None:
     """Write the graph as "src<TAB>dst" lines using original node ids."""
     src, dst = g.edge_arrays()
-    write_rows(dest, None, g.orig_ids[src], g.orig_ids[dst], "\t", "\n")
+    write_rows(dest, None, src, dst, "\t", "\n", ids=g.orig_ids)
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -22,23 +22,23 @@ makes the per-iteration snapshots well defined.
 The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges through
 reused buffers, so a block's gathered values are still in cache when they are
 reduced and the scratch memory does not grow with the edge count.  The blocks
-are split into runs of consecutive blocks with about equal edge counts, one
-run per CPU the process may use.  The calling thread does the first run and a
-thread pool that lives for one ``pagerank_series`` call does the others; numpy
-releases the interpreter lock in the gather and the reduce.  A row's sum is
-the same reduceat over the same block whichever run does it, so scores,
-snapshots and residuals are bit-identical for every worker count.
+are split into at most one run of consecutive blocks per CPU the process may
+use, the largest run as small as whole blocks allow.  The calling thread does
+the first run and a thread pool that lives for one ``pagerank_series`` call
+does the others; numpy releases the interpreter lock in the gather and the
+reduce.  A row's sum is the same reduceat over the same block whichever run
+does it, so scores, snapshots and residuals are bit-identical for every
+worker count.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, write_rows
+from .graph import Graph, _cpu_count, write_rows
 
 _BLOCK_EDGES = 1 << 16
 
@@ -76,12 +76,28 @@ class PageRankResult:
     converged: bool
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _balanced_cuts(sizes: list[int], parts: int) -> list[int]:
+    """Cuts 0 = c_0 < c_1 < ... < c_r = len(sizes), with r <= parts, that split
+    ``sizes`` into runs of consecutive items whose largest sum is the least
+    possible.  That sum is found by binary search; a greedy packing tells
+    whether a cap fits in ``parts`` runs, and gives the runs for the least."""
+    def pack(cap):
+        cuts, total = [0], 0
+        for i, size in enumerate(sizes):
+            if total + size > cap:
+                cuts.append(i)
+                total = 0
+            total += size
+        return cuts + [len(sizes)] if sizes else cuts
+
+    low, high = max(sizes, default=0), sum(sizes)
+    while low < high:
+        mid = (low + high) // 2
+        if len(pack(mid)) - 1 <= parts:
+            high = mid
+        else:
+            low = mid + 1
+    return pack(low)
 
 
 def _in_edge_kernel(g: Graph, workers: int, pool: ThreadPoolExecutor):
@@ -93,9 +109,9 @@ def _in_edge_kernel(g: Graph, workers: int, pool: ThreadPoolExecutor):
     its own length.  reduceat mishandles empty segments, so it runs over the
     non-empty rows only and their sums are scattered into ``out``.
 
-    The blocks are split into at most ``workers`` runs of consecutive blocks;
-    a block joins the run whose equal share of the edges holds its middle
-    edge.  The calling thread does the first run and ``pool`` the others.
+    The blocks are split into at most ``workers`` runs of consecutive blocks,
+    the largest run as small as whole blocks allow (`_balanced_cuts`).  The
+    calling thread does the first run and ``pool`` the others.
     Runs write disjoint rows of ``out``, and each has its own buffers, sized
     to its largest block.
     """
@@ -107,8 +123,7 @@ def _in_edge_kernel(g: Graph, workers: int, pool: ThreadPoolExecutor):
     offsets = starts - np.repeat(edge_cuts[:-1], np.diff(cuts))  # row starts within a block
     blocks = list(zip(edge_cuts[:-1].tolist(), edge_cuts[1:].tolist(),
                       cuts[:-1].tolist(), cuts[1:].tolist()))
-    middles = (edge_cuts[:-1] + edge_cuts[1:]) / 2
-    run_cuts = np.unique(np.searchsorted(middles, np.arange(workers + 1) * (g.m / workers)))
+    run_cuts = _balanced_cuts(np.diff(edge_cuts).tolist(), workers)
     in_src = g.in_src
 
     def make_run(blocks):

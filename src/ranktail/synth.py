@@ -102,4 +102,5 @@ def generate(spec: SynthSpec) -> Graph:
         if loops.size == 0:
             break
         src[loops] = sources(loops.size)
+    del stubs  # the out-stub table is as large as src; free it before the build
     return Graph.from_edges(src, dst, n)

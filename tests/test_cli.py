@@ -59,6 +59,14 @@ class TestStats:
         assert main(["stats", str(bad)]) == 3
         assert "line 2: node id out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["bad.txt", "bad.txt.gz"])
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys, name):
+        bad = tmp_path / name
+        raw = b"0 1\r\n\xff 2\n"
+        bad.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
+        assert main(["stats", str(bad)]) == 3
+        assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
 
 class TestPagerankCmd:
     def test_writes_scores_and_snapshots(self, star_file, tmp_path):
@@ -162,6 +170,16 @@ def test_repeated_damping_is_usage_error(tmp_path, capsys, command):
                  "--damping", "0.85", "--output-dir", str(out)]) == 2
     assert "distinct" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "pagerank"])
+def test_repeated_damping_refused_before_the_graph_is_read(tmp_path, capsys, command):
+    # the edge list does not exist, so reading it first would exit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"damping": [0.5, 0.5]}))
+    for flags in (["--damping", "0.5", "--damping", "0.5"], ["--config", str(cfg)]):
+        assert main([command, str(tmp_path / "missing.txt"), *flags]) == 2
+        assert "dampings must be distinct, got [0.5, 0.5]" in capsys.readouterr().err
 
 
 class TestPredictCmd:

@@ -127,13 +127,13 @@ class TestLoadEdgeList:
 
     def test_comment_lines_mid_file_take_the_array_pass(self):
         text = "# head\n0 1\n# mid\n#\n1 2\n\n2 0\n# tail"
-        assert _parse_table(text) is not None
+        assert _parse_table(text.encode()) is not None
         g = graph_from_text(text)
         assert (g.n, g.m) == (3, 3)
 
     def test_trailing_comment_still_fails_with_its_line(self):
         text = "0 1\n1 2 # x\n"
-        assert _parse_table(text) is None
+        assert _parse_table(text.encode()) is None
         with pytest.raises(EdgeListParseError, match="^line 2: expected 'src dst', got '1 2 # x'$"):
             graph_from_text(text)
 
@@ -150,7 +150,7 @@ class TestLoadEdgeList:
 
     def test_drop_self_loops_on_the_array_pass(self):
         text = "5 5\n0 1\n1 1\n"
-        assert _parse_table(text) is not None
+        assert _parse_table(text.encode()) is not None
         g = graph_from_text(text, drop_self_loops=True)
         # 5 only occurs in a dropped loop, so it is no node at all
         assert (g.n, g.m) == (2, 1)
@@ -167,6 +167,42 @@ class TestLoadEdgeList:
                             drop_self_loops=True)
         assert g.orig_ids.tolist() == [0, 1]
         assert graph_from_text(f"{2**63 - 1} 0\n").orig_ids.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize("text", [
+        "# c\n5 7\n7 5\n9 7\n",
+        "5 7\r\n7 5\r\n# c\r\n9 7\r\n",
+        "5 7\r7 5\r# c\r9 7",
+        "5 7\r\n7 5\r9 7\n\r\n",
+        "5 5\r0 1\r\n1 1\n",
+        "# café\r\n5 7\r7 5\n９ 7\n",
+        "5 7\r\n7 x\r9 7\n",
+        "5 7\r\né 5\n",
+        "5 7\r\n7 5 # x\r\n",
+        "\r\n\r",
+    ])
+    @pytest.mark.parametrize("target", ["path", "gz", "binary stream"])
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_bytes_match_per_line_parser(self, tmp_path, text, target, drop):
+        raw = text.encode("utf-8")
+        if target == "path":
+            source = tmp_path / "edges.txt"
+            source.write_bytes(raw)
+        elif target == "gz":
+            source = tmp_path / "edges.txt.gz"
+            with gzip.open(source, "wb") as fh:
+                fh.write(raw)
+        else:
+            source = io.BytesIO(raw)
+        # text mode reads CRLF and a lone CR as one line end
+        universal = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert outcome(load_edge_list, source, drop_self_loops=drop) == outcome(
+            per_line_graph, universal, drop_self_loops=drop)
+
+    def test_invalid_utf8_raises(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"0 1\n\xff 2\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_edge_list(path)
 
 
 def two_cycle_fields(**changes):

@@ -1,5 +1,6 @@
 import importlib
 import io
+import itertools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -341,6 +342,32 @@ class TestInEdgeKernel:
         g = Graph.from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
         for workers in (1, 2):
             assert (_kernel_sums(g, np.ones(3), workers) == 0).all()
+
+
+def brute_force_largest_run(sizes, parts):
+    """The least largest run sum over every split of sizes into at most
+    ``parts`` runs of consecutive items."""
+    best = sum(sizes)
+    for runs in range(1, min(parts, len(sizes)) + 1):
+        for inner in itertools.combinations(range(1, len(sizes)), runs - 1):
+            cuts = [0, *inner, len(sizes)]
+            best = min(best, max(sum(sizes[a:b]) for a, b in zip(cuts, cuts[1:])))
+    return best
+
+
+def test_balanced_cuts_against_brute_force(rng):
+    assert pagerank_mod._balanced_cuts([], 3) == [0]
+    for _ in range(500):
+        sizes = rng.integers(1, 30, rng.integers(1, 9)).tolist()
+        if rng.random() < 0.3:  # a hub
+            sizes[rng.integers(len(sizes))] *= 10
+        parts = int(rng.integers(1, 10))
+        cuts = pagerank_mod._balanced_cuts(sizes, parts)
+        assert cuts[0] == 0 and cuts[-1] == len(sizes) and len(cuts) - 1 <= parts
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        largest = max(sum(sizes[a:b]) for a, b in zip(cuts, cuts[1:]))
+        assert largest == brute_force_largest_run(sizes, parts)
+
 
 
 def test_export_scores_uses_original_ids(tmp_path):

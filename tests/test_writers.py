@@ -3,10 +3,15 @@
 import csv
 import gzip
 import io
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ranktail import graph as graph_mod
 from ranktail.graph import Graph, load_edge_list, write_edge_list, write_rows
 from ranktail.pagerank import export_scores
 from ranktail.tails import ccdf, decimate_ccdf, write_ccdf_csv
@@ -88,7 +93,7 @@ FLOATS = [5e-324, 1e16, -0.0, float("inf"), float("-inf"), float("nan"), 0.1, 2 
           1e-05, 123456789.0, -1.5e300]
 
 
-@pytest.mark.parametrize("size", [0, 1, 65_536, 65_537])
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537])
 @pytest.mark.parametrize("kind", ["int", "float"])
 def test_write_rows_matches_fstring_rows(rng, size, kind):
     first = rng.integers(-10**15, 10**15, size)
@@ -109,6 +114,97 @@ def test_write_rows_to_gz_matches_fstring_rows(tmp_path, rng):
     write_rows(path, "x,y", first, second, ",", "\r\n")
     with gzip.open(path, "rb") as fh:
         assert fh.read() == fstring_rows("x,y", first, second, ",", "\r\n").encode("utf-8")
+
+
+INT64, UINT64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+EXTREMES = {
+    "int64": np.array([INT64.min, INT64.min + 1, -10**18, -2**31 - 1, -2**31, -10_000,
+                       -9_999, -1, 0, 1, 9, 10, 9_999, 10_000, 2**31 - 1, 2**31,
+                       10**18, INT64.max]),
+    "uint64": np.array([0, 1, 9_999, 10_000, 2**63 - 1, 2**63, 10**19 - 1, 10**19,
+                        UINT64.max], dtype=np.uint64),
+    "int8": np.array([-128, -1, 0, 127], dtype=np.int8),
+    "uint32": np.array([0, 10, 2**32 - 1], dtype=np.uint32),
+}
+SEPARATORS = [("\t", "\n"), ("%s%%", "%\n"), ("\x00", "\x00\x00"), (" <=> ", "\r\n"),
+              ("", ""), ("é", "∎\n")]
+
+
+@pytest.mark.parametrize("kind", sorted(EXTREMES))
+@pytest.mark.parametrize("sep, eol", SEPARATORS)
+def test_int_rows_at_the_extremes(kind, sep, eol):
+    values = EXTREMES[kind]
+    repeated = np.resize(values, 3 * values.size)
+    for first, second in [(values, values[::-1]), (values[:1], values[-1:]),
+                          (repeated, repeated[::-1])]:
+        expected = fstring_rows(None, first, second, sep, eol)
+        assert written(lambda dest: write_rows(dest, None, first, second, sep, eol)) == expected
+
+
+@given(rows=st.lists(st.tuples(st.integers(INT64.min, INT64.max),
+                               st.integers(INT64.min, INT64.max)), max_size=50),
+       sep=st.text(max_size=3), eol=st.text(max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_int_rows_match_fstring_rows(rows, sep, eol):
+    first = np.array([a for a, _ in rows], dtype=np.int64)
+    second = np.array([b for _, b in rows], dtype=np.int64)
+    expected = fstring_rows(None, first, second, sep, eol)
+    assert written(lambda dest: write_rows(dest, None, first, second, sep, eol)) == expected
+
+
+def test_int_rows_equal_for_every_worker_count(rng, monkeypatch):
+    size = 5 * 65_536 + 17
+    # every digit count from 1 to 19, either sign
+    first = rng.integers(0, 10, size) * 10 ** rng.integers(0, 19, size) * rng.choice([-1, 1], size)
+    second = rng.integers(0, 2**63 - 1, size, dtype=np.int64)
+    ids = rng.integers(0, 10**12, 1_000)
+    cells = rng.integers(0, ids.size, size)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        outputs.append((written(lambda dest: write_rows(dest, "a,b", first, second, ",", "\r\n")),
+                        written(lambda dest: write_rows(dest, None, cells, cells[::-1], "\t", "\n",
+                                                        ids=ids))))
+    assert outputs[0] == (fstring_rows("a,b", first, second, ",", "\r\n"),
+                          fstring_rows(None, ids[cells], ids[cells[::-1]], "\t", "\n"))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+class FailingStream(io.StringIO):
+    """A text stream whose second write raises."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError("disk full")
+        return super().write(text)
+
+
+def test_pool_shut_down_when_write_raises(monkeypatch):
+    pools = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submits, self.shut_down = 0, False
+            pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.submits += 1
+            return super().submit(fn, *args, **kwargs)
+
+        def shutdown(self, wait=True, **kwargs):
+            self.shut_down = wait
+            super().shutdown(wait, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
+    column = np.arange(10 * 65_536)
+    before = set(threading.enumerate())
+    with pytest.raises(OSError, match="disk full"):
+        write_rows(FailingStream(), None, column, column, "\t", "\n")
+    [pool] = pools
+    assert pool.submits > 0 and pool.shut_down
+    assert set(threading.enumerate()) <= before
 
 
 SCORES = [1e-05, 1e+16, 0.1, 123456789.0, 1.0, 2 / 3, -0.0, float("inf")]
