@@ -6,10 +6,9 @@ from .graph import (DegreeProfile, EdgeListParseError, Graph, degree_profile,
                     load_edge_list, write_edge_list)
 from .pagerank import (PageRankParams, PageRankResult, export_scores, pagerank,
                        pagerank_series)
-from .simulate import (EffectiveOutdegreeSampler, ModelSpec, SamplePool,
+from .simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec, SamplePool,
                        SimulationConvergenceError, YLevelResult, initial_pool,
-                       iterate_pool, sample_indegree, simulate_R,
-                       simulate_Y_levels, tail_ratio_table)
+                       iterate_pool, simulate_R, simulate_Y_levels, tail_ratio_table)
 from .synth import SynthSpec, generate
 from .tails import CcdfSeries, TailFit, ccdf, choose_xmin, fit_exponent_mle
 from .theory import (CoefficientTable, TheoryParams, b_coefficient, coefficient_C,

@@ -199,18 +199,21 @@ def open_text(target, mode: str = "r"):
     """UTF-8 text stream on a path (through gzip when it ends in ".gz"), or an
     already-open stream passed through and left open.  Mode "rb" gives the
     path's bytes instead.  Writes use newline="" so rows keep exactly the line
-    endings the caller wrote."""
+    endings the caller wrote, and a gzip header's mtime is 0, so equal rows
+    give equal bytes."""
     if hasattr(target, "write" if mode == "w" else "read"):
         yield target
         return
     path = os.fspath(target)
-    opener = gzip.open if path.endswith(".gz") else open
+    if path.endswith(".gz"):
+        raw = gzip.GzipFile(path, mode[0] + "b", mtime=0)
+    else:
+        raw = open(path, mode[0] + "b")
     if mode == "rb":
-        with opener(path, "rb") as stream:
-            yield stream
+        with raw:
+            yield raw
         return
-    with opener(path, mode + "t", encoding="utf-8",
-                newline=None if mode == "r" else "") as stream:
+    with io.TextIOWrapper(raw, encoding="utf-8", newline=None if mode == "r" else "") as stream:
         yield stream
 
 

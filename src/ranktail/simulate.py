@@ -1,8 +1,7 @@
 """Monte Carlo engine for the distributional score recursion.
 
-The in-degree of a random node is modeled as N = Poisson(T) with T Pareto
-of index alpha and scale t_min = d*(alpha-1)/alpha, so E(N) = E(T) = d and
-N inherits the power-law tail of T.  The recursion
+The in-degree N of a random node follows ``InDegreeLaw``, a mixed Poisson
+whose mean is d and whose tail has index alpha.  The recursion
 
     R <- c * sum_{j=1..N} R_j / D_j + [1 - c*(1-p0)]
 
@@ -38,6 +37,36 @@ class SimulationConvergenceError(RuntimeError):
             f"(contraction factor c*(1-p0) = {rate:.6g}), above the cap of "
             f"{_MAX_GENERATIONS}")
         self.generations = generations
+
+
+@dataclass(frozen=True)
+class InDegreeLaw:
+    """The in-degree law N = Poisson(T), with T Pareto of index alpha and
+    scale t_min = d*(alpha-1)/alpha, so E(N) = E(T) = d and N inherits the
+    power-law tail of T."""
+
+    alpha: float
+    d: float
+
+    def __post_init__(self):
+        if self.alpha <= 1.0:
+            raise ValueError("tail index alpha must exceed 1 (finite mean in-degree)")
+        if self.d <= 0:
+            raise ValueError("mean degree must be positive")
+
+    @property
+    def t_min(self) -> float:
+        """Pareto scale chosen so that E(T) = d."""
+        return self.d * (self.alpha - 1.0) / self.alpha
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draws of N; each Pareto rate T comes from one uniform by inverse CDF."""
+        u = 1.0 - rng.random(size)  # in (0, 1], keeps T finite
+        return rng.poisson(self.t_min * u ** (-1.0 / self.alpha))
+
+    def tail(self, x):
+        """P(T > x): (x/t_min)^(-alpha) from t_min up, 1 below it."""
+        return (np.maximum(x, self.t_min) / self.t_min) ** -self.alpha
 
 
 class EffectiveOutdegreeSampler:
@@ -77,24 +106,17 @@ class ModelSpec:
     outdeg_hist: dict[int, float]
     pool_size: int = 1_000_000
     seed: int = 0
+    indegree: InDegreeLaw = field(init=False, compare=False, repr=False)
     effective_outdegree: EffectiveOutdegreeSampler = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.c < 1.0:
             raise ValueError(f"damping factor must be in [0, 1), got {self.c}")
-        if self.alpha <= 1.0:
-            raise ValueError("tail index alpha must exceed 1 (finite mean in-degree)")
-        if self.d <= 0:
-            raise ValueError("mean degree must be positive")
+        object.__setattr__(self, "indegree", InDegreeLaw(self.alpha, self.d))
         if self.pool_size < 10_000:
             raise ValueError("pool_size must be at least 10_000")
         object.__setattr__(self, "effective_outdegree",
                            EffectiveOutdegreeSampler(self.outdeg_hist, self.d))
-
-    @property
-    def t_min(self) -> float:
-        """Pareto scale chosen so that E(N) = d."""
-        return self.d * (self.alpha - 1.0) / self.alpha
 
     @property
     def p0(self) -> float:
@@ -134,17 +156,6 @@ class SamplePool:
         return (ordered.size - idx) / ordered.size
 
 
-def sample_pareto(rng: np.random.Generator, alpha: float, t_min: float, size: int):
-    """Inverse-CDF Pareto draws: P(T > x) = (x/t_min)^(-alpha) for x >= t_min."""
-    u = 1.0 - rng.random(size)  # in (0, 1], keeps T finite
-    return t_min * u ** (-1.0 / alpha)
-
-
-def sample_indegree(spec: ModelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Mixed-Poisson in-degree draws: N = Poisson(T), T Pareto(alpha, t_min)."""
-    return rng.poisson(sample_pareto(rng, spec.alpha, spec.t_min, size))
-
-
 def initial_pool(spec: ModelSpec) -> SamplePool:
     return SamplePool(values=np.ones(spec.pool_size), generation=0)
 
@@ -164,7 +175,7 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
     m = spec.pool_size
     if pool.values.size != m:
         raise ValueError("pool size does not match spec.pool_size")
-    n_in = sample_indegree(spec, rng, m)
+    n_in = spec.indegree.sample(rng, m)
     bounds = np.cumsum(n_in)
     total = int(bounds[-1]) if m else 0
     acc = np.zeros(m)
@@ -231,7 +242,7 @@ def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float) -> list[
     x_hi = np.quantile(vals, 1.0 - lo_ccdf)
     xs = np.geomspace(x_lo, x_hi, 5)
     emp = pool.ccdf_at(xs)
-    theory = c_value * (xs / spec.t_min) ** (-spec.alpha)
+    theory = c_value * spec.indegree.tail(xs)
     rows = []
     for x, e, t in zip(xs, emp, theory):
         rows.append({"x": float(x), "empirical": float(e), "theory": float(t),
@@ -313,9 +324,9 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int,
             if level == max_level:
                 return
             level += 1
-            offspring = sample_indegree(spec, rng, weights.size)
+            offspring = spec.indegree.sample(rng, weights.size)
 
     if max_level > 0:
         grow(np.arange(n_samples), np.arange(n_samples), np.ones(n_samples),
-             sample_indegree(spec, rng, n_samples), 1)
+             spec.indegree.sample(rng, n_samples), 1)
     return YLevelResult(values=values, aborted=aborted)

@@ -1,7 +1,7 @@
 """Random directed graphs with heavy-tailed in-degrees and a prescribed
 out-degree histogram.
 
-In-degrees are drawn i.i.d. from the mixed-Poisson law of the simulator;
+In-degrees are drawn i.i.d. from the simulator's ``InDegreeLaw``;
 each node is independently assigned an out-degree class from the histogram
 and gets that many out-stubs, and every in-stub picks a uniform out-stub
 (independently, with replacement), so a source is picked with probability
@@ -15,12 +15,12 @@ degree profile, not the target histogram.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
-from .simulate import sample_pareto
+from .simulate import InDegreeLaw
 from .theory import validate_outdegree_hist
 
 
@@ -36,14 +36,12 @@ class SynthSpec:
     outdeg_hist: dict[int, float]
     seed: int = 0
     fixed_indegree: int | None = None
+    indegree: InDegreeLaw = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1_000:
             raise ValueError("need at least 1000 nodes for a meaningful degree law")
-        if self.alpha <= 1.0:
-            raise ValueError("tail index alpha must exceed 1")
-        if self.d <= 0:
-            raise ValueError("mean degree must be positive")
+        object.__setattr__(self, "indegree", InDegreeLaw(self.alpha, self.d))
         if self.fixed_indegree is not None and self.fixed_indegree < 0:
             raise ValueError("fixed in-degree must be non-negative")
         hist = {int(j): float(p) for j, p in self.outdeg_hist.items()}
@@ -77,8 +75,7 @@ def generate(spec: SynthSpec) -> Graph:
     if spec.fixed_indegree is not None:
         indeg = np.full(n, spec.fixed_indegree, dtype=np.int64)
     else:
-        t_min = spec.d * (spec.alpha - 1.0) / spec.alpha
-        indeg = rng.poisson(sample_pareto(rng, spec.alpha, t_min, n))
+        indeg = spec.indegree.sample(rng, n)
 
     classes_j = np.array(sorted(spec.outdeg_hist), dtype=np.int64)
     class_p = np.array([spec.outdeg_hist[int(j)] for j in classes_j])

@@ -29,14 +29,14 @@ def rng():
 
 @pytest.fixture
 def drawn_indegrees(monkeypatch):
-    """The in-degree array of the latest ``simulate.sample_indegree`` call,
-    as the list's one element; the draws themselves are unchanged."""
+    """The in-degree array of the latest ``InDegreeLaw.sample`` call, as the
+    list's one element; the draws themselves are unchanged."""
     drawn = []
-    draw = simulate.sample_indegree
+    draw = simulate.InDegreeLaw.sample
 
-    def spy(spec, rng, size):
-        drawn[:] = [draw(spec, rng, size)]
+    def spy(law, rng, size):
+        drawn[:] = [draw(law, rng, size)]
         return drawn[0]
 
-    monkeypatch.setattr(simulate, "sample_indegree", spy)
+    monkeypatch.setattr(simulate.InDegreeLaw, "sample", spy)
     return drawn

@@ -99,7 +99,7 @@ def _check_second_generation(pool, spec, c2, rows):
             f"pool CCDF {row['empirical']:.3e} at x={row['x']:.2f} differs from the "
             f"pool-free reference {p:.3e} (se {se:.1e}) by more than 4 combined SE")
 
-    theory = c2 * (FIT_DEPTHS / spec.t_min) ** -spec.alpha
+    theory = c2 * (FIT_DEPTHS / spec.indegree.t_min) ** -spec.alpha
     limit, limit_se, chi2 = _second_order_limit(FIT_DEPTHS, paths[:, window.size:] / theory,
                                                 spec.alpha)
     fit = (f"L={limit:.3f} +- {limit_se:.3f}, chi2={chi2:.1f} on {FIT_DEPTHS.size - 2} dof; "

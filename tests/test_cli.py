@@ -1,6 +1,7 @@
 import gzip
 import json
 import math
+import time
 
 import pytest
 
@@ -334,6 +335,20 @@ class TestGenerateCmd:
         sidecar = json.loads((out / "synth.json").read_text())
         assert sidecar["spec"]["outdeg_hist"] == {"0": 0.2, "2": 0.8}
         assert main(["stats", str(out / "edges.txt.gz")]) == 0
+
+    def test_gzip_output_is_byte_deterministic(self, tmp_path, monkeypatch):
+        # two runs a clock apart: the gzip header keeps mtime 0 (bytes 4-7),
+        # so the files are equal byte for byte
+        outputs = []
+        for run, clock in enumerate((1e9, 2e9)):
+            monkeypatch.setattr(time, "time", lambda: clock)
+            out = tmp_path / f"run{run}"
+            assert main(GENERATE_1K + ["--outdeg-hist", '{"1": 1.0}', "--seed", "2",
+                                       "--gzip", "--output-dir", str(out)]) == 0
+            outputs.append((out / "edges.txt.gz").read_bytes())
+        assert outputs[0][:2] == b"\x1f\x8b"
+        assert outputs[0][4:8] == bytes(4)
+        assert outputs[0] == outputs[1]
 
 
 PROFILE = {"n": 4, "m": 4, "d": 1.0, "p0": 0.2, "p_hist": {"0": 0.2, "1": 0.6, "2": 0.2}}

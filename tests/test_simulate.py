@@ -1,14 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from oracles import solved_histogram
+from oracles import SecondGeneration, solved_histogram
 from ranktail import simulate
-from ranktail.simulate import (EffectiveOutdegreeSampler, ModelSpec,
+from ranktail.simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec,
                                SimulationConvergenceError, initial_pool, iterate_pool,
-                               sample_indegree, sample_pareto, simulate_R,
-                               simulate_Y_levels, tail_ratio_table)
+                               simulate_R, simulate_Y_levels, tail_ratio_table)
 from ranktail.theory import TheoryParams, coefficient_Ck
 
 # the seeded in-degrees of the chunk-boundary tests: runs of zeros around
@@ -53,9 +53,9 @@ class TestModelSpec:
 
     def test_pareto_scale_matches_mean(self):
         spec = calm_spec()
-        assert spec.t_min == pytest.approx(2.5 * 1.5 / 2.5)
+        assert spec.indegree.t_min == pytest.approx(2.5 * 1.5 / 2.5)
         # E(T) = t_min * alpha / (alpha - 1) = d
-        assert spec.t_min * spec.alpha / (spec.alpha - 1) == pytest.approx(spec.d)
+        assert spec.indegree.t_min * spec.alpha / (spec.alpha - 1) == pytest.approx(spec.d)
 
     def test_json_round_trip(self):
         spec = calm_spec()
@@ -76,15 +76,14 @@ class TestModelSpec:
 
 class TestInDegreeSampler:
     def test_mean_matches_d(self, rng):
-        spec = calm_spec()
-        n = sample_indegree(spec, rng, size=1_000_000)
-        assert abs(n.mean() - spec.d) <= 5 * n.std() / 1_000
+        law = InDegreeLaw(alpha=2.5, d=2.5)
+        n = law.sample(rng, size=1_000_000)
+        assert abs(n.mean() - law.d) <= 5 * n.std() / 1_000
 
     def test_tail_index_recovered(self, rng):
         from ranktail.tails import fit_exponent_mle
-        spec = ModelSpec(c=0.5, alpha=1.3, d=5.0, outdeg_hist={5: 1.0},
-                         pool_size=10_000, seed=0)
-        n = sample_indegree(spec, rng, size=1_000_000)
+        law = InDegreeLaw(alpha=1.3, d=5.0)
+        n = law.sample(rng, size=1_000_000)
         # deep threshold: the count is Poisson-smeared below, Pareto above
         x_min = np.quantile(n, 0.995)
         fit = fit_exponent_mle(n[n > 0], x_min)
@@ -92,17 +91,40 @@ class TestInDegreeSampler:
 
     def test_zero_count_probability_identity(self):
         # P(N=0) = E(exp(-T)); alpha=2, d=2 puts the Pareto scale at exactly 1
-        spec = ModelSpec(c=0.5, alpha=2.0, d=2.0, outdeg_hist={2: 1.0},
-                         pool_size=10_000, seed=0)
-        assert spec.t_min == pytest.approx(1.0)
+        law = InDegreeLaw(alpha=2.0, d=2.0)
+        assert law.t_min == pytest.approx(1.0)
         rng = np.random.default_rng(99)
-        t = sample_pareto(rng, spec.alpha, spec.t_min, 10_000_000)
+        t = (1.0 - rng.random(10_000_000)) ** (-1.0 / law.alpha)
         expected = np.exp(-t).mean()
         se_expected = np.exp(-t).std() / np.sqrt(t.size)
-        n = sample_indegree(spec, np.random.default_rng(17), size=10_000_000)
+        n = law.sample(np.random.default_rng(17), size=10_000_000)
         freq = np.mean(n == 0)
         se_freq = np.sqrt(freq * (1 - freq) / n.size)
         assert abs(freq - expected) <= 3 * np.hypot(se_expected, se_freq)
+
+    @pytest.mark.parametrize("alpha, d", [(1.1, 8.2), (1.5, 30.0), (2.5, 2.5)])
+    def test_tail_matches_oracle_ccdf(self, alpha, d):
+        # the oracle states P(T > t) on its own, 1 below t_min included
+        law = InDegreeLaw(alpha=alpha, d=d)
+        oracle = SecondGeneration(0.5, alpha, d, {1: 1.0})
+        xs = np.geomspace(oracle.t_min / 10, 1e6 * oracle.t_min, 50)
+        assert (law.tail(xs[xs <= oracle.t_min]) == 1.0).all()
+        np.testing.assert_allclose(law.tail(xs), oracle._sf(xs), rtol=1e-12, atol=0)
+
+    def test_law_built_once_per_spec(self, monkeypatch):
+        built = []
+        init = InDegreeLaw.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(InDegreeLaw, "__init__", spy)
+        spec = calm_spec(pool_size=10_000)
+        assert built == [(2.5, 2.5)]
+        simulate_R(spec, 3)
+        simulate_Y_levels(spec, 2, n_samples=100)
+        assert len(built) == 1
 
 
 class TestEffectiveOutdegreeSampler:
@@ -156,7 +178,7 @@ class TestIteratePool:
         spec = heavy_spec(pool_size=1_000_000)
         pool = simulate_R(spec, 1)
         rng = np.random.default_rng(1234)
-        t = spec.t_min * (1.0 - rng.random(spec.pool_size)) ** (-1.0 / spec.alpha)
+        t = spec.indegree.t_min * (1.0 - rng.random(spec.pool_size)) ** (-1.0 / spec.alpha)
         n = rng.poisson(t)
         js = np.array(sorted(j for j in spec.outdeg_hist if j >= 1))
         q = np.array([j * spec.outdeg_hist[int(j)] / spec.d for j in js])
@@ -204,8 +226,8 @@ class TestChunkBoundaries:
         pool = simulate.SamplePool(
             values=np.random.default_rng(4).random(spec.pool_size) + 0.5, generation=0)
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        monkeypatch.setattr(simulate, "sample_indegree",
-                            lambda spec, rng, size: n_in.copy())
+        monkeypatch.setattr(simulate.InDegreeLaw, "sample",
+                            lambda law, rng, size: n_in.copy())
         new = iterate_pool(pool, spec, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
@@ -218,7 +240,7 @@ class TestChunkBoundaries:
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         new = iterate_pool(pool, spec, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        n_in = sample_indegree(spec, rng, spec.pool_size)
+        n_in = spec.indegree.sample(rng, spec.pool_size)
         expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
         assert new.values.tobytes() == expected.tobytes()
 
@@ -295,6 +317,20 @@ class TestTailRatioTable:
         for row in rows:
             assert set(row) == {"x", "empirical", "theory", "ratio", "in_window"}
             assert row["theory"] > 0
+
+    def test_theory_is_coefficient_below_pareto_scale(self):
+        # d = 30 puts t_min at 10, above the first probes of this pool:
+        # P(T > x) = 1 there, so the predicted tail is the coefficient itself
+        spec = ModelSpec(c=0.1, alpha=1.5, d=30.0, outdeg_hist={30: 1.0},
+                         pool_size=100_000, seed=1)
+        pool = simulate_R(spec, 3)
+        c3 = coefficient_Ck(TheoryParams.from_histogram(spec.c, spec.alpha, spec.outdeg_hist,
+                                                        d=spec.d), 3)
+        rows = tail_ratio_table(pool, spec, c3)
+        below = [r for r in rows if r["x"] < spec.indegree.t_min]
+        assert below, rows
+        assert all(r["theory"] == c3 for r in below), below
+        assert all(r["theory"] < c3 for r in rows if r["x"] > spec.indegree.t_min)
 
 
 class TestTreeLevels:
@@ -410,7 +446,26 @@ class TestOutdegreeTable:
         assert len(built) == 1
 
 
+def sha256(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
 class TestDeterminism:
+    # digests of draws at fixed seeds, taken before the in-degree law moved
+    # into InDegreeLaw; they pin the rng calls and float operations of the
+    # draws (on numpy 2.4, x86-64), not only their law
+    def test_pool_digest_pinned(self):
+        pool = simulate_R(heavy_spec(pool_size=10_000, seed=5), 3)  # the crit3 spec
+        assert sha256(pool.values) == (
+            "05ef7b010e2ec0d01d383e5964ae7bf6e6baca37c1a3e0f97a3281de5cc9fef7")
+
+    def test_y_levels_digest_pinned(self):
+        res = simulate_Y_levels(calm_spec(pool_size=10_000, seed=13), 4, 1_000)  # crit5
+        assert sha256(res.values) == (
+            "d8dc05f616d15871405bbdef478948f5f98c894fb0fc32157346dd8854081467")
+        assert sha256(res.aborted) == (
+            "541b3e9daa09b20bf85fa273e5cbd3e80185aa4ec298e765db87742b70138a53")
+
     def test_same_seed_same_pool(self):
         spec = calm_spec(pool_size=10_000)
         a = simulate_R(spec, 3)

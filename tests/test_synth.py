@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import solved_histogram
 from ranktail.graph import Graph, degree_profile
-from ranktail.simulate import EffectiveOutdegreeSampler, sample_pareto
+from ranktail.simulate import EffectiveOutdegreeSampler
 from ranktail.synth import SynthSpec, generate
 from ranktail.tails import fit_exponent_mle
 
@@ -38,6 +40,11 @@ class TestSpecValidation:
     def test_no_out_capacity_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(n=1000, alpha=1.5, d=1.0, outdeg_hist={0: 1.0}, seed=0)
+
+    @pytest.mark.parametrize("alpha, d", [(1.0, 2.0), (1.5, 0.0)])
+    def test_in_degree_law_checked(self, alpha, d):
+        with pytest.raises(ValueError, match="alpha must exceed 1|mean degree"):
+            SynthSpec(n=1000, alpha=alpha, d=d, outdeg_hist={0: 1.0}, seed=0)
 
 
 class TestGenerate:
@@ -91,6 +98,19 @@ class TestGenerate:
         assert a.in_ptr.tobytes() == b.in_ptr.tobytes()
         assert a.out_deg.tobytes() == b.out_deg.tobytes()
 
+    def test_graph_digest_pinned(self):
+        # digests taken before the in-degree law moved into InDegreeLaw, at
+        # the README's histogram; they pin the draws (on numpy 2.4, x86-64)
+        g = generate(SynthSpec(n=20_000, alpha=1.5, d=8.0,
+                               outdeg_hist={0: 0.1, 4: 0.68, 24: 0.22}, seed=1))
+        digests = {name: hashlib.sha256(getattr(g, name).tobytes()).hexdigest()
+                   for name in ("in_ptr", "in_src", "out_deg")}
+        assert digests == {
+            "in_ptr": "e335fbf4538ff97e203b95e87564e9a1320c87233b4c811e8cc35712d0e27960",
+            "in_src": "2c5fda7930a8671d691292f072417573f8182e7b5c476bd2bdf0f89f819ae02b",
+            "out_deg": "256d40bac425642612d8f06285b0417e30b8facc668f4c5c2b90287be2e29b9c",
+        }
+
 
 def searchsorted_reference(spec):
     """The generator with each source found by a binary search of the uniform
@@ -102,7 +122,7 @@ def searchsorted_reference(spec):
         indeg = np.full(n, spec.fixed_indegree, dtype=np.int64)
     else:
         t_min = spec.d * (spec.alpha - 1.0) / spec.alpha
-        indeg = rng.poisson(sample_pareto(rng, spec.alpha, t_min, n))
+        indeg = rng.poisson(t_min * (1.0 - rng.random(n)) ** (-1.0 / spec.alpha))
     classes_j = np.array(sorted(spec.outdeg_hist), dtype=np.int64)
     class_p = np.array([spec.outdeg_hist[int(j)] for j in classes_j])
     assigned = classes_j[rng.choice(classes_j.size, size=n, p=class_p / class_p.sum())]
