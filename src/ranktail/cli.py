@@ -18,7 +18,7 @@ from . import simulate as sim
 from . import theory
 from .graph import (DegreeProfile, EdgeListParseError, as_number, degree_profile,
                     load_edge_list, hist_to_json, open_text, parse_hist, write_edge_list)
-from .pagerank import PageRankParams, export_scores, pagerank_series
+from .pagerank import PageRankParams, export_scores, pagerank_series, series_params
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
 from .tails import TailFit, ccdf, write_ccdf_csv
@@ -95,10 +95,9 @@ def _resolve_options(args) -> None:
             setattr(args, key, default if value is None else _convert(value, kind))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-    # one PageRank series serves every damping, so a repeat is refused here,
-    # before the graph is read
-    if args.command in ("analyze", "pagerank") and len(set(args.damping)) < len(args.damping):
-        raise ValueError(f"dampings must be distinct, got {args.damping}")
+    # the PageRank options are checked here, before the graph is read
+    if args.command in ("analyze", "pagerank"):
+        series_params(args.damping, args.tol, args.max_iters, args.snapshots)
 
 
 def _load_graph(args):

@@ -60,9 +60,9 @@ class Graph:
     orig_ids: np.ndarray
 
     def __post_init__(self):
-        """Check the arrays against n and m, then freeze them.  The PageRank
-        kernel reads in_src without a bounds check, so its ids must lie in
-        [0, n)."""
+        """Check the arrays against n, m and each other, then freeze them.  The
+        PageRank kernel reads in_src without a bounds check, so its ids must lie
+        in [0, n), and divides by out_deg, so it must count in_src's sources."""
         n, m = self.n, self.m
         arrays = (self.in_ptr, self.in_src, self.out_deg, self.orig_ids)
         if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "i"
@@ -75,10 +75,10 @@ class Graph:
             raise ValueError("in_ptr must hold n + 1 offsets rising from 0 to m")
         if src.size != m or (m and (src.min() < 0 or src.max() >= n)):
             raise ValueError("in_src must hold m node ids in [0, n)")
-        if deg.size != n or (deg < 0).any() or deg.sum() != m:
-            raise ValueError("out_deg must hold n non-negative counts summing to m")
-        if self.orig_ids.size != n:
-            raise ValueError("orig_ids must hold n ids")
+        if not np.array_equal(deg, np.bincount(src, minlength=n)):
+            raise ValueError("out_deg must count each node's appearances in in_src")
+        if self.orig_ids.size != n or (self.orig_ids < 0).any():
+            raise ValueError("orig_ids must hold n non-negative ids")
         for arr in arrays:
             arr.setflags(write=False)
 
@@ -333,113 +333,82 @@ _DIGITS4 = ((np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])) % 10
 # _KEEP[20 + t]: four byte flags as one word, the first t (clipped to [0, 4]) off
 _KEEP = (np.arange(4) >= np.clip(np.arange(-20, 21), 0, 4)[:, None]).astype(
     np.uint8).view(np.uint32).ravel()
-# a word whose last byte is a minus sign, and the flags that keep that byte only
-_MINUS, _LAST = np.array([[0, 0, 0, ord("-")], [0, 0, 0, 1]], np.uint8).view(np.uint32).ravel()
+# words whose first byte is TAB and LF, and the flags that keep the first byte only
+_TAB, _LF, _FIRST = np.array([[ord("\t"), 0, 0, 0], [ord("\n"), 0, 0, 0], [1, 0, 0, 0]],
+                             np.uint8).view(np.uint32).ravel()
 
 
-def _text_words(text: str) -> list[tuple]:
-    """(word, flags) pairs that print ``text`` in UTF-8, four bytes a word."""
-    raw = text.encode("utf-8")
-    size = -(-len(raw) // 4) * 4
-    data = np.zeros(size, np.uint8)
-    data[:len(raw)] = np.frombuffer(raw, np.uint8)
-    keep = (np.arange(size) < len(raw)).astype(np.uint8)
-    return list(zip(data.view(np.uint32), keep.view(np.uint32)))
-
-
-def _int_words(x: np.ndarray) -> list[tuple]:
-    """(words, flags) pairs of arrays that print the integers ``x`` as
-    str(int) does: a minus word when any is negative, then four digits a
-    word, most significant first.  The flags drop the leading zeros, and the
-    minus of a non-negative row."""
-    if x.dtype.kind == "u":
-        mag, neg = x.astype(np.uint64, copy=False), None
-    else:
-        x = x.astype(np.int64, copy=False)
-        neg = x < 0
-        if neg.any():
-            mag = x.view(np.uint64)
-            mag = np.where(neg, np.negative(mag), mag)  # also right for int64 min
-        else:
-            mag, neg = x, None
-    top = int(mag.max())
+def _id_words(x: np.ndarray) -> list[tuple]:
+    """(words, flags) pairs of arrays that print the ids ``x``, in [0, 2**63),
+    as str(int) does: four digits a word, most significant first.  The flags
+    drop the leading zeros."""
+    top = int(x.max())
     if top < 2**31:
-        mag = mag.astype(np.int32)  # narrower arithmetic is faster
-    digits = np.ones(mag.size, np.int32)
+        x = x.astype(np.int32)  # narrower arithmetic is faster
+    digits = np.ones(x.size, np.int32)
     power = 10
     while power <= top:
-        digits += mag >= power
+        digits += x >= power
         power *= 10
     groups = -(-len(str(top)) // 4)
     values = []  # four digits each, least significant first
     for _ in range(groups - 1):
-        high = mag // 10_000
-        values.append(mag - high * 10_000)
-        mag = high
-    values.append(mag)
-    words = [] if neg is None else [(_MINUS, np.where(neg, _LAST, np.uint32(0)))]
-    for j, value in enumerate(reversed(values)):
-        # word j holds digit places 4j..4j+3 of 4 * groups; the first
-        # 4 * groups - digits places are not printed
-        words.append((np.take(_DIGITS4, value, mode="wrap"),
-                      np.take(_KEEP, (20 + 4 * (groups - j)) - digits, mode="wrap")))
-    return words
+        high = x // 10_000
+        values.append(x - high * 10_000)
+        x = high
+    values.append(x)
+    # word j holds digit places 4j..4j+3 of 4 * groups; the first
+    # 4 * groups - digits places are not printed
+    return [(np.take(_DIGITS4, value, mode="wrap"),
+             np.take(_KEEP, (20 + 4 * (groups - j)) - digits, mode="wrap"))
+            for j, value in enumerate(reversed(values))]
 
 
-def _encode_int_rows(a: np.ndarray, b: np.ndarray, sep_words, eol_words) -> np.ndarray:
-    """The UTF-8 bytes of "<a><sep><b><eol>" rows of two integer columns, as
-    a uint8 array.  Every row is laid out as the same run of words, and one
-    compress keyed on the byte flags drops the bytes not printed."""
-    columns = _int_words(a) + sep_words + _int_words(b) + eol_words
-    data = np.empty((a.size, len(columns)), np.uint32)
-    keep = np.empty((a.size, len(columns)), np.uint32)
+def _edge_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The bytes of "<src><TAB><dst><LF>" rows of two id columns, as a uint8
+    array.  Every row is laid out as the same run of words, and one compress
+    keyed on the byte flags drops the bytes not printed."""
+    columns = _id_words(src) + [(_TAB, _FIRST)] + _id_words(dst) + [(_LF, _FIRST)]
+    data = np.empty((src.size, len(columns)), np.uint32)
+    keep = np.empty((src.size, len(columns)), np.uint32)
     for j, (word, flags) in enumerate(columns):
         data[:, j] = word
         keep[:, j] = flags
     return data.view(np.uint8).ravel()[keep.view(bool).ravel()]
 
 
-def write_rows(dest, header: str | None, first, second, sep: str, eol: str,
-               ids=None) -> None:
+def write_rows(dest, header: str | None, first, second, sep: str, eol: str) -> None:
     """Write two equal-length columns as "<a><sep><b><eol>" rows after an optional
     header row; cells print as Python ints and floats (str is repr for both).
-    With ``ids``, a cell v prints as ids[v], looked up one chunk at a time.
-
-    Rows go in chunks of _CHUNK_ROWS.  Integer cells are encoded to bytes with
-    numpy on every CPU the process may use (`_write_int_chunks`); other cells
-    take one %-format of the row template per chunk."""
+    Each chunk of _CHUNK_ROWS rows is one %-format of the row template
+    repeated per row."""
     if len(first) != len(second):
         raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
-
-    def cells(start):
-        a, b = first[start:start + _CHUNK_ROWS], second[start:start + _CHUNK_ROWS]
-        return (a, b) if ids is None else (ids[a], ids[b])
-
-    starts = range(0, len(first), _CHUNK_ROWS)
+    row = "%s" + sep.replace("%", "%%") + "%s" + eol.replace("%", "%%")
     with open_text(dest, "w") as stream:
         if header is not None:
             stream.write(header + eol)
-        if all(col.dtype.kind in "iu" for col in ((first, second) if ids is None else (ids,))):
-            _write_int_chunks(stream, cells, starts, _text_words(sep), _text_words(eol))
-            return
-        row = "%s" + sep.replace("%", "%%") + "%s" + eol.replace("%", "%%")
-        for start in starts:
-            a, b = cells(start)
-            flat = [None] * (2 * len(a))
-            flat[0::2] = a.tolist()
-            flat[1::2] = b.tolist()
-            stream.write((row * len(a)) % tuple(flat))
+        for start in range(0, len(first), _CHUNK_ROWS):
+            a = first[start:start + _CHUNK_ROWS].tolist()
+            cells = [None] * (2 * len(a))
+            cells[0::2] = a
+            cells[1::2] = second[start:start + _CHUNK_ROWS].tolist()
+            stream.write((row * len(a)) % tuple(cells))
 
 
-def _write_int_chunks(stream, cells, starts, sep_words, eol_words) -> None:
-    """Encode the integer chunks at ``starts`` and write them in order.
+def write_edge_list(g: Graph, dest) -> None:
+    """Write the graph as "src<TAB>dst" lines using original node ids.
 
-    The calling thread encodes every chunk whose index is a multiple of the
-    CPU count, and a thread pool that lives for this call encodes the others;
-    at most two chunks per CPU are in flight.  The pool threads call numpy
-    only."""
+    Chunks of _CHUNK_ROWS rows, their ids looked up one chunk at a time, are
+    encoded with numpy (`_edge_rows`) and written in order.  The calling
+    thread encodes every chunk whose index is a multiple of the CPU count and
+    a thread pool that lives for this call the others, with at most two
+    chunks per CPU in flight; the pool threads call numpy only."""
+    src, dst = g.edge_arrays()
+
     def encode(start):
-        return _encode_int_rows(*cells(start), sep_words, eol_words)
+        end = start + _CHUNK_ROWS
+        return _edge_rows(g.orig_ids[src[start:end]], g.orig_ids[dst[start:end]])
 
     def write(job):
         out = encode(job) if isinstance(job, int) else job.result()
@@ -447,19 +416,14 @@ def _write_int_chunks(stream, cells, starts, sep_words, eol_words) -> None:
 
     workers = _cpu_count()
     pending = deque()
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        for i, start in enumerate(starts):
+    with (open_text(dest, "w") as stream,
+          ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool):
+        for i, start in enumerate(range(0, g.m, _CHUNK_ROWS)):
             pending.append(start if i % workers == 0 else pool.submit(encode, start))
             if len(pending) == 2 * workers:
                 write(pending.popleft())
         while pending:
             write(pending.popleft())
-
-
-def write_edge_list(g: Graph, dest) -> None:
-    """Write the graph as "src<TAB>dst" lines using original node ids."""
-    src, dst = g.edge_arrays()
-    write_rows(dest, None, src, dst, "\t", "\n", ids=g.orig_ids)
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -34,7 +34,7 @@ worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class PageRankParams:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         object.__setattr__(self, "snapshot_iters", frozenset(int(k) for k in self.snapshot_iters))
+        if not all(1 <= k <= self.max_iters for k in self.snapshot_iters):
+            raise ValueError(f"snapshot iterations must lie in [1, max_iters = {self.max_iters}], "
+                             f"got {sorted(self.snapshot_iters)}")
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,17 @@ def _in_edge_kernel(g: Graph, workers: int, pool: ThreadPoolExecutor):
     return sums
 
 
+def series_params(dampings, tol: float, max_iters: int, snapshot_iters) -> list[PageRankParams]:
+    """One checked PageRankParams per damping of a series.  The tol, cap and
+    snapshot indices are checked also when there is no damping, and the
+    dampings must be distinct, since one series serves them all."""
+    shared = PageRankParams(tol=tol, max_iters=max_iters, snapshot_iters=snapshot_iters)
+    params = [replace(shared, c=c) for c in dampings]
+    if len({p.c for p in params}) < len(params):
+        raise ValueError(f"dampings must be distinct, got {[p.c for p in params]}")
+    return params
+
+
 def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
                     max_iters: int = PageRankParams.max_iters,
                     snapshot_iters=()) -> list[PageRankResult]:
@@ -160,15 +174,11 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     at L1 tolerance or max_iters.  Results come in the order of ``dampings``,
     which must be distinct.  The in-edge sums run on one thread per CPU the
     process may use, from a pool that lives for this call."""
-    params = [PageRankParams(c=c, tol=tol, max_iters=max_iters, snapshot_iters=snapshot_iters)
-              for c in dampings]
+    params = series_params(dampings, tol, max_iters, snapshot_iters)
     if g.n < 1:
         raise ValueError("graph must have at least one node")
     if not params:
-        PageRankParams(tol=tol, max_iters=max_iters)  # still refuse a bad tol or cap
         return []
-    if len({p.c for p in params}) < len(params):
-        raise ValueError(f"dampings must be distinct, got {[p.c for p in params]}")
     snapshot_iters = params[0].snapshot_iters
     n = g.n
     inv_out = np.zeros(n)

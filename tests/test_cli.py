@@ -183,6 +183,22 @@ def test_repeated_damping_refused_before_the_graph_is_read(tmp_path, capsys, com
         assert "dampings must be distinct, got [0.5, 0.5]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "pagerank"])
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "0"], "tol must be positive"),
+    (["--damping", "1.5"], "damping factor must be in (0, 1)"),
+    (["--max-iters", "0"], "max_iters must be >= 1"),
+    (["--snapshots", "0"], "snapshot iterations must lie in [1, max_iters = 200]"),
+    (["--snapshots", "1", "500"], "snapshot iterations must lie in [1, max_iters = 200]"),
+    (["--max-iters", "5", "--snapshots", "6"], "[1, max_iters = 5], got [6]"),
+], ids=["tol", "damping", "max-iters", "snapshot-0", "snapshot-500", "snapshot-beyond-cap"])
+def test_bad_pagerank_options_refused_before_the_graph_is_read(tmp_path, capsys, command,
+                                                               flags, message):
+    # the edge list does not exist, so reading it first would exit 3
+    assert main([command, str(tmp_path / "missing.txt"), *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestPredictCmd:
     def test_small_web_sample_golden(self, capsys):
         code = main(["predict", "--alpha", "1.1", "--d", "8.2032", "--p0", "0.006",

@@ -230,14 +230,18 @@ class TestGraphConstructor:
         ({"out_deg": [3, -1]}, "out_deg"),
         ({"out_deg": [1, 0]}, "out_deg"),
         ({"out_deg": [2]}, "out_deg"),
+        # edges 0 -> 0 and 0 -> 1, whose out-degrees are [2, 0]
+        ({"in_src": [0, 0]}, "out_deg"),
         ({"orig_ids": [0]}, "orig_ids"),
+        ({"orig_ids": [0, -1]}, "orig_ids must hold n non-negative ids"),
         ({"in_ptr": [0.0, 1.0, 2.0]}, "integer"),
         ({"out_deg": (1, 1)}, "integer"),
         ({"in_src": [[1, 0]]}, "integer"),
         ({"in_src": np.array([1, 0], dtype=np.uint64)}, "signed"),
     ], ids=["src-beyond-n", "src-negative", "src-length", "ptr-length", "ptr-start",
             "ptr-end", "ptr-decreasing", "negative-n", "outdeg-negative", "outdeg-sum",
-            "outdeg-length", "orig-ids-length", "float-array", "tuple", "2-d", "unsigned"])
+            "outdeg-length", "outdeg-not-in-src", "orig-ids-length", "orig-ids-negative",
+            "float-array", "tuple", "2-d", "unsigned"])
     def test_malformed_arrays_refused(self, changes, message):
         with pytest.raises(ValueError, match=message):
             Graph(**two_cycle_fields(**changes))

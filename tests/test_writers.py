@@ -152,22 +152,54 @@ def test_int_rows_match_fstring_rows(rows, sep, eol):
     assert written(lambda dest: write_rows(dest, None, first, second, sep, eol)) == expected
 
 
-def test_int_rows_equal_for_every_worker_count(rng, monkeypatch):
+def id_pairs_graph(first, second):
+    """A graph with one edge per row, from a node whose original id is first[i]
+    to one whose original id is second[i]; its edge list keeps the row order."""
+    k = len(first)
+    return Graph.from_edges(np.arange(k), np.arange(k, 2 * k), n=2 * k,
+                            orig_ids=np.concatenate([first, second]))
+
+
+# every digit count from 1 to 19, and each side of the 32-bit arithmetic
+EDGE_IDS = sorted({0, *(10**k - 1 for k in range(1, 19)), *(10**k for k in range(19)),
+                   2**31 - 1, 2**31, 2**63 - 1})
+
+
+@pytest.mark.parametrize("top", [9, 2**31 - 1, 2**31, 2**63 - 1])
+def test_edge_ids_at_the_extremes(top):
+    ids = np.array([v for v in EDGE_IDS if v <= top], dtype=np.int64)
+    repeated = np.resize(ids, 3 * ids.size)
+    for first, second in [(ids, ids[::-1]), (ids[:1], ids[-1:]), (repeated, repeated[::-1])]:
+        expected = fstring_rows(None, first, second, "\t", "\n")
+        assert written(write_edge_list, id_pairs_graph(first, second)) == expected
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, INT64.max), st.integers(0, INT64.max)),
+                     max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_edge_ids_match_fstring_rows(rows):
+    first = np.array([a for a, _ in rows], dtype=np.int64)
+    second = np.array([b for _, b in rows], dtype=np.int64)
+    expected = fstring_rows(None, first, second, "\t", "\n")
+    assert written(write_edge_list, id_pairs_graph(first, second)) == expected
+
+
+def test_int_rows_equal_for_every_worker_count(rng, monkeypatch, tmp_path):
+    # edge-list rows: the encoder's chunks split across 1, 2 and 3 CPUs
     size = 5 * 65_536 + 17
-    # every digit count from 1 to 19, either sign
-    first = rng.integers(0, 10, size) * 10 ** rng.integers(0, 19, size) * rng.choice([-1, 1], size)
+    # every digit count from 1 to 19; the first chunk's sources below 2**31
+    first = rng.integers(0, 10, size) * 10 ** rng.integers(0, 19, size)
+    first[:65_536] %= 2**31
     second = rng.integers(0, 2**63 - 1, size, dtype=np.int64)
-    ids = rng.integers(0, 10**12, 1_000)
-    cells = rng.integers(0, ids.size, size)
-    outputs = []
+    g = id_pairs_graph(first, second)
+    expected = fstring_rows(None, first, second, "\t", "\n").encode()
     for workers in (1, 2, 3):
         monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
-        outputs.append((written(lambda dest: write_rows(dest, "a,b", first, second, ",", "\r\n")),
-                        written(lambda dest: write_rows(dest, None, cells, cells[::-1], "\t", "\n",
-                                                        ids=ids))))
-    assert outputs[0] == (fstring_rows("a,b", first, second, ",", "\r\n"),
-                          fstring_rows(None, ids[cells], ids[cells[::-1]], "\t", "\n"))
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        write_edge_list(g, tmp_path / f"{workers}.txt")
+        write_edge_list(g, tmp_path / f"{workers}.txt.gz")
+        assert (tmp_path / f"{workers}.txt").read_bytes() == expected
+        with gzip.open(tmp_path / f"{workers}.txt.gz", "rb") as fh:
+            assert fh.read() == expected
 
 
 class FailingStream(io.StringIO):
@@ -199,9 +231,10 @@ def test_pool_shut_down_when_write_raises(monkeypatch):
     monkeypatch.setattr(graph_mod, "ThreadPoolExecutor", SpyPool)
     monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
     column = np.arange(10 * 65_536)
+    g = id_pairs_graph(column, column)
     before = set(threading.enumerate())
     with pytest.raises(OSError, match="disk full"):
-        write_rows(FailingStream(), None, column, column, "\t", "\n")
+        write_edge_list(g, FailingStream())
     [pool] = pools
     assert pool.submits > 0 and pool.shut_down
     assert set(threading.enumerate()) <= before
