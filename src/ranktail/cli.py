@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage/validation error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -17,7 +18,8 @@ from . import report as report_mod
 from . import simulate as sim
 from . import theory
 from .graph import (DegreeProfile, EdgeListParseError, as_number, degree_profile,
-                    load_edge_list, hist_to_json, open_text, parse_hist, write_edge_list)
+                    load_edge_list, hist_to_json, parse_hist, read_json, write_edge_list,
+                    write_json)
 from .pagerank import PageRankParams, export_scores, pagerank_series, series_params
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
@@ -75,16 +77,10 @@ def _add_common(p, *names):
     p.add_argument("--config", type=str, help="JSON file with option defaults")
 
 
-def _read_text(path) -> str:
-    """The whole text of a JSON input file (gunzipped when it ends in ".gz")."""
-    with open_text(path) as stream:
-        return stream.read()
-
-
 def _resolve_options(args) -> None:
     """Set every _OPTIONS key the subcommand defines and no flag set: the
     --config value, type-checked, else the built-in default."""
-    config = json.loads(_read_text(args.config)) if args.config else {}
+    config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     for key, (default, kind) in _OPTIONS.items():
@@ -95,9 +91,6 @@ def _resolve_options(args) -> None:
             setattr(args, key, default if value is None else _convert(value, kind))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-    # the PageRank options are checked here, before the graph is read
-    if args.command in ("analyze", "pagerank"):
-        series_params(args.damping, args.tol, args.max_iters, args.snapshots)
 
 
 def _load_graph(args):
@@ -105,13 +98,13 @@ def _load_graph(args):
 
 
 def cmd_stats(args) -> int:
-    g = _load_graph(args)
-    with open_text(args.output or sys.stdout, "w") as stream:
-        stream.write(json.dumps(degree_profile(g).to_dict(), indent=2) + "\n")
+    write_json(degree_profile(_load_graph(args)).to_dict(), args.output or sys.stdout)
     return 0
 
 
 def cmd_pagerank(args) -> int:
+    # the PageRank options are checked before the graph is read
+    series_params(args.damping, args.tol, args.max_iters, args.snapshots)
     g = _load_graph(args)
     results = pagerank_series(g, args.damping, args.tol, args.max_iters, args.snapshots)
     outdir = Path(args.output_dir)
@@ -151,7 +144,7 @@ def cmd_predict(args) -> int:
     theory.validate_cumulative_alpha(alpha)
     tables = {}
     lines = []
-    profile = DegreeProfile.from_json(_read_text(args.profile)) if args.profile else None
+    profile = DegreeProfile.from_dict(read_json(args.profile)) if args.profile else None
     for c in args.damping:
         if profile is not None:
             params = theory.TheoryParams.from_profile(profile, c=c, alpha=alpha)
@@ -170,13 +163,12 @@ def cmd_predict(args) -> int:
     out = {"coefficients": tables}
     if lines:
         out["predicted_lines"] = lines
-    with open_text(args.output or sys.stdout, "w") as stream:
-        stream.write(json.dumps(out, indent=2) + "\n")
+    write_json(out, args.output or sys.stdout)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    obj = json.loads(_read_text(args.spec))
+    obj = read_json(args.spec)
     if args.seed is not None and isinstance(obj, dict):  # from_dict rejects the rest
         obj["seed"] = args.seed
     spec = ModelSpec.from_dict(obj)
@@ -216,17 +208,14 @@ def cmd_simulate(args) -> int:
             "within_band": (bool(all(0.8 <= r["ratio"] <= 1.25 for r in checked))
                             if checked else None),
         }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                         encoding="utf-8")
-    print(json.dumps(summary["invariants"], indent=2))
+    write_json(summary, outdir / "summary.json")
+    write_json(summary["invariants"], sys.stdout)
     return 0
 
 
 def cmd_generate(args) -> int:
-    hist_text = args.outdeg_hist
-    if hist_text.startswith("@"):
-        hist_text = _read_text(hist_text[1:])
-    hist = parse_hist(json.loads(hist_text))
+    text = args.outdeg_hist
+    hist = parse_hist(read_json(text[1:] if text.startswith("@") else io.StringIO(text)))
     spec = SynthSpec(n=args.nodes, alpha=args.alpha_gen, d=args.mean_degree,
                      outdeg_hist=hist, seed=args.seed if args.seed is not None else 0,
                      fixed_indegree=args.fixed_indegree)
@@ -242,8 +231,7 @@ def cmd_generate(args) -> int:
                  "seed": spec.seed, "fixed_indegree": spec.fixed_indegree},
         "realized_profile": profile.to_dict(),
     }
-    (outdir / "synth.json").write_text(json.dumps(sidecar, indent=2) + "\n",
-                                       encoding="utf-8")
+    write_json(sidecar, outdir / "synth.json")
     print(f"wrote {edges_path} (n={g.n}, m={g.m})")
     return 0
 

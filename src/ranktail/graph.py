@@ -56,30 +56,36 @@ class Graph:
     m: int
     in_ptr: np.ndarray
     in_src: np.ndarray
-    out_deg: np.ndarray
-    orig_ids: np.ndarray
+    out_deg: np.ndarray | None = None
+    orig_ids: np.ndarray | None = None
 
     def __post_init__(self):
         """Check the arrays against n, m and each other, then freeze them.  The
         PageRank kernel reads in_src without a bounds check, so its ids must lie
-        in [0, n), and divides by out_deg, so it must count in_src's sources."""
+        in [0, n), and divides by out_deg, so it must count in_src's sources.
+        An out_deg left out is that count, and orig_ids left out are 0..n-1."""
         n, m = self.n, self.m
-        arrays = (self.in_ptr, self.in_src, self.out_deg, self.orig_ids)
         if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "i"
-                   for a in arrays):
+                   for a in (self.in_ptr, self.in_src, self.out_deg, self.orig_ids)
+                   if a is not None):
             raise ValueError("in_ptr, in_src, out_deg and orig_ids must be 1-D arrays "
                              "of a signed integer type")
-        ptr, src, deg = self.in_ptr, self.in_src, self.out_deg
+        ptr, src = self.in_ptr, self.in_src
         if (n < 0 or ptr.size != n + 1 or ptr[0] != 0 or ptr[-1] != m
                 or (ptr[1:] < ptr[:-1]).any()):
             raise ValueError("in_ptr must hold n + 1 offsets rising from 0 to m")
         if src.size != m or (m and (src.min() < 0 or src.max() >= n)):
             raise ValueError("in_src must hold m node ids in [0, n)")
-        if not np.array_equal(deg, np.bincount(src, minlength=n)):
+        counts = np.bincount(src, minlength=n).astype(np.int64, copy=False)
+        if self.out_deg is None:
+            object.__setattr__(self, "out_deg", counts)
+        elif not np.array_equal(self.out_deg, counts):
             raise ValueError("out_deg must count each node's appearances in in_src")
-        if self.orig_ids.size != n or (self.orig_ids < 0).any():
+        if self.orig_ids is None:
+            object.__setattr__(self, "orig_ids", np.arange(n, dtype=np.int64))
+        elif self.orig_ids.size != n or (self.orig_ids < 0).any():
             raise ValueError("orig_ids must hold n non-negative ids")
-        for arr in arrays:
+        for arr in (self.in_ptr, self.in_src, self.out_deg, self.orig_ids):
             arr.setflags(write=False)
 
     @classmethod
@@ -96,11 +102,9 @@ class Graph:
         in_src = src[order]
         in_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=in_ptr[1:])
-        out_deg = np.bincount(src, minlength=n).astype(np.int64)
-        if orig_ids is None:
-            orig_ids = np.arange(n, dtype=np.int64)
-        return cls(n=n, m=m, in_ptr=in_ptr, in_src=in_src,
-                   out_deg=out_deg, orig_ids=np.asarray(orig_ids, dtype=np.int64))
+        if orig_ids is not None:
+            orig_ids = np.asarray(orig_ids, dtype=np.int64)
+        return cls(n=n, m=m, in_ptr=in_ptr, in_src=in_src, orig_ids=orig_ids)
 
     @property
     def in_deg(self) -> np.ndarray:
@@ -125,16 +129,13 @@ class DegreeProfile:
     in_hist: dict[int, float]
 
     def to_dict(self) -> dict:
-        """The profile as JSON data.  Keys at every level are in string order,
-        the order `stats` writes, so each writer of a profile gives the same
-        bytes with or without sort_keys."""
-        return {"d": self.d, "in_hist": dict(sorted(hist_to_json(self.in_hist).items())),
-                "m": self.m, "n": self.n, "p0": self.p0,
-                "p_hist": dict(sorted(hist_to_json(self.p_hist).items()))}
+        """The profile as JSON data."""
+        return {"n": self.n, "m": self.m, "d": self.d, "p0": self.p0,
+                "p_hist": hist_to_json(self.p_hist), "in_hist": hist_to_json(self.in_hist)}
 
     @classmethod
-    def from_json(cls, text: str) -> "DegreeProfile":
-        return cls(**decode_fields(json.loads(text), "degree profile", {
+    def from_dict(cls, obj) -> "DegreeProfile":
+        return cls(**decode_fields(obj, "degree profile", {
             "n": int, "m": int, "d": float, "p0": float, "p_hist": parse_hist,
             "in_hist": parse_hist}, {"in_hist": {}}))
 
@@ -215,6 +216,20 @@ def open_text(target, mode: str = "r"):
         return
     with io.TextIOWrapper(raw, encoding="utf-8", newline=None if mode == "r" else "") as stream:
         yield stream
+
+
+def read_json(source):
+    """The JSON document in a path (gunzipped when it ends in ".gz") or a text stream."""
+    with open_text(source) as stream:
+        return json.load(stream)
+
+
+def write_json(obj, dest) -> None:
+    """Write ``obj`` as JSON with keys sorted at every level, a two-space indent
+    and a final newline, to a path (gzipped when it ends in ".gz") or an open
+    text stream."""
+    with open_text(dest, "w") as stream:
+        stream.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
@@ -377,23 +392,20 @@ def _edge_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return data.view(np.uint8).ravel()[keep.view(bool).ravel()]
 
 
-def write_rows(dest, header: str | None, first, second, sep: str, eol: str) -> None:
-    """Write two equal-length columns as "<a><sep><b><eol>" rows after an optional
-    header row; cells print as Python ints and floats (str is repr for both).
-    Each chunk of _CHUNK_ROWS rows is one %-format of the row template
-    repeated per row."""
+def write_csv(dest, header: str, first, second) -> None:
+    """Write a header row, then two equal-length columns as "<a>,<b>" rows, all
+    ending in CRLF; cells print as Python ints and floats (str is repr for both).
+    Each chunk of _CHUNK_ROWS rows is one %-format of the row template repeated."""
     if len(first) != len(second):
         raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
-    row = "%s" + sep.replace("%", "%%") + "%s" + eol.replace("%", "%%")
     with open_text(dest, "w") as stream:
-        if header is not None:
-            stream.write(header + eol)
+        stream.write(header + "\r\n")
         for start in range(0, len(first), _CHUNK_ROWS):
             a = first[start:start + _CHUNK_ROWS].tolist()
             cells = [None] * (2 * len(a))
             cells[0::2] = a
             cells[1::2] = second[start:start + _CHUNK_ROWS].tolist()
-            stream.write((row * len(a)) % tuple(cells))
+            stream.write(("%s,%s\r\n" * len(a)) % tuple(cells))
 
 
 def write_edge_list(g: Graph, dest) -> None:

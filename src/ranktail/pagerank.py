@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, _cpu_count, write_rows
+from .graph import Graph, _cpu_count, write_csv
 
 _BLOCK_EDGES = 1 << 16
 
@@ -237,4 +237,4 @@ def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:
 
 def export_scores(g: Graph, scores: np.ndarray, dest) -> None:
     """Write "node_id,score" CSV using original node ids, one row per node."""
-    write_rows(dest, "node_id,score", g.orig_ids, np.asarray(scores, dtype=float), ",", "\r\n")
+    write_csv(dest, "node_id,score", g.orig_ids, np.asarray(scores, dtype=float))

@@ -3,15 +3,14 @@ predicted lines, and residuals, assembled into a versioned report."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tails, theory
-from .graph import Graph, degree_profile
-from .pagerank import PageRankParams, pagerank_series
+from .graph import Graph, degree_profile, write_json
+from .pagerank import PageRankParams, pagerank_series, series_params
 from .tails import TailFit, ccdf, choose_xmin, fit_exponent_mle
 
 SCHEMA_VERSION = 1
@@ -27,6 +26,7 @@ class AnalysisOptions:
     alpha: float | None = None
 
     def __post_init__(self):
+        series_params(self.dampings, self.tol, self.max_iters, self.snapshot_iters)
         if self.alpha is not None:
             theory.validate_cumulative_alpha(self.alpha)
 
@@ -141,6 +141,5 @@ def write_analysis(report: dict, distributions: dict, output_dir) -> Path:
     for stem, series in distributions.items():
         tails.write_ccdf_csv(series, out / f"{stem}.csv")
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    write_json(report, report_path)
     return report_path

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import write_rows
+from .graph import write_csv
 
 _MIN_TAIL = 10  # samples at or above x_min that a fit needs
 _MAX_CCDF_POINTS = 4096  # x positions a written CCDF keeps
@@ -83,7 +83,7 @@ def decimate_ccdf(series: CcdfSeries) -> CcdfSeries:
 def write_ccdf_csv(series: CcdfSeries, dest) -> None:
     """Write "x,ccdf" CSV rows, decimated to at most 4,096 log-spaced points."""
     series = decimate_ccdf(series)
-    write_rows(dest, "x,ccdf", series.xs, series.fractions, ",", "\r\n")
+    write_csv(dest, "x,ccdf", series.xs, series.fractions)
 
 
 def fit_exponent_mle(values, x_min: float) -> TailFit:

@@ -420,3 +420,36 @@ def test_malformed_json_input_is_usage_error(tmp_path, monkeypatch, capsys, comm
     assert main([*command, arg]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_every_json_document_is_canonical(tmp_path, capsys):
+    # sorted keys at every level, a two-space indent and a final newline
+    def canonical(text):
+        return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    hist = '{"0": 0.1, "4": 0.68, "24": 0.22}'
+    assert main(["generate", "--nodes", "3000", "--alpha", "1.5", "--mean-degree", "8",
+                 "--outdeg-hist", hist, "--seed", "1", "--output-dir", str(tmp_path)]) == 0
+    edges = str(tmp_path / "edges.txt")
+    assert main(["analyze", edges, "--damping", "0.5", "--damping", "0.85", "--snapshots", "1",
+                 "--output-dir", str(tmp_path / "report")]) == 0
+    texts = {name: (tmp_path / name).read_text() for name in ("synth.json", "report/report.json")}
+    for suffix in ("", ".gz"):
+        stats, predict = tmp_path / f"stats.json{suffix}", tmp_path / f"predict.json{suffix}"
+        assert main(["stats", edges, "--output", str(stats)]) == 0
+        assert main(["predict", "--alpha", "1.5", "--profile", str(stats), "--damping", "0.5",
+                     "--indegree-intercept", "-0.2", "--output", str(predict)]) == 0
+        for path in (stats, predict):
+            data = path.read_bytes()
+            texts[path.name] = (gzip.decompress(data) if suffix else data).decode()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"c": 0.5, "alpha": 2.5, "d": 2.5, "pool_size": 10_000, "seed": 1,
+                                "outdeg_hist": {"0": 0.2, "1": 0.3, "2": 0.2, "4": 0.2,
+                                                "10": 0.1}}))
+    capsys.readouterr()
+    assert main(["simulate", str(spec), "--iters", "2", "--output-dir", str(tmp_path / "sim")]) == 0
+    texts["stdout"] = capsys.readouterr().out
+    texts["summary.json"] = (tmp_path / "sim" / "summary.json").read_text()
+    assert len(texts) == 8
+    for name, text in texts.items():
+        assert text == canonical(text), name

@@ -1,6 +1,5 @@
 import gzip
 import io
-import json
 import re
 import warnings
 
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _parse_lines,
                             _parse_table, degree_profile, load_edge_list, parse_hist,
-                            write_edge_list)
+                            read_json, write_edge_list, write_json)
 from ranktail.simulate import EffectiveOutdegreeSampler
 
 
@@ -246,6 +245,21 @@ class TestGraphConstructor:
         with pytest.raises(ValueError, match=message):
             Graph(**two_cycle_fields(**changes))
 
+    def test_out_deg_and_orig_ids_may_be_left_out(self):
+        fields = two_cycle_fields()
+        del fields["out_deg"], fields["orig_ids"]
+        g = Graph(**fields)
+        assert g.out_deg.tolist() == [1, 1] and g.orig_ids.tolist() == [0, 1]
+        assert g.out_deg.dtype == g.orig_ids.dtype == np.int64
+        assert not any(a.flags.writeable for a in (g.out_deg, g.orig_ids))
+
+    def test_from_edges_counts_out_degrees(self, rng):
+        src, dst = rng.integers(0, 50, 400), rng.integers(0, 50, 400)
+        g = Graph.from_edges(src, dst, 60)
+        assert g.out_deg.dtype == np.int64 and not g.out_deg.flags.writeable
+        assert np.array_equal(g.out_deg, np.bincount(src, minlength=60))
+        assert np.array_equal(g.orig_ids, np.arange(60))
+
     @pytest.mark.parametrize("src, dst", [([0, 2], [1, 0]), ([0, 1], [1, 2]),
                                           ([0, 1], [-1, 0])])
     def test_from_edges_refuses_ids_beyond_n(self, src, dst):
@@ -272,7 +286,10 @@ class TestDegreeProfile:
     def test_json_round_trip(self):
         g = graph_from_text("0 1\n1 0\n2 1\n")
         p = degree_profile(g)
-        assert DegreeProfile.from_json(json.dumps(p.to_dict())) == p
+        buf = io.StringIO()
+        write_json(p.to_dict(), buf)
+        buf.seek(0)
+        assert DegreeProfile.from_dict(read_json(buf)) == p
 
 
 class TestParseHist:

@@ -108,6 +108,18 @@ def test_alpha_override_guard():
         AnalysisOptions(alpha=0.4)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"dampings": [0.5, 0.5]}, "dampings must be distinct"),
+    ({"tol": 0}, "tol must be positive"),
+    ({"snapshot_iters": [0]}, "snapshot iterations must lie in"),
+    # the PageRank options are checked before the alpha override
+    ({"dampings": [0.5, 0.5], "alpha": 3.2}, "dampings must be distinct"),
+], ids=["repeated-damping", "tol-0", "snapshot-0", "before-alpha"])
+def test_pagerank_options_checked_when_built(changes, message):
+    with pytest.raises(ValueError, match=message):
+        AnalysisOptions(**changes)
+
+
 def test_report_is_deterministic(small_graph):
     options = AnalysisOptions(dampings=[0.5], snapshot_iters=[1])
     a, _ = analyze_graph(small_graph, options)
