@@ -13,17 +13,19 @@ import io
 import json
 import os
 import re
-import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 _ID_MAX = np.iinfo(np.int64).max
 _DEGREE_KEY = re.compile("0|[1-9][0-9]*")
 _CHUNK_ROWS = 1 << 16
+_CHUNK_BYTES = 1 << 20
+_COMMENT = re.compile(rb"^#[^\n]*", re.M)
 
 
 def _cpu_count() -> int:
@@ -90,18 +92,25 @@ class Graph:
 
     @classmethod
     def from_edges(cls, src, dst, n: int, orig_ids=None) -> "Graph":
-        """Build a graph from parallel source/destination arrays of dense ids."""
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        if src.shape != dst.shape:
+        """Build a graph from parallel source/destination arrays of dense ids.
+
+        When dst is already non-decreasing, as in every edge list ranktail
+        writes, the edges are in in-adjacency order: src is in_src as it
+        stands (an int64 src is frozen in place, as orig_ids is) and no sort
+        is made.  dst of a signed integer type is read as it is."""
+        dst = np.asarray(dst)
+        if dst.dtype.kind != "i":
+            dst = dst.astype(np.int64)
+        if np.shape(src) != dst.shape:
             raise ValueError("src and dst must have the same length")
-        m = int(src.size)
+        m = int(dst.size)
         if m and (dst.min() < 0 or dst.max() >= n):
             raise ValueError("node ids must lie in [0, n)")
-        order = np.argsort(dst, kind="stable")  # group in-edges by destination
-        in_src = src[order]
         in_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=in_ptr[1:])
+        in_src = np.ascontiguousarray(src, dtype=np.int64)
+        if (dst[1:] < dst[:-1]).any():  # group in-edges by destination
+            in_src = in_src[np.argsort(dst, kind="stable")]
         if orig_ids is not None:
             orig_ids = np.asarray(orig_ids, dtype=np.int64)
         return cls(n=n, m=m, in_ptr=in_ptr, in_src=in_src, orig_ids=orig_ids)
@@ -241,69 +250,187 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     Duplicate edges are kept as multi-edges; self-loops are kept unless
     ``drop_self_loops`` is set.
 
-    A path is read once, as bytes.  A plain ASCII table is parsed from those
-    bytes in one array pass; any other input is decoded as UTF-8 and goes
-    through the per-line parser, which gives the same edges and reports every
-    error.
+    The input is read in chunks of about 1 MB, each cut just after a line
+    feed, and the chunks are parsed on every CPU the process may use
+    (`_map_ordered`).  A path's CRLF and lone CR end a line, as text mode
+    reads them; an open text stream's text is taken as it reads.  A file
+    whose only line ends are lone CRs has no line feed to cut at and is read
+    as one chunk.  A chunk is parsed with numpy when every line in it is in
+    this grammar: "digits, blanks, digits" with spaces or tabs as blanks, no
+    leading or trailing blank and at most 18 digits an id; an empty line; a
+    line that opens with '#'.  Any other chunk is decoded as UTF-8 and goes
+    through the per-line parser, which accepts what int() accepts and gives
+    the same edges, so the fast path changes no result.
 
-    Raises EdgeListParseError (with the line number) on malformed lines and
-    ValueError on empty input.
+    Raises EdgeListParseError (with the line number) on malformed lines,
+    UnicodeDecodeError (naming the line) on bytes that are not UTF-8, and
+    ValueError on empty input.  The first fault in file order is raised.
     """
-    src, dst = _read_edges(source, drop_self_loops)
-    if not src.size:
+    columns = _read_edges(source, drop_self_loops)
+    if not columns[0].size:
         raise ValueError("empty edge list")
-    uniq, src, dst = _dense_ids(src, dst)
-    return Graph.from_edges(src, dst, n=int(uniq.size), orig_ids=uniq)
+    uniq = _dense_ids(columns)
+    return Graph.from_edges(*columns, n=int(uniq.size), orig_ids=uniq)
 
 
-def _read_edges(source, drop_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) int64 id arrays of an edge list; the input is dropped on return.
+def _map_ordered(fn, items):
+    """Yield fn(item) for each item of an iterable, in order.
 
-    A path's line ends are read as text mode reads them (CRLF and lone CR end
-    a line); an open text stream's text is taken as it reads."""
+    The calling thread runs fn on every item whose index is a multiple of
+    the CPU count, and a thread pool that lives for the call on the others.
+    At most two items per CPU are in flight: the next item is drawn only
+    once a result is taken.  fn raising raises here, in order, after the
+    pool has finished the items it holds."""
+    workers = _cpu_count()
+    pending = deque()
+
+    def result(job):
+        return job.result() if isinstance(job, Future) else fn(job)
+
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        for i, item in enumerate(items):
+            pending.append(pool.submit(fn, item) if i % workers else item)
+            if len(pending) == 2 * workers:
+                yield result(pending.popleft())
+        while pending:
+            yield result(pending.popleft())
+
+
+def _read_edges(source, drop_self_loops: bool) -> list[np.ndarray]:
+    """[src, dst] id arrays of an edge list, int32 while every id fits.
+
+    Each chunk's ids are copied into two columns as they come, so no
+    chunk's arrays outlive it.  The columns start with room for 2**24 ids,
+    so that no input of up to 16M edges is copied to grow them; a full
+    column doubles its capacity.  Capacity not yet written takes no
+    memory, only address space."""
+    columns = [np.empty(1 << 24, np.int32), np.empty(1 << 24, np.int32)]
+    size = lines = 0
     with open_text(source, "rb") as stream:
-        data = stream.read()
-    if isinstance(data, str):
-        raw = data.encode("ascii") if data.isascii() else None
+        for parsed in _map_ordered(partial(_parse_chunk, drop_self_loops=drop_self_loops),
+                                   _chunks(stream)):
+            if not isinstance(parsed, tuple):  # a chunk the fast path left
+                parsed = _parse_chunk_lines(parsed, lines + 1, drop_self_loops)
+            *ids, count = parsed
+            lines += count
+            end = size + ids[0].size
+            dtype = np.promote_types(columns[0].dtype, ids[0].dtype)
+            if end > columns[0].size or dtype != columns[0].dtype:
+                for i, col in enumerate(columns):
+                    columns[i] = np.empty(max(end, 2 * col.size), dtype)
+                    columns[i][:size] = col[:size]
+            for col, chunk_ids in zip(columns, ids):
+                col[size:end] = chunk_ids
+            size = end
+    return [col[:size] for col in columns]
+
+
+def _chunks(stream):
+    """The stream's data (bytes or str) in pieces of about _CHUNK_BYTES, each
+    but the last cut just after a line feed."""
+    rest = []
+    while block := stream.read(_CHUNK_BYTES):
+        cut = block.rfind("\n" if isinstance(block, str) else b"\n") + 1
+        if cut:
+            yield block[:0].join([*rest, block[:cut]])
+            rest = []
+        rest.append(block[cut:])
+    if any(rest):
+        yield rest[0][:0].join(rest)
+
+
+def _parse_chunk(chunk, drop_self_loops: bool):
+    """(src, dst, line count) of one chunk by `_parse_fast`, or, where the
+    fast path does not take it, the chunk for the per-line parser, with a
+    bytes chunk's CRLF and lone CR made LF."""
+    if isinstance(chunk, str):
+        parsed = _parse_fast(chunk.encode("ascii")) if chunk.isascii() else None
     else:
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raw = data
-    table = None if raw is None else _parse_table(raw)
-    if table is None:
-        text = data if isinstance(data, str) else data.decode("utf-8")
-        return _parse_lines(text, drop_self_loops)
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        parsed = _parse_fast(chunk)
+    if parsed is None:
+        return chunk
+    src, dst, count = parsed
     if drop_self_loops:
-        table = table[table[:, 0] != table[:, 1]]
-    return table[:, 0], table[:, 1]
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    return src, dst, count
 
 
-def _parse_table(raw: bytes) -> np.ndarray | None:
-    """The (m, 2) int64 edge table from numpy's C parser, or None where that
-    parser might not give what _parse_lines gives: non-ASCII bytes (on which
-    numpy 2.4's loadtxt has also crashed the interpreter), a '#' that does not
-    open a line, any parse failure or warning, another column count, a
-    negative id."""
-    if not raw.isascii() or raw.count(b"#") != raw.startswith(b"#") + raw.count(b"\n#"):
+def _parse_fast(raw: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(src, dst, line count) of ASCII lines in the strict grammar of
+    `load_edge_list`, or None when a line is not in it.  The ids are int32
+    when none has more than 9 digits, else int64.
+
+    Tokens are the runs of digits, found where the digit mask changes.  The
+    grammar holds when every byte is a digit, a blank or LF, no blank
+    touches an LF, and the tokens come in pairs, the byte after the first a
+    blank and after the second an LF.  (Blanks opening the data are let
+    through: the per-line parser reads that line alike.)  Each id is then
+    the sum of its digits, right-aligned."""
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    if b"#" in raw:
+        if not raw.isascii():  # a comment must still be UTF-8
+            return None
+        raw = _COMMENT.sub(b"", raw)  # comment lines become empty lines
+    a = np.frombuffer(raw, np.uint8)
+    value = a - np.uint8(ord("0"))
+    digit = value < 10
+    lf = a == ord("\n")
+    blank = (a == ord(" ")) | (a == ord("\t"))
+    if (np.count_nonzero(digit) + np.count_nonzero(blank) + np.count_nonzero(lf) != a.size
+            or (blank[1:] & lf[:-1]).any() or (blank[:-1] & lf[1:]).any()):
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # a BytesIO shares the bytes; a StringIO would hold four per character
-            table = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments="#", ndmin=2)
-    except (ValueError, Warning):
+    # token k holds the bytes after edges[2k] up to edges[2k + 1]
+    edges = np.flatnonzero(np.diff(digit))
+    if digit[0]:
+        edges = np.concatenate(([-1], edges))
+    before, last = edges.reshape(-1, 2).T.copy()
+    after = a[1:].take(last)
+    if (after[0::2] == ord("\n")).any() or (after[1::2] != ord("\n")).any():
         return None
-    if table.shape[1] != 2 or table.min() < 0:
+    top = int((last - before).max(initial=0))
+    if top > 18:
         return None
-    return table
+    dtype = np.int32 if top <= 9 else np.int64
+    value *= digit  # 0 on every byte but a digit, so on the byte before each id
+    ids = value.take(last).astype(dtype)
+    term = np.empty_like(ids)
+    for k in range(1, top):
+        last -= 1  # now the place 10**k of each id, or the byte before it
+        np.maximum(last, before, out=last)
+        np.multiply(value.take(last), 10**k, out=term, dtype=dtype, casting="unsafe")
+        ids += term
+    return ids[0::2], ids[1::2], int(np.count_nonzero(lf))
 
 
-def _parse_lines(text: str, drop_self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
+def _parse_chunk_lines(chunk, first_line: int, drop_self_loops: bool):
+    """(src, dst, line count) of one chunk by the per-line parser, its lines
+    numbered from first_line.  Bytes are decoded as UTF-8; a line that does
+    not decode is reported after any malformed line before it."""
+    if isinstance(chunk, bytes):
+        try:
+            chunk = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start = chunk.rfind(b"\n", 0, exc.start) + 1
+            _parse_lines(chunk[:start].decode("utf-8"), drop_self_loops, first_line)
+            line_no = first_line + chunk.count(b"\n", 0, start)
+            raise UnicodeDecodeError(exc.encoding, chunk[start:].partition(b"\n")[0],
+                                     exc.start - start, exc.end - start,
+                                     f"{exc.reason} in line {line_no}") from None
+    return (*_parse_lines(chunk, drop_self_loops, first_line), chunk.count("\n"))
+
+
+def _parse_lines(text: str, drop_self_loops: bool,
+                 first_line: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(src, dst) int64 arrays parsed line by line: accepts everything int()
-    does and raises EdgeListParseError with the line number on the rest."""
+    does and raises EdgeListParseError with the line number, counted from
+    first_line, on the rest."""
     src: list[int] = []
     dst: list[int] = []
-    for line_no, line in enumerate(io.StringIO(text), 1):
+    for line_no, line in enumerate(io.StringIO(text), first_line):
         if line.startswith("#") or not line.strip():
             continue
         parts = line.split()
@@ -324,21 +451,25 @@ def _parse_lines(text: str, drop_self_loops: bool) -> tuple[np.ndarray, np.ndarr
     return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
 
 
-def _dense_ids(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted distinct ids, the index of each src id among them, of each dst
-    id), as np.unique over both with return_inverse=True gives.  When the
-    largest id is below twice the id count, a presence table of that size
-    replaces the sort, and src and dst are remapped one at a time."""
-    top = int(max(src.max(), dst.max()))
-    if top >= 2 * (src.size + dst.size):
-        uniq, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
-        return uniq, inverse[:src.size], inverse[src.size:]
+def _dense_ids(columns: list[np.ndarray]) -> np.ndarray:
+    """The sorted distinct ids of the id columns, each column's ids replaced
+    by their indices among them, as np.unique with return_inverse=True
+    gives.  When the largest id is below twice the id count, a presence
+    table of that size replaces the sort, and each column is remapped in
+    place."""
+    top = max(int(col.max()) for col in columns)
+    if top >= 2 * sum(col.size for col in columns):
+        uniq, inverse = np.unique(np.concatenate(columns), return_inverse=True)
+        columns[:] = np.split(inverse, [columns[0].size])
+        return uniq
     present = np.zeros(top + 1, dtype=bool)
-    present[src] = True
-    present[dst] = True
-    rank = np.cumsum(present)
+    for col in columns:
+        present[col] = True
+    rank = np.cumsum(present, dtype=columns[0].dtype)
     rank -= 1
-    return np.flatnonzero(present), rank[src], rank[dst]
+    for col in columns:
+        np.take(rank, col, out=col, mode="clip")  # every id is in range; "clip" writes out directly
+    return np.flatnonzero(present)
 
 
 # _DIGITS4[v]: the four ASCII digits of v in 0..9999, zero-padded, as one
@@ -412,30 +543,17 @@ def write_edge_list(g: Graph, dest) -> None:
     """Write the graph as "src<TAB>dst" lines using original node ids.
 
     Chunks of _CHUNK_ROWS rows, their ids looked up one chunk at a time, are
-    encoded with numpy (`_edge_rows`) and written in order.  The calling
-    thread encodes every chunk whose index is a multiple of the CPU count and
-    a thread pool that lives for this call the others, with at most two
-    chunks per CPU in flight; the pool threads call numpy only."""
+    encoded with numpy (`_edge_rows`) on every CPU (`_map_ordered`) and
+    written in order; the pool threads call numpy only."""
     src, dst = g.edge_arrays()
 
     def encode(start):
         end = start + _CHUNK_ROWS
         return _edge_rows(g.orig_ids[src[start:end]], g.orig_ids[dst[start:end]])
 
-    def write(job):
-        out = encode(job) if isinstance(job, int) else job.result()
-        stream.write(str(out, "utf-8"))
-
-    workers = _cpu_count()
-    pending = deque()
-    with (open_text(dest, "w") as stream,
-          ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool):
-        for i, start in enumerate(range(0, g.m, _CHUNK_ROWS)):
-            pending.append(start if i % workers == 0 else pool.submit(encode, start))
-            if len(pending) == 2 * workers:
-                write(pending.popleft())
-        while pending:
-            write(pending.popleft())
+    with open_text(dest, "w") as stream:
+        for rows in _map_ordered(encode, range(0, g.m, _CHUNK_ROWS)):
+            stream.write(str(rows, "utf-8"))
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

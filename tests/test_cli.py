@@ -68,6 +68,17 @@ class TestStats:
         assert main(["stats", str(bad)]) == 3
         assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"0 1\noops\n\xff 2\n", "error: line 2: expected 'src dst', got 'oops'"),
+        (b"0 1\n\xff 2\noops\n", "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                                 "invalid start byte in line 2"),
+    ], ids=["malformed-first", "undecodable-first"])
+    def test_first_data_fault_in_file_order_is_reported(self, tmp_path, capsys, raw, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(raw)
+        assert main(["stats", str(bad)]) == 3
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestPagerankCmd:
     def test_writes_scores_and_snapshots(self, star_file, tmp_path):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _parse_lines,
-                            _parse_table, degree_profile, load_edge_list, parse_hist,
+from ranktail import graph as graph_mod
+from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _parse_fast,
+                            _parse_lines, degree_profile, load_edge_list, parse_hist,
                             read_json, write_edge_list, write_json)
 from ranktail.simulate import EffectiveOutdegreeSampler
 
@@ -92,7 +93,7 @@ class TestLoadEdgeList:
 
     def test_empty_input(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's "input contained no data" stays inside
+            warnings.simplefilter("error")  # an input with no edges warns of nothing
             for text in ("# only a comment\n", "", " \n\n", "#\n# two\n"):
                 with pytest.raises(ValueError, match="^empty edge list$"):
                     graph_from_text(text)
@@ -126,13 +127,13 @@ class TestLoadEdgeList:
 
     def test_comment_lines_mid_file_take_the_array_pass(self):
         text = "# head\n0 1\n# mid\n#\n1 2\n\n2 0\n# tail"
-        assert _parse_table(text.encode()) is not None
+        assert _parse_fast(text.encode()) is not None
         g = graph_from_text(text)
         assert (g.n, g.m) == (3, 3)
 
     def test_trailing_comment_still_fails_with_its_line(self):
         text = "0 1\n1 2 # x\n"
-        assert _parse_table(text.encode()) is None
+        assert _parse_fast(text.encode()) is None
         with pytest.raises(EdgeListParseError, match="^line 2: expected 'src dst', got '1 2 # x'$"):
             graph_from_text(text)
 
@@ -149,7 +150,7 @@ class TestLoadEdgeList:
 
     def test_drop_self_loops_on_the_array_pass(self):
         text = "5 5\n0 1\n1 1\n"
-        assert _parse_table(text.encode()) is not None
+        assert _parse_fast(text.encode()) is not None
         g = graph_from_text(text, drop_self_loops=True)
         # 5 only occurs in a dropped loop, so it is no node at all
         assert (g.n, g.m) == (2, 1)
@@ -178,6 +179,10 @@ class TestLoadEdgeList:
         "5 7\r\né 5\n",
         "5 7\r\n7 5 # x\r\n",
         "\r\n\r",
+        "5 7\n7 \n5\n",  # a blank ends a line whose id pairs with the next line's
+        "1 2 3\n7\n",  # four ids on two lines, in pairs but not in lines
+        "5 7 9 7\n",
+        "7\n5\n",
     ])
     @pytest.mark.parametrize("target", ["path", "gz", "binary stream"])
     @pytest.mark.parametrize("drop", [False, True])
@@ -265,6 +270,28 @@ class TestGraphConstructor:
     def test_from_edges_refuses_ids_beyond_n(self, src, dst):
         with pytest.raises(ValueError, match=r"\[0, n\)"):
             Graph.from_edges(src, dst, 2)
+
+    @pytest.mark.parametrize("dst", [
+        [0, 0, 1, 3, 3, 3, 4],    # sorted, with runs of ties: no sort is made
+        [3, 0, 3, 1, 0, 4, 3],    # unsorted, with ties: the stable sort keeps their order
+        [4, 3, 3, 3, 1, 0, 0],    # descending
+        [2, 2, 2, 2, 2, 2, 2],    # one run
+    ], ids=["sorted", "unsorted", "descending", "all-tied"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_from_edges_equals_the_stable_sort(self, dst, dtype):
+        src = np.array([6, 1, 5, 0, 2, 4, 3])
+        dst = np.array(dst, dtype=dtype)
+        g = Graph.from_edges(src, dst, 7)
+        order = np.argsort(dst, kind="stable")
+        in_ptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=7))])
+        expected = (in_ptr, src[order], np.bincount(src, minlength=7), np.arange(7))
+        for got, want in zip((g.in_ptr, g.in_src, g.out_deg, g.orig_ids), expected):
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    def test_sorted_dst_keeps_src_as_in_src(self):
+        src, dst = np.array([2, 0, 1]), np.array([0, 1, 1])
+        g = Graph.from_edges(src, dst, 3)
+        assert g.in_src is src and not src.flags.writeable
 
 
 class TestDegreeProfile:
@@ -393,3 +420,137 @@ def edge_texts(draw):
 def test_array_pass_matches_per_line_parser(text, drop):
     assert outcome(graph_from_text, text, drop_self_loops=drop) == outcome(
         per_line_graph, text, drop_self_loops=drop)
+
+
+# -- the chunked loader --------------------------------------------------------
+
+def reference_outcome(raw: bytes, drop: bool):
+    """What loading the bytes ``raw`` must give: the per-line parser on their
+    text-mode lines, up to the first line that is not UTF-8.  That line's
+    decode error is raised unless a malformed line comes before it."""
+    lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    text = []
+    for line_no, line in enumerate(lines, 1):
+        try:
+            text.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            try:
+                per_line_graph("\n".join(text + [""]), drop)
+            except EdgeListParseError as exc:
+                return type(exc), str(exc)
+            except ValueError:
+                pass
+            return UnicodeDecodeError, line_no
+    return outcome(per_line_graph, "\n".join(text), drop_self_loops=drop)
+
+
+def load_outcome(source, drop: bool):
+    """outcome() of load_edge_list, a decode error given as its line number."""
+    got = outcome(load_edge_list, source, drop_self_loops=drop)
+    if got[0] is UnicodeDecodeError:
+        return UnicodeDecodeError, int(re.search(r"in line (\d+)$", got[1])[1])
+    return got
+
+
+# ids around the 18-digit limit of the fast path and the int64 limit
+EDGE_IDS = st.one_of(st.integers(0, 40), st.integers(0, 10**20),
+                     st.sampled_from([10**9 - 1, 10**9, 2**31, 10**18 - 1, 10**18,
+                                      2**63 - 2, 2**63 - 1, 2**63, 10**19, 10**20 - 1]))
+BLANKS = st.sampled_from([" ", "\t", "  ", " \t", "\t \t"])
+EDGE_LINES = st.one_of(
+    st.builds(lambda s, sep, t: f"{s}{sep}{t}", EDGE_IDS, BLANKS, EDGE_IDS),
+    st.builds(lambda lead, s, sep, t, trail: f"{lead}{s}{sep}{t}{trail}",
+              st.sampled_from(["", " ", "\t"]), EDGE_IDS, BLANKS, EDGE_IDS,
+              st.sampled_from(["", " ", "\t", " # x"])),
+    st.sampled_from(["", " ", "\t", "#", "# c", "#0 1", "# 1 2 # x", "#é", "0 1 #",
+                     "1 2 3", "7", "7 ", " 7", "x 1", "-1 2", "+3 4", "1_0 2", "１ 2", "0\x0c1",
+                     "0\xa01", "0 0", "5 5", "00 007", "0x1 2"]),
+)
+
+
+@st.composite
+def edge_bytes(draw):
+    """Edge-list bytes: lines of every kind, each ended by LF, CRLF or a lone
+    CR, and now and then an undecodable byte."""
+    lines = draw(st.lists(st.tuples(EDGE_LINES, st.sampled_from(["\n", "\n", "\r\n", "\r"])),
+                          min_size=1, max_size=12))
+    raw = "".join(line + eol for line, eol in lines).encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    if draw(st.booleans()):  # the last line end is left out
+        raw = raw.rstrip(b"\r\n")
+    return raw
+
+
+@given(raw=edge_bytes(), chunk=st.integers(1, 24), workers=st.integers(1, 3),
+       drop=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_chunked_loader_matches_per_line_parser(raw, chunk, workers, drop):
+    # chunks of a few bytes, so cuts land on every kind of line
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "_CHUNK_BYTES", chunk)
+        mp.setattr(graph_mod, "_cpu_count", lambda: workers)
+        assert load_outcome(io.BytesIO(raw), drop) == reference_outcome(raw, drop)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        # a text stream's text is taken as it reads: a CR is no line end there
+        assert outcome(graph_from_text, text, drop_self_loops=drop) == outcome(
+            per_line_graph, text, drop_self_loops=drop)
+
+
+def numbered_lines(count: int, eol: str = "\n") -> list[str]:
+    return [f"{i} {(i * 7919) % count}{eol}" for i in range(count)]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_malformed_line_chunks_in_reports_its_line(tmp_path, eol):
+    lines = numbered_lines(300_000, eol)  # about 4 MB: four chunks and more
+    lines[250_000 - 1] = "250 oops" + eol
+    path = tmp_path / "edges.txt"
+    path.write_bytes("".join(lines).encode())
+    assert path.stat().st_size > 3 * graph_mod._CHUNK_BYTES
+    with pytest.raises(EdgeListParseError, match="^line 250000: non-integer node id"):
+        load_edge_list(path)
+
+
+@pytest.mark.parametrize("first", ["malformed", "undecodable"])
+def test_first_fault_in_file_order_wins(tmp_path, first):
+    lines = [line.encode() for line in numbered_lines(200_000)]
+    early, late = (60_000, 180_000)
+    malformed, undecodable = (early, late) if first == "malformed" else (late, early)
+    lines[malformed - 1] = b"1 2 3\n"
+    lines[undecodable - 1] = b"\xff 2\n"
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"".join(lines))
+    if first == "malformed":
+        with pytest.raises(EdgeListParseError, match=f"^line {early}: "):
+            load_edge_list(path)
+    else:
+        with pytest.raises(UnicodeDecodeError, match=f"in line {early}$"):
+            load_edge_list(path)
+
+
+def test_loaded_arrays_equal_for_every_worker_count(monkeypatch, tmp_path, rng):
+    # several chunks: one of 9-digit ids, one of 12-digit ids, one the per-line
+    # parser takes (a '+' sign), and the rest small ids
+    rows = 150_000
+    src, dst = rng.integers(0, 50_000, rows), rng.integers(0, 50_000, rows)
+    src[20_000:40_000] += 10**8
+    dst[60_000:80_000] += 10**11
+    lines = [f"{s}\t{t}\n" for s, t in zip(src.tolist(), dst.tolist())]
+    lines[100_000] = f"+{src[100_000]} {dst[100_000]}\n"
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(lines))
+    loaded = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        g = load_edge_list(path)
+        loaded.append([g.in_ptr, g.in_src, g.out_deg, g.orig_ids])
+    expected = per_line_graph(path.read_text())
+    for arrays in loaded:
+        for got, want in zip(arrays, (expected.in_ptr, expected.in_src, expected.out_deg,
+                                      expected.orig_ids)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
