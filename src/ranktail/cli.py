@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+import zlib
 from pathlib import Path
 
 from . import report as report_mod
@@ -303,7 +304,9 @@ def main(argv=None) -> int:
     try:
         _resolve_options(args)
         return args.func(args)
-    except (EdgeListParseError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    # a truncated .gz file raises EOFError, a corrupt one zlib.error
+    except (EdgeListParseError, json.JSONDecodeError, UnicodeDecodeError, OSError,
+            EOFError, zlib.error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SimulationConvergenceError as exc:

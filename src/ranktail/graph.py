@@ -250,12 +250,13 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     Duplicate edges are kept as multi-edges; self-loops are kept unless
     ``drop_self_loops`` is set.
 
-    The input is read in chunks of about 1 MB, each cut just after a line
-    feed, and the chunks are parsed on every CPU the process may use
-    (`_map_ordered`).  A path's CRLF and lone CR end a line, as text mode
-    reads them; an open text stream's text is taken as it reads.  A file
-    whose only line ends are lone CRs has no line feed to cut at and is read
-    as one chunk.  A chunk is parsed with numpy when every line in it is in
+    ``source`` is a path, read through gzip when it ends in ".gz", or an open
+    binary stream; a text stream is refused with a TypeError.  The input is
+    read in chunks of about 1 MB, each cut just after a line feed, and the
+    chunks are parsed on every CPU the process may use (`_map_ordered`).
+    CRLF and a lone CR end a line, as text mode reads them.  A file whose
+    only line ends are lone CRs has no line feed to cut at and is read as
+    one chunk.  A chunk is parsed with numpy when every line in it is in
     this grammar: "digits, blanks, digits" with spaces or tabs as blanks, no
     leading or trailing blank and at most 18 digits an id; an empty line; a
     line that opens with '#'.  Any other chunk is decoded as UTF-8 and goes
@@ -266,6 +267,9 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     UnicodeDecodeError (naming the line) on bytes that are not UTF-8, and
     ValueError on empty input.  The first fault in file order is raised.
     """
+    if hasattr(source, "read") and not isinstance(source.read(0), bytes):
+        raise TypeError("load_edge_list reads a path, a .gz path or a binary stream, "
+                        f"not {type(source).__name__}")
     columns = _read_edges(source, drop_self_loops)
     if not columns[0].size:
         raise ValueError("empty edge list")
@@ -326,29 +330,26 @@ def _read_edges(source, drop_self_loops: bool) -> list[np.ndarray]:
 
 
 def _chunks(stream):
-    """The stream's data (bytes or str) in pieces of about _CHUNK_BYTES, each
-    but the last cut just after a line feed."""
+    """The stream's bytes in pieces of about _CHUNK_BYTES, each but the last
+    cut just after a line feed."""
     rest = []
     while block := stream.read(_CHUNK_BYTES):
-        cut = block.rfind("\n" if isinstance(block, str) else b"\n") + 1
+        cut = block.rfind(b"\n") + 1
         if cut:
-            yield block[:0].join([*rest, block[:cut]])
+            yield b"".join([*rest, block[:cut]])
             rest = []
         rest.append(block[cut:])
     if any(rest):
-        yield rest[0][:0].join(rest)
+        yield b"".join(rest)
 
 
-def _parse_chunk(chunk, drop_self_loops: bool):
+def _parse_chunk(chunk: bytes, drop_self_loops: bool):
     """(src, dst, line count) of one chunk by `_parse_fast`, or, where the
-    fast path does not take it, the chunk for the per-line parser, with a
-    bytes chunk's CRLF and lone CR made LF."""
-    if isinstance(chunk, str):
-        parsed = _parse_fast(chunk.encode("ascii")) if chunk.isascii() else None
-    else:
-        if b"\r" in chunk:
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        parsed = _parse_fast(chunk)
+    fast path does not take it, the chunk for the per-line parser, with its
+    CRLF and lone CR made LF."""
+    if b"\r" in chunk:
+        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    parsed = _parse_fast(chunk)
     if parsed is None:
         return chunk
     src, dst, count = parsed
@@ -406,21 +407,20 @@ def _parse_fast(raw: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
     return ids[0::2], ids[1::2], int(np.count_nonzero(lf))
 
 
-def _parse_chunk_lines(chunk, first_line: int, drop_self_loops: bool):
+def _parse_chunk_lines(chunk: bytes, first_line: int, drop_self_loops: bool):
     """(src, dst, line count) of one chunk by the per-line parser, its lines
-    numbered from first_line.  Bytes are decoded as UTF-8; a line that does
-    not decode is reported after any malformed line before it."""
-    if isinstance(chunk, bytes):
-        try:
-            chunk = chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            start = chunk.rfind(b"\n", 0, exc.start) + 1
-            _parse_lines(chunk[:start].decode("utf-8"), drop_self_loops, first_line)
-            line_no = first_line + chunk.count(b"\n", 0, start)
-            raise UnicodeDecodeError(exc.encoding, chunk[start:].partition(b"\n")[0],
-                                     exc.start - start, exc.end - start,
-                                     f"{exc.reason} in line {line_no}") from None
-    return (*_parse_lines(chunk, drop_self_loops, first_line), chunk.count("\n"))
+    numbered from first_line.  The bytes are decoded as UTF-8; a line that
+    does not decode is reported after any malformed line before it."""
+    try:
+        text = chunk.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = chunk.rfind(b"\n", 0, exc.start) + 1
+        _parse_lines(chunk[:start].decode("utf-8"), drop_self_loops, first_line)
+        line_no = first_line + chunk.count(b"\n", 0, start)
+        raise UnicodeDecodeError(exc.encoding, chunk[start:].partition(b"\n")[0],
+                                 exc.start - start, exc.end - start,
+                                 f"{exc.reason} in line {line_no}") from None
+    return (*_parse_lines(text, drop_self_loops, first_line), chunk.count(b"\n"))
 
 
 def _parse_lines(text: str, drop_self_loops: bool,

@@ -19,26 +19,23 @@ damping's residual (1/n) ||R_k - R_{k-1}||_1 is c^k times the shared
 reports on its own; iteration k is a pure function of iteration k-1, which
 makes the per-iteration snapshots well defined.
 
-The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges through
-reused buffers, so a block's gathered values are still in cache when they are
-reduced and the scratch memory does not grow with the edge count.  The blocks
-are split into at most one run of consecutive blocks per CPU the process may
-use, the largest run as small as whole blocks allow.  The calling thread does
-the first run and a thread pool that lives for one ``pagerank_series`` call
-does the others; numpy releases the interpreter lock in the gather and the
-reduce.  A row's sum is the same reduceat over the same block whichever run
-does it, so scores, snapshots and residuals are bit-identical for every
-worker count.
+The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, so a
+block's gathered values are still in cache when they are reduced and no
+scratch array is larger than the largest block.  The blocks are mapped over
+every CPU the process may use by `graph._map_ordered`, as the edge-list
+loader and writer map their chunks; numpy releases the interpreter lock in
+the gather and the reduce.  A row's sum is the same reduceat over the same
+block whichever thread does it, so scores, snapshots and residuals are
+bit-identical for every CPU count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, _cpu_count, write_csv
+from .graph import Graph, _map_ordered, write_csv
 
 _BLOCK_EDGES = 1 << 16
 
@@ -79,44 +76,16 @@ class PageRankResult:
     converged: bool
 
 
-def _balanced_cuts(sizes: list[int], parts: int) -> list[int]:
-    """Cuts 0 = c_0 < c_1 < ... < c_r = len(sizes), with r <= parts, that split
-    ``sizes`` into runs of consecutive items whose largest sum is the least
-    possible.  That sum is found by binary search; a greedy packing tells
-    whether a cap fits in ``parts`` runs, and gives the runs for the least."""
-    def pack(cap):
-        cuts, total = [0], 0
-        for i, size in enumerate(sizes):
-            if total + size > cap:
-                cuts.append(i)
-                total = 0
-            total += size
-        return cuts + [len(sizes)] if sizes else cuts
-
-    low, high = max(sizes, default=0), sum(sizes)
-    while low < high:
-        mid = (low + high) // 2
-        if len(pack(mid)) - 1 <= parts:
-            high = mid
-        else:
-            low = mid + 1
-    return pack(low)
-
-
-def _in_edge_kernel(g: Graph, workers: int, pool: ThreadPoolExecutor):
+def _in_edge_kernel(g: Graph):
     """A function ``sums(w, out)`` that sets out[i] to the sum of w over the
     in-edges of i.
 
     The table of non-empty rows and the block cuts are built once, here.  A
     block holds whole rows, so a row longer than _BLOCK_EDGES makes a block of
     its own length.  reduceat mishandles empty segments, so it runs over the
-    non-empty rows only and their sums are scattered into ``out``.
-
-    The blocks are split into at most ``workers`` runs of consecutive blocks,
-    the largest run as small as whole blocks allow (`_balanced_cuts`).  The
-    calling thread does the first run and ``pool`` the others.
-    Runs write disjoint rows of ``out``, and each has its own buffers, sized
-    to its largest block.
+    non-empty rows only and their sums are scattered into ``out``.  Blocks
+    write disjoint rows of ``out``, and each block's gathered values and sums
+    live only while it runs.
     """
     rows = np.flatnonzero(np.diff(g.in_ptr))
     starts = g.in_ptr[rows]
@@ -126,32 +95,18 @@ def _in_edge_kernel(g: Graph, workers: int, pool: ThreadPoolExecutor):
     offsets = starts - np.repeat(edge_cuts[:-1], np.diff(cuts))  # row starts within a block
     blocks = list(zip(edge_cuts[:-1].tolist(), edge_cuts[1:].tolist(),
                       cuts[:-1].tolist(), cuts[1:].tolist()))
-    run_cuts = _balanced_cuts(np.diff(edge_cuts).tolist(), workers)
     in_src = g.in_src
 
-    def make_run(blocks):
-        gathered = np.empty(max(e1 - e0 for e0, e1, _, _ in blocks))
-        reduced = np.empty(max(r1 - r0 for _, _, r0, r1 in blocks))
-
-        def run(w: np.ndarray, out: np.ndarray) -> None:
-            for e0, e1, r0, r1 in blocks:
-                seg = gathered[:e1 - e0]
-                # a Graph's ids lie in [0, n), and "clip" skips the bounds check
-                np.take(w, in_src[e0:e1], out=seg, mode="clip")
-                red = reduced[:r1 - r0]
-                np.add.reduceat(seg, offsets[r0:r1], out=red)
-                out[rows[r0:r1]] = red
-        return run
-
-    runs = [make_run(blocks[b0:b1]) for b0, b1 in zip(run_cuts[:-1], run_cuts[1:])]
-
     def sums(w: np.ndarray, out: np.ndarray) -> None:
+        def block(cut):
+            e0, e1, r0, r1 = cut
+            # a Graph's ids lie in [0, n), and "clip" skips the bounds check
+            seg = np.take(w, in_src[e0:e1], mode="clip")
+            out[rows[r0:r1]] = np.add.reduceat(seg, offsets[r0:r1])
+
         out.fill(0.0)
-        futures = [pool.submit(run, w, out) for run in runs[1:]]
-        if runs:
-            runs[0](w, out)
-        for future in futures:
-            future.result()
+        for _ in _map_ordered(block, blocks):
+            pass
 
     return sums
 
@@ -172,8 +127,8 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
                     snapshot_iters=()) -> list[PageRankResult]:
     """Power iteration from R = 1 for every damping at once; each damping stops
     at L1 tolerance or max_iters.  Results come in the order of ``dampings``,
-    which must be distinct.  The in-edge sums run on one thread per CPU the
-    process may use, from a pool that lives for this call."""
+    which must be distinct.  The in-edge sums run on every CPU the process
+    may use."""
     params = series_params(dampings, tol, max_iters, snapshot_iters)
     if g.n < 1:
         raise ValueError("graph must have at least one node")
@@ -193,36 +148,34 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     snapshots: list[dict[int, np.ndarray]] = [{} for _ in params]
     results: list[PageRankResult | None] = [None] * len(params)
     live = list(range(len(params)))
-    workers = _cpu_count()
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        in_edge_sums = _in_edge_kernel(g, workers, pool)
-        for k in range(1, max_iters + 1):
-            np.multiply(x, inv_out, out=scratch)
-            in_edge_sums(scratch, x_next)
-            x_next += x[dangling].sum() / n
-            np.subtract(x_next, x, out=scratch)
-            step = float(np.abs(scratch, out=scratch).sum()) / n
-            for d in live:
-                c, acc = params[d].c, accs[d]
-                np.multiply(x, (1.0 - c) * c ** (k - 1), out=scratch)
+    in_edge_sums = _in_edge_kernel(g)
+    for k in range(1, max_iters + 1):
+        np.multiply(x, inv_out, out=scratch)
+        in_edge_sums(scratch, x_next)
+        x_next += x[dangling].sum() / n
+        np.subtract(x_next, x, out=scratch)
+        step = float(np.abs(scratch, out=scratch).sum()) / n
+        for d in live:
+            c, acc = params[d].c, accs[d]
+            np.multiply(x, (1.0 - c) * c ** (k - 1), out=scratch)
+            acc += scratch
+            resid = c ** k * step
+            residuals[d].append(resid)
+            done = resid <= tol or k == max_iters
+            if not (done or k in snapshot_iters):
+                continue
+            np.multiply(x_next, c ** k, out=scratch)
+            if k in snapshot_iters:
+                snapshots[d][k] = acc + scratch
+            if done:
                 acc += scratch
-                resid = c ** k * step
-                residuals[d].append(resid)
-                done = resid <= tol or k == max_iters
-                if not (done or k in snapshot_iters):
-                    continue
-                np.multiply(x_next, c ** k, out=scratch)
-                if k in snapshot_iters:
-                    snapshots[d][k] = acc + scratch
-                if done:
-                    acc += scratch
-                    results[d] = PageRankResult(scores=acc, iters_run=k,
-                                                residuals=np.asarray(residuals[d]),
-                                                snapshots=snapshots[d], converged=resid <= tol)
-            live = [d for d in live if results[d] is None]
-            if not live:
-                break
-            x, x_next = x_next, x
+                results[d] = PageRankResult(scores=acc, iters_run=k,
+                                            residuals=np.asarray(residuals[d]),
+                                            snapshots=snapshots[d], converged=resid <= tol)
+        live = [d for d in live if results[d] is None]
+        if not live:
+            break
+        x, x_next = x_next, x
     return results
 
 

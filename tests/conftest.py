@@ -1,7 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from ranktail import simulate
+from ranktail import graph, simulate
 
 _acceptance_outcomes = {}
 
@@ -40,3 +42,32 @@ def drawn_indegrees(monkeypatch):
 
     monkeypatch.setattr(simulate.InDegreeLaw, "sample", spy)
     return drawn
+
+
+class SpyPool(ThreadPoolExecutor):
+    """A thread pool that records its instances, its submits and its shutdown."""
+
+    made: list["SpyPool"] = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submits = 0
+        self.shut_down = False
+        SpyPool.made.append(self)
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        return super().submit(fn, *args, **kwargs)
+
+    def shutdown(self, wait=True, **kwargs):
+        self.shut_down = wait
+        super().shutdown(wait, **kwargs)
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    """SpyPool in place of the thread pool of `graph._map_ordered`, the one
+    place ranktail makes threads; ``spy_pool.made`` lists the pools made."""
+    monkeypatch.setattr(SpyPool, "made", [])
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", SpyPool)
+    return SpyPool

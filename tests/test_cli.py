@@ -8,6 +8,25 @@ import pytest
 from ranktail.cli import main
 
 
+def numbered_edges(count: int) -> bytes:
+    return "".join(f"{i} {i * 7919 % count}\n" for i in range(count)).encode()
+
+
+def damaged_gzip(raw: bytes, damage: str) -> bytes:
+    """The gzip bytes of ``raw`` cut in half ("truncated"), or with the first
+    deflate block given the reserved block type 3 ("corrupt"), which zlib
+    refuses."""
+    data = bytearray(gzip.compress(raw))
+    if damage == "truncated":
+        return bytes(data[:len(data) // 2])
+    data[10] |= 0b110  # after the 10-byte header: bits 1-2 of a block are its type
+    return bytes(data)
+
+
+def assert_single_error_line(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.fixture
 def star_file(tmp_path):
     path = tmp_path / "star.txt"
@@ -67,6 +86,15 @@ class TestStats:
         bad.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
         assert main(["stats", str(bad)]) == 3
         assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "analyze"])
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gz_is_data_error(self, tmp_path, monkeypatch, capsys, command, damage):
+        monkeypatch.chdir(tmp_path)  # analyze writes to the working directory
+        bad = tmp_path / "edges.txt.gz"
+        bad.write_bytes(damaged_gzip(numbered_edges(20_000), damage))
+        assert main([command, str(bad)]) == 3
+        assert_single_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("raw, message", [
         (b"0 1\noops\n\xff 2\n", "error: line 2: expected 'src dst', got 'oops'"),
@@ -304,6 +332,12 @@ class TestSimulateCmd:
         out = tmp_path / "sim"
         assert main(["simulate", str(path), "--iters", "2", "--output-dir", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["generations"] == 2
+
+    def test_truncated_gzipped_spec_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json.gz"
+        path.write_bytes(damaged_gzip(self.spec_file(tmp_path).read_bytes(), "truncated"))
+        assert main(["simulate", str(path), "--output-dir", str(tmp_path / "sim")]) == 3
+        assert_single_error_line(capsys.readouterr().err)
 
     def test_malformed_json_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -1,6 +1,8 @@
 import gzip
 import io
 import re
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -9,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranktail import graph as graph_mod
-from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _parse_fast,
-                            _parse_lines, degree_profile, load_edge_list, parse_hist,
-                            read_json, write_edge_list, write_json)
+from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _map_ordered,
+                            _parse_fast, _parse_lines, degree_profile, load_edge_list,
+                            parse_hist, read_json, write_edge_list, write_json)
 from ranktail.simulate import EffectiveOutdegreeSampler
 
 
 def graph_from_text(text, **kw):
-    return load_edge_list(io.StringIO(text), **kw)
+    return load_edge_list(io.BytesIO(text.encode()), **kw)
 
 
 def per_line_graph(text, drop_self_loops=False):
@@ -201,6 +203,10 @@ class TestLoadEdgeList:
         universal = text.replace("\r\n", "\n").replace("\r", "\n")
         assert outcome(load_edge_list, source, drop_self_loops=drop) == outcome(
             per_line_graph, universal, drop_self_loops=drop)
+
+    def test_text_stream_refused(self):
+        with pytest.raises(TypeError, match="a path, a .gz path or a binary stream"):
+            load_edge_list(io.StringIO("0 1\n"))
 
     def test_invalid_utf8_raises(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -418,8 +424,8 @@ def edge_texts(draw):
 @given(text=st.one_of(st.text(HOSTILE, max_size=40), edge_texts()), drop=st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_array_pass_matches_per_line_parser(text, drop):
-    assert outcome(graph_from_text, text, drop_self_loops=drop) == outcome(
-        per_line_graph, text, drop_self_loops=drop)
+    assert outcome(graph_from_text, text, drop_self_loops=drop) == reference_outcome(
+        text.encode(), drop)
 
 
 # -- the chunked loader --------------------------------------------------------
@@ -492,13 +498,6 @@ def test_chunked_loader_matches_per_line_parser(raw, chunk, workers, drop):
         mp.setattr(graph_mod, "_CHUNK_BYTES", chunk)
         mp.setattr(graph_mod, "_cpu_count", lambda: workers)
         assert load_outcome(io.BytesIO(raw), drop) == reference_outcome(raw, drop)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return
-        # a text stream's text is taken as it reads: a CR is no line end there
-        assert outcome(graph_from_text, text, drop_self_loops=drop) == outcome(
-            per_line_graph, text, drop_self_loops=drop)
 
 
 def numbered_lines(count: int, eol: str = "\n") -> list[str]:
@@ -554,3 +553,66 @@ def test_loaded_arrays_equal_for_every_worker_count(monkeypatch, tmp_path, rng):
         for got, want in zip(arrays, (expected.in_ptr, expected.in_src, expected.out_deg,
                                       expected.orig_ids)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# -- the ordered map over every CPU --------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_ordered_order_and_caller_share(monkeypatch, workers):
+    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+    caller = threading.get_ident()
+
+    def fn(i):
+        time.sleep((i * 7 % 5) / 1000)  # later items often finish first
+        return i, threading.get_ident() == caller
+
+    results = list(_map_ordered(fn, range(40)))
+    assert [i for i, _ in results] == list(range(40))
+    assert [on_caller for _, on_caller in results] == [i % workers == 0 for i in range(40)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_ordered_draws_at_most_two_items_per_cpu_ahead(monkeypatch, workers):
+    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+    drawn = 0
+
+    def items():
+        nonlocal drawn
+        for i in range(30):
+            drawn += 1
+            yield i
+
+    ahead = [drawn - taken for taken, _ in enumerate(_map_ordered(lambda i: i, items()))]
+    assert max(ahead) == 2 * workers  # the item yielded is drawn, not yet yielded
+
+
+def fail_at(index):
+    """An fn for _map_ordered that raises at ``index`` and returns every other
+    item; on 3 CPUs the caller runs it when ``index`` is a multiple of 3."""
+    def fn(i):
+        if i == index:
+            raise RuntimeError(f"boom at {i}")
+        return i
+    return fn
+
+
+@pytest.mark.parametrize("how", ["return", "pool thread raises", "caller raises",
+                                 "consumer stops"])
+def test_map_ordered_shuts_every_pool_down(monkeypatch, spy_pool, how):
+    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
+    before = set(threading.enumerate())
+    if how == "return":
+        assert list(_map_ordered(lambda i: i, range(20))) == list(range(20))
+    elif how == "consumer stops":
+        results = _map_ordered(lambda i: i, range(20))
+        assert next(results) == 0
+        results.close()
+    else:
+        index = 4 if how == "pool thread raises" else 6
+        got = []
+        with pytest.raises(RuntimeError, match=f"^boom at {index}$"):
+            got.extend(_map_ordered(fail_at(index), range(20)))
+        assert got == list(range(index))  # the items before it, in order
+    [pool] = spy_pool.made
+    assert pool.submits > 0 and pool.shut_down
+    assert set(threading.enumerate()) <= before

@@ -1,14 +1,13 @@
 import importlib
 import io
-import itertools
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from oracles import dense_pagerank, random_small_graph
+from ranktail import graph as graph_mod
 from ranktail.graph import Graph, load_edge_list
 from ranktail.pagerank import PageRankParams, export_scores, pagerank, pagerank_series
 
@@ -17,7 +16,7 @@ pagerank_mod = importlib.import_module("ranktail.pagerank")
 
 
 def graph_from_text(text):
-    return load_edge_list(io.StringIO(text))
+    return load_edge_list(io.BytesIO(text.encode()))
 
 
 def path_graph():
@@ -40,33 +39,6 @@ def hub_graph(rng):
     g = Graph.from_edges(src, dst, n)
     assert 2 * block in g.in_ptr and g.m > 150_000
     return g
-
-
-class SpyPool(ThreadPoolExecutor):
-    """A thread pool that records its instances, its submits and its shutdown."""
-
-    made: list["SpyPool"] = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.submits = 0
-        self.shut_down = False
-        SpyPool.made.append(self)
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.submits += 1
-        return super().submit(fn, *args, **kwargs)
-
-    def shutdown(self, wait=True, **kwargs):
-        self.shut_down = wait
-        super().shutdown(wait, **kwargs)
-
-
-@pytest.fixture
-def spy_pool(monkeypatch):
-    monkeypatch.setattr(SpyPool, "made", [])
-    monkeypatch.setattr(pagerank_mod, "ThreadPoolExecutor", SpyPool)
-    return SpyPool
 
 
 def same_results(a, b):
@@ -233,7 +205,7 @@ class TestSeries:
             g = random_small_graph(rng, n_max=12)
             runs = []
             for workers in (1, 2, 3, g.m + 2):  # the last exceeds the block count
-                monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: workers)
+                monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
                 runs.append(pagerank_series(g, self.DAMPINGS, tol=1e-12, max_iters=500,
                                             snapshot_iters={1, 2}))
             assert all(same_results(runs[0], other) for other in runs[1:])
@@ -242,61 +214,62 @@ class TestSeries:
         g = hub_graph(rng)
         runs = []
         for workers in (1, 2, 3, 8):  # 8 exceeds the block count
-            monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
             runs.append(pagerank_series(g, self.DAMPINGS, tol=1e-9, snapshot_iters={1, 2}))
         assert all(same_results(runs[0], other) for other in runs[1:])
 
     def test_pool_shut_down_after_return(self, monkeypatch, spy_pool):
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 1)
-        monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
         before = set(threading.enumerate())
         pagerank_series(graph_from_text("0 1\n1 2\n2 0\n3 1\n"), self.DAMPINGS)
-        [pool] = spy_pool.made
-        assert pool.submits > 0 and pool.shut_down
+        assert sum(pool.submits for pool in spy_pool.made) > 0
+        assert all(pool.shut_down for pool in spy_pool.made)
         assert set(threading.enumerate()) <= before
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_pool_shut_down_after_exception(self, monkeypatch, spy_pool, where):
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 1)
-        monkeypatch.setattr(pagerank_mod, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
 
         def fail(*args, **kwargs):
             raise RuntimeError("boom")
 
         if where == "worker":
-            submit = SpyPool.submit
-            monkeypatch.setattr(SpyPool, "submit",
+            submit = spy_pool.submit
+            monkeypatch.setattr(spy_pool, "submit",
                                 lambda self, fn, *args: submit(self, fail, *args))
         else:  # raised on the calling thread when the first damping stops
             monkeypatch.setattr(pagerank_mod, "PageRankResult", fail)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="boom"):
             pagerank_series(graph_from_text("0 1\n1 2\n2 0\n3 1\n"), self.DAMPINGS)
-        [pool] = spy_pool.made
-        assert pool.submits > 0 and pool.shut_down
+        assert sum(pool.submits for pool in spy_pool.made) > 0
+        assert all(pool.shut_down for pool in spy_pool.made)
         assert set(threading.enumerate()) <= before
 
 
 def _kernel_sums(g, w, workers=1):
     out = np.full(g.n, np.nan)
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        pagerank_mod._in_edge_kernel(g, workers, pool)(w, out)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "_cpu_count", lambda: workers)
+        pagerank_mod._in_edge_kernel(g)(w, out)
     return out
 
 
 class TestInEdgeKernel:
-    def test_blocks_against_bincount(self, rng):
+    def test_blocks_against_bincount(self, rng, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 2)
         g = hub_graph(rng)
         src, dst = g.edge_arrays()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            kernel = pagerank_mod._in_edge_kernel(g, 2, pool)
-            out = np.empty(g.n)
-            for _ in range(2):  # the buffers are reused between calls
-                w = rng.random(g.n)
-                kernel(w, out)
-                expected = np.bincount(dst, weights=w[src], minlength=g.n)
-                np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
-                assert (out[g.in_deg == 0] == 0).all()
+        kernel = pagerank_mod._in_edge_kernel(g)
+        out = np.empty(g.n)
+        for _ in range(2):  # one kernel serves every call
+            w = rng.random(g.n)
+            kernel(w, out)
+            expected = np.bincount(dst, weights=w[src], minlength=g.n)
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+            assert (out[g.in_deg == 0] == 0).all()
 
     def test_hub_graph_sums_equal_for_every_worker_count(self, rng):
         g = hub_graph(rng)
@@ -307,7 +280,7 @@ class TestInEdgeKernel:
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_small_blocks(self, rng, monkeypatch, block):
-        # with one-edge blocks every run starts a row, and runs outnumber blocks
+        # with one-edge blocks every block starts a row, and CPUs outnumber blocks
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", block)
         for _ in range(10):
             g = random_small_graph(rng, n_max=12)
@@ -342,32 +315,6 @@ class TestInEdgeKernel:
         g = Graph.from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
         for workers in (1, 2):
             assert (_kernel_sums(g, np.ones(3), workers) == 0).all()
-
-
-def brute_force_largest_run(sizes, parts):
-    """The least largest run sum over every split of sizes into at most
-    ``parts`` runs of consecutive items."""
-    best = sum(sizes)
-    for runs in range(1, min(parts, len(sizes)) + 1):
-        for inner in itertools.combinations(range(1, len(sizes)), runs - 1):
-            cuts = [0, *inner, len(sizes)]
-            best = min(best, max(sum(sizes[a:b]) for a, b in zip(cuts, cuts[1:])))
-    return best
-
-
-def test_balanced_cuts_against_brute_force(rng):
-    assert pagerank_mod._balanced_cuts([], 3) == [0]
-    for _ in range(500):
-        sizes = rng.integers(1, 30, rng.integers(1, 9)).tolist()
-        if rng.random() < 0.3:  # a hub
-            sizes[rng.integers(len(sizes))] *= 10
-        parts = int(rng.integers(1, 10))
-        cuts = pagerank_mod._balanced_cuts(sizes, parts)
-        assert cuts[0] == 0 and cuts[-1] == len(sizes) and len(cuts) - 1 <= parts
-        assert all(a < b for a, b in zip(cuts, cuts[1:]))
-        largest = max(sum(sizes[a:b]) for a, b in zip(cuts, cuts[1:]))
-        assert largest == brute_force_largest_run(sizes, parts)
-
 
 
 def test_export_scores_uses_original_ids(tmp_path):

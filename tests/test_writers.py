@@ -4,7 +4,6 @@ import csv
 import gzip
 import io
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ EDGES = "5\t7\n7\t5\n9\t7\n"
 
 
 def three_edge_graph():
-    return load_edge_list(io.StringIO(EDGES))
+    return load_edge_list(io.BytesIO(EDGES.encode()))
 
 
 WRITERS = {
@@ -178,31 +177,14 @@ class FailingStream(io.StringIO):
         return super().write(text)
 
 
-def test_pool_shut_down_when_write_raises(monkeypatch):
-    pools = []
-
-    class SpyPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.submits, self.shut_down = 0, False
-            pools.append(self)
-
-        def submit(self, fn, /, *args, **kwargs):
-            self.submits += 1
-            return super().submit(fn, *args, **kwargs)
-
-        def shutdown(self, wait=True, **kwargs):
-            self.shut_down = wait
-            super().shutdown(wait, **kwargs)
-
-    monkeypatch.setattr(graph_mod, "ThreadPoolExecutor", SpyPool)
+def test_pool_shut_down_when_write_raises(monkeypatch, spy_pool):
     monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
     column = np.arange(10 * 65_536)
     g = id_pairs_graph(column, column)
     before = set(threading.enumerate())
     with pytest.raises(OSError, match="disk full"):
         write_edge_list(g, FailingStream())
-    [pool] = pools
+    [pool] = spy_pool.made
     assert pool.submits > 0 and pool.shut_down
     assert set(threading.enumerate()) <= before
 
