@@ -28,7 +28,7 @@ from .tails import TailFit, ccdf, write_ccdf_csv
 
 # option -> (default, the flag's argparse type; [kind] is a list of them)
 _OPTIONS = {
-    "damping": ([0.85], [float]),
+    "damping": ([PageRankParams.c], [float]),
     "tol": (PageRankParams.tol, float),
     "max_iters": (PageRankParams.max_iters, int),
     "snapshots": ([], [int]),

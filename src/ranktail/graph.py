@@ -11,13 +11,13 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import math
 import os
 import re
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -170,9 +170,11 @@ def decode_fields(obj, what: str, fields: dict, defaults: dict) -> dict:
 
 def as_number(value, kind=float):
     """A decoded JSON number as `kind` (int or float).  A number is an int or
-    float that is not a bool, so true/false and numeric strings are refused;
-    an int must be integral (1e6 is, 1.5 and inf are not)."""
+    a finite float that is not a bool, so true/false, numeric strings and the
+    NaN and Infinity that Python's json reads are refused; an int must be
+    integral (1e6 is, 1.5 is not)."""
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value))
             and (kind is float or isinstance(value, int) or value.is_integer())):
         try:
             return kind(value)
@@ -248,7 +250,7 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     are arbitrary integers in [0, 2**63) and get remapped to dense 0..n-1
     (sorted original order; the original ids are kept on the graph).
     Duplicate edges are kept as multi-edges; self-loops are kept unless
-    ``drop_self_loops`` is set.
+    ``drop_self_loops`` is set, and their ids are checked either way.
 
     ``source`` is a path, read through gzip when it ends in ".gz", or an open
     binary stream; a text stream is refused with a TypeError.  The input is
@@ -259,9 +261,9 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
     one chunk.  A chunk is parsed with numpy when every line in it is in
     this grammar: "digits, blanks, digits" with spaces or tabs as blanks, no
     leading or trailing blank and at most 18 digits an id; an empty line; a
-    line that opens with '#'.  Any other chunk is decoded as UTF-8 and goes
-    through the per-line parser, which accepts what int() accepts and gives
-    the same edges, so the fast path changes no result.
+    line that opens with '#'.  Any other chunk goes through the per-line
+    parser, which decodes each line as UTF-8, accepts what int() accepts and
+    gives the same edges, so the fast path changes no result.
 
     Raises EdgeListParseError (with the line number) on malformed lines,
     UnicodeDecodeError (naming the line) on bytes that are not UTF-8, and
@@ -301,7 +303,8 @@ def _map_ordered(fn, items):
 
 
 def _read_edges(source, drop_self_loops: bool) -> list[np.ndarray]:
-    """[src, dst] id arrays of an edge list, int32 while every id fits.
+    """[src, dst] id arrays of an edge list, int32 while every id fits, with
+    its self-loops left out when drop_self_loops is set.
 
     Each chunk's ids are copied into two columns as they come, so no
     chunk's arrays outlive it.  The columns start with room for 2**24 ids,
@@ -311,12 +314,14 @@ def _read_edges(source, drop_self_loops: bool) -> list[np.ndarray]:
     columns = [np.empty(1 << 24, np.int32), np.empty(1 << 24, np.int32)]
     size = lines = 0
     with open_text(source, "rb") as stream:
-        for parsed in _map_ordered(partial(_parse_chunk, drop_self_loops=drop_self_loops),
-                                   _chunks(stream)):
+        for parsed in _map_ordered(_parse_chunk, _chunks(stream)):
             if not isinstance(parsed, tuple):  # a chunk the fast path left
-                parsed = _parse_chunk_lines(parsed, lines + 1, drop_self_loops)
+                parsed = _parse_lines(parsed, lines + 1)
             *ids, count = parsed
             lines += count
+            if drop_self_loops:
+                keep = ids[0] != ids[1]
+                ids = [chunk_ids[keep] for chunk_ids in ids]
             end = size + ids[0].size
             dtype = np.promote_types(columns[0].dtype, ids[0].dtype)
             if end > columns[0].size or dtype != columns[0].dtype:
@@ -343,20 +348,13 @@ def _chunks(stream):
         yield b"".join(rest)
 
 
-def _parse_chunk(chunk: bytes, drop_self_loops: bool):
+def _parse_chunk(chunk: bytes):
     """(src, dst, line count) of one chunk by `_parse_fast`, or, where the
-    fast path does not take it, the chunk for the per-line parser, with its
-    CRLF and lone CR made LF."""
+    fast path does not take it, the chunk for `_parse_lines`, with its CRLF
+    and lone CR made LF."""
     if b"\r" in chunk:
         chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    parsed = _parse_fast(chunk)
-    if parsed is None:
-        return chunk
-    src, dst, count = parsed
-    if drop_self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-    return src, dst, count
+    return _parse_fast(chunk) or chunk
 
 
 def _parse_fast(raw: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -407,33 +405,24 @@ def _parse_fast(raw: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
     return ids[0::2], ids[1::2], int(np.count_nonzero(lf))
 
 
-def _parse_chunk_lines(chunk: bytes, first_line: int, drop_self_loops: bool):
-    """(src, dst, line count) of one chunk by the per-line parser, its lines
-    numbered from first_line.  The bytes are decoded as UTF-8; a line that
-    does not decode is reported after any malformed line before it."""
-    try:
-        text = chunk.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = chunk.rfind(b"\n", 0, exc.start) + 1
-        _parse_lines(chunk[:start].decode("utf-8"), drop_self_loops, first_line)
-        line_no = first_line + chunk.count(b"\n", 0, start)
-        raise UnicodeDecodeError(exc.encoding, chunk[start:].partition(b"\n")[0],
-                                 exc.start - start, exc.end - start,
-                                 f"{exc.reason} in line {line_no}") from None
-    return (*_parse_lines(text, drop_self_loops, first_line), chunk.count(b"\n"))
-
-
-def _parse_lines(text: str, drop_self_loops: bool,
-                 first_line: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) int64 arrays parsed line by line: accepts everything int()
-    does and raises EdgeListParseError with the line number, counted from
-    first_line, on the rest."""
+def _parse_lines(chunk: bytes, first_line: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+    """(src, dst, line count) of LF-ended lines parsed one at a time, with
+    int64 ids: accepts everything int() does and raises EdgeListParseError
+    with the line number, counted from first_line, on the rest.  Each line
+    is decoded as UTF-8 with its LF, so a line that is not UTF-8 raises
+    UnicodeDecodeError naming it, in file order with the other faults."""
     src: list[int] = []
     dst: list[int] = []
-    for line_no, line in enumerate(io.StringIO(text), first_line):
-        if line.startswith("#") or not line.strip():
-            continue
+    lines = chunk.splitlines(keepends=True)
+    for line_no, raw in enumerate(lines, first_line):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError(exc.encoding, raw.partition(b"\n")[0], exc.start, exc.end,
+                                     f"{exc.reason} in line {line_no}") from None
         parts = line.split()
+        if not parts or line.startswith("#"):
+            continue
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected 'src dst', got {line.strip()!r}")
         try:
@@ -442,13 +431,11 @@ def _parse_lines(text: str, drop_self_loops: bool,
             raise EdgeListParseError(line_no, f"non-integer node id in {line.strip()!r}") from None
         if s < 0 or t < 0:
             raise EdgeListParseError(line_no, f"negative node id in {line.strip()!r}")
-        if drop_self_loops and s == t:
-            continue
         if max(s, t) > _ID_MAX:
             raise EdgeListParseError(line_no, f"node id out of range in {line.strip()!r}")
         src.append(s)
         dst.append(t)
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), len(lines)
 
 
 def _dense_ids(columns: list[np.ndarray]) -> np.ndarray:

@@ -50,7 +50,7 @@ class PageRankParams:
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"damping factor must be in (0, 1), got {self.c}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

@@ -18,7 +18,7 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class AnalysisOptions:
-    dampings: list[float] = field(default_factory=lambda: [0.85])
+    dampings: list[float] = field(default_factory=lambda: [PageRankParams.c])
     tol: float = PageRankParams.tol
     max_iters: int = PageRankParams.max_iters
     snapshot_iters: list[int] = field(default_factory=list)
@@ -29,6 +29,8 @@ class AnalysisOptions:
         series_params(self.dampings, self.tol, self.max_iters, self.snapshot_iters)
         if self.alpha is not None:
             theory.validate_cumulative_alpha(self.alpha)
+        if self.xmin is not None and not 0.0 < self.xmin < float("inf"):
+            raise ValueError(f"xmin must be a positive finite number, got {self.xmin}")
 
 
 def _analyze_vector(values, xmin: float | None, warnings_out: list[str],

@@ -49,9 +49,9 @@ class InDegreeLaw:
     d: float
 
     def __post_init__(self):
-        if self.alpha <= 1.0:
+        if not self.alpha > 1.0:
             raise ValueError("tail index alpha must exceed 1 (finite mean in-degree)")
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValueError("mean degree must be positive")
 
     @property

@@ -40,10 +40,10 @@ def validate_outdegree_hist(p_hist: dict[int, float], d: float | None = None) ->
     if (ps < 0).any():
         raise ValueError("histogram fractions must be non-negative")
     total = ps.sum()
-    if abs(total - 1.0) > _HIST_SUM_TOL:
+    if not abs(total - 1.0) <= _HIST_SUM_TOL:
         raise ValueError(f"histogram fractions sum to {total!r}, not 1")
     mean = float((js * ps).sum())
-    if d is not None and abs(mean - d) > _HIST_MEAN_RTOL * max(abs(d), 1.0):
+    if d is not None and not abs(mean - d) <= _HIST_MEAN_RTOL * max(abs(d), 1.0):
         raise ValueError(f"histogram mean degree {mean!r} differs from d={d!r}")
     return mean
 
@@ -62,7 +62,7 @@ def b_coefficient(p_hist: dict[int, float], alpha: float) -> float:
     Always lies between (1-p0)^alpha * d^(1-alpha) (constant out-degree,
     Jensen) and 1 - p0.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError("alpha must be >= 1")
     validate_outdegree_hist(p_hist)
     js = np.array([j for j in p_hist if j >= 1], dtype=float)
@@ -86,15 +86,15 @@ class TheoryParams:
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"damping factor must be in (0, 1), got {self.c}")
-        if self.alpha <= 1.0:
+        if not self.alpha > 1.0:
             raise ValueError(f"cumulative tail exponent must exceed 1, got {self.alpha}")
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValueError("mean degree must be positive")
         if not 0.0 <= self.p0 < 1.0:
             raise ValueError("dangling fraction must lie in [0, 1)")
-        if self.b < 0:
+        if not self.b >= 0:
             raise ValueError("b must be non-negative")
-        if self.geometric_ratio >= 1.0:
+        if not self.geometric_ratio < 1.0:
             raise ValueError(f"series diverges: c^alpha * b = {self.geometric_ratio} >= 1")
 
     @property

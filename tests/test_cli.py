@@ -79,6 +79,25 @@ class TestStats:
         assert main(["stats", str(bad)]) == 3
         assert "line 2: node id out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop", [[], ["--drop-self-loops"]], ids=["kept", "dropped"])
+    def test_id_beyond_int64_in_a_self_loop_is_data_error(self, tmp_path, capsys, drop):
+        bad = tmp_path / "loop.txt"
+        bad.write_text(f"0 1\n{2**63} {2**63}\n")
+        assert main(["stats", str(bad), *drop]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: node id out of range in '{2**63} {2**63}'\n")
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"0 1\n1 \xe2\x82 2\n", "bytes in position 2-3: invalid continuation byte"),
+        (b"0 1\n1 2\xe2\x82", "bytes in position 3-4: unexpected end of data"),
+    ], ids=["mid-line", "end-of-data"])
+    def test_cut_off_utf8_sequence_is_data_error(self, tmp_path, capsys, raw, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(raw)
+        assert main(["stats", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: 'utf-8' codec can't decode {message} in line 2\n")
+
     @pytest.mark.parametrize("name", ["bad.txt", "bad.txt.gz"])
     def test_invalid_utf8_is_data_error(self, tmp_path, capsys, name):
         bad = tmp_path / name
@@ -192,6 +211,12 @@ class TestAnalyzeCmd:
         assert main(["analyze", str(tmp_path / "missing.txt"), "--alpha", "5"]) == 2
         assert "density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("xmin", ["-1", "0", "nan", "inf"])
+    def test_bad_xmin_fails_before_the_graph_is_read(self, tmp_path, capsys, xmin):
+        # a missing graph would exit 3: the options are checked first
+        assert main(["analyze", str(tmp_path / "missing.txt"), f"--xmin={xmin}"]) == 2
+        assert "xmin must be a positive finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config", [{"alpha": "2.0"}, {"xmin": "1"}, {"damping": 0.5},
                                         {"max_iters": 100.5}])
     def test_mistyped_config_value_is_usage_error(self, star_file, tmp_path, capsys, config):
@@ -225,12 +250,14 @@ def test_repeated_damping_refused_before_the_graph_is_read(tmp_path, capsys, com
 @pytest.mark.parametrize("command", ["analyze", "pagerank"])
 @pytest.mark.parametrize("flags, message", [
     (["--tol", "0"], "tol must be positive"),
+    (["--tol", "nan"], "tol must be positive"),
     (["--damping", "1.5"], "damping factor must be in (0, 1)"),
     (["--max-iters", "0"], "max_iters must be >= 1"),
     (["--snapshots", "0"], "snapshot iterations must lie in [1, max_iters = 200]"),
     (["--snapshots", "1", "500"], "snapshot iterations must lie in [1, max_iters = 200]"),
     (["--max-iters", "5", "--snapshots", "6"], "[1, max_iters = 5], got [6]"),
-], ids=["tol", "damping", "max-iters", "snapshot-0", "snapshot-500", "snapshot-beyond-cap"])
+], ids=["tol", "tol-nan", "damping", "max-iters", "snapshot-0", "snapshot-500",
+        "snapshot-beyond-cap"])
 def test_bad_pagerank_options_refused_before_the_graph_is_read(tmp_path, capsys, command,
                                                                flags, message):
     # the edge list does not exist, so reading it first would exit 3
@@ -279,6 +306,14 @@ class TestPredictCmd:
     def test_density_exponent_rejected(self, capsys):
         assert main(["predict", "--alpha", "5", "--d", "8", "--b", "0.5"]) == 2
         assert "density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--d", "nan", "--b", "0.5"], "mean degree must be positive"),
+        (["--d", "8", "--b", "nan"], "b must be non-negative"),
+    ], ids=["d", "b"])
+    def test_nan_parameter_is_usage_error(self, capsys, flags, message):
+        assert main(["predict", "--alpha", "1.5", *flags]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_nonpositive_k_max_is_usage_error(self, capsys, k_max):
@@ -387,6 +422,16 @@ class TestGenerateCmd:
         code = main(["stats", str(synth_dir / "edges.txt")])
         assert code == 0
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha", "tail index alpha must exceed 1"),
+        ("--mean-degree", "mean degree must be positive"),
+    ])
+    def test_nan_law_parameter_is_usage_error(self, tmp_path, capsys, flag, message):
+        law = {"--alpha": "1.5", "--mean-degree": "1", flag: "nan"}
+        assert main(["generate", "--nodes", "1000", *[a for kv in law.items() for a in kv],
+                     "--outdeg-hist", '{"1": 1.0}', "--output-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_histogram_from_gzipped_file(self, tmp_path):
         hist = tmp_path / "hist.json.gz"
         hist.write_bytes(gzip.compress(json.dumps({"0": 0.2, "2": 0.8}).encode()))
@@ -465,6 +510,28 @@ def test_malformed_json_input_is_usage_error(tmp_path, monkeypatch, capsys, comm
     assert main([*command, arg]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, document, message", [
+    (["simulate"], {**SPEC, "alpha": float("nan")},
+     "model spec field 'alpha': expected float, got nan"),
+    (["predict", "--alpha", "1.5", "--profile"], {**PROFILE, "d": float("inf")},
+     "degree profile field 'd': expected float, got inf"),
+    ([*GENERATE_1K, "--outdeg-hist"], {"0": float("nan"), "1": 1.0},
+     "bad histogram entry '0': nan"),
+    (["pagerank", "missing.txt", "--config"], {"tol": float("nan")},
+     "config key 'tol': expected float, got nan"),
+], ids=["spec", "profile", "outdeg-hist", "config"])
+def test_non_finite_json_number_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                               document, message):
+    # Python's json reads NaN and Infinity; every JSON input refuses them
+    monkeypatch.chdir(tmp_path)
+    arg = json.dumps(document)
+    if command[0] != "generate":
+        (tmp_path / "input.json").write_text(arg)
+        arg = "input.json"
+    assert main([*command, arg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_json_document_is_canonical(tmp_path, capsys):

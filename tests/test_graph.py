@@ -22,9 +22,12 @@ def graph_from_text(text, **kw):
 
 
 def per_line_graph(text, drop_self_loops=False):
-    """The reference loader: the per-line parser, then np.unique for the
-    dense ids."""
-    src, dst = _parse_lines(text, drop_self_loops)
+    """The reference loader: the per-line parser, self-loops dropped after
+    it when drop_self_loops is set, then np.unique for the dense ids."""
+    src, dst, _ = _parse_lines(text.encode())
+    if drop_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
     if not src.size:
         raise ValueError("empty edge list")
     uniq, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
@@ -164,11 +167,20 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError,
                            match="^line 2: node id out of range in '99999999999999999999 1'$"):
             graph_from_text("0 1\n99999999999999999999 1\n")
-        # a dropped self-loop is never stored, so its ids need not fit
-        g = graph_from_text("99999999999999999999 99999999999999999999\n0 1\n",
-                            drop_self_loops=True)
-        assert g.orig_ids.tolist() == [0, 1]
         assert graph_from_text(f"{2**63 - 1} 0\n").orig_ids.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("first", ["0 1", "+5 6"], ids=["plain", "fallback"])
+    def test_self_loop_ids_are_checked_before_the_loop_is_dropped(self, monkeypatch,
+                                                                   first, drop):
+        # 5-byte chunks: "0 1\n" alone takes the fast path, "+5 6\n" the per-line
+        # parser, and the loop line is a chunk of its own after either
+        monkeypatch.setattr(graph_mod, "_CHUNK_BYTES", 5)
+        loop = f"{2**63} {2**63}"
+        assert (_parse_fast(f"{first}\n".encode()) is None) == first.startswith("+")
+        with pytest.raises(EdgeListParseError,
+                           match=f"^line 2: node id out of range in '{loop}'$"):
+            graph_from_text(f"{first}\n{loop}\n0 1\n", drop_self_loops=drop)
 
     @pytest.mark.parametrize("text", [
         "# c\n5 7\n7 5\n9 7\n",
@@ -213,6 +225,22 @@ class TestLoadEdgeList:
         path.write_bytes(b"0 1\n\xff 2\n")
         with pytest.raises(UnicodeDecodeError):
             load_edge_list(path)
+
+    # a cut-off sequence before the line's LF is an invalid continuation, and
+    # one that ends the data an unexpected end of it
+    @pytest.mark.parametrize("raw, line, start, end, reason", [
+        (b"0 1\n1 \xe2\x82 2\n", b"1 \xe2\x82 2", 2, 4, "invalid continuation byte"),
+        (b"0 1\n1 2\xe2\x82\n3 4\n", b"1 2\xe2\x82", 3, 5, "invalid continuation byte"),
+        (b"0 1\n1 2 \xf0\x9f\x98\n", b"1 2 \xf0\x9f\x98", 4, 7, "invalid continuation byte"),
+        (b"0 1\n1 2\xe2\x82", b"1 2\xe2\x82", 3, 5, "unexpected end of data"),
+        (b"+5 6\n1 \xf0\x9f\x98", b"1 \xf0\x9f\x98", 2, 5, "unexpected end of data"),
+    ], ids=["mid-line", "line-end", "4-byte", "data-end", "data-end-4-byte"])
+    def test_cut_off_utf8_sequence_is_placed_in_its_line(self, raw, line, start, end, reason):
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_edge_list(io.BytesIO(raw))
+        exc = info.value
+        assert (exc.object, exc.start, exc.end) == (line, start, end)
+        assert exc.reason == f"{reason} in line 2"
 
 
 def two_cycle_fields(**changes):

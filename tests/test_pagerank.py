@@ -60,6 +60,8 @@ class TestParams:
     def test_tol_and_iters(self):
         with pytest.raises(ValueError):
             PageRankParams(tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            PageRankParams(tol=float("nan"))
         with pytest.raises(ValueError):
             PageRankParams(max_iters=0)
 

@@ -108,6 +108,13 @@ def test_alpha_override_guard():
         AnalysisOptions(alpha=0.4)
 
 
+@pytest.mark.parametrize("xmin", [0.0, -1.0, float("nan"), float("inf")])
+def test_xmin_override_guard(xmin):
+    AnalysisOptions(xmin=2.0)
+    with pytest.raises(ValueError, match="xmin must be a positive finite number"):
+        AnalysisOptions(xmin=xmin)
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"dampings": [0.5, 0.5]}, "dampings must be distinct"),
     ({"tol": 0}, "tol must be positive"),

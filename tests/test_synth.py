@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(n=1000, alpha=1.5, d=1.0, outdeg_hist={0: 1.0}, seed=0)
 
-    @pytest.mark.parametrize("alpha, d", [(1.0, 2.0), (1.5, 0.0)])
+    @pytest.mark.parametrize("alpha, d", [(1.0, 2.0), (1.5, 0.0), (math.nan, 2.0),
+                                          (1.5, math.nan)])
     def test_in_degree_law_checked(self, alpha, d):
         with pytest.raises(ValueError, match="alpha must exceed 1|mean degree"):
             SynthSpec(n=1000, alpha=alpha, d=d, outdeg_hist={0: 1.0}, seed=0)

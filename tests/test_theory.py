@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ranktail.tails import TailFit
 from ranktail.theory import (CoefficientTable, TheoryParams, b_coefficient,
                              coefficient_C, coefficient_Ck, coefficient_lower_bound,
-                             coefficient_table, predict_line)
+                             coefficient_table, predict_line, validate_outdegree_hist)
 
 INDOCHINA = dict(alpha=1.17, d=26.17, p0=0.18, b=0.65)
 STANFORD = dict(alpha=1.1, d=8.2032, p0=0.006, b=0.8558)
@@ -34,6 +34,14 @@ class TestB:
         with pytest.raises(ValueError):
             b_coefficient({1: 0.7}, 1.2)
 
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            b_coefficient({1: 1.0}, math.nan)
+        with pytest.raises(ValueError, match=r"fractions sum to \S*nan\S*, not 1"):
+            validate_outdegree_hist({0: math.nan, 1: 1.0})
+        with pytest.raises(ValueError, match="differs from d=nan"):
+            validate_outdegree_hist({1: 1.0}, d=math.nan)
+
     @given(hist=histograms(), alpha=st.floats(1.0, 2.5))
     @settings(max_examples=100, deadline=None)
     def test_bound_chain(self, hist, alpha):
@@ -53,6 +61,17 @@ class TestParams:
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError):
             TheoryParams(c=0.85, alpha=1.0, d=5.0, p0=0.0, b=0.5)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"alpha": math.nan}, "exponent must exceed 1"),
+        ({"d": math.nan}, "mean degree must be positive"),
+        ({"b": math.nan}, "b must be non-negative"),
+        # c^alpha * b = 0 * inf is nan
+        ({"alpha": math.inf, "b": math.inf}, "series diverges"),
+    ], ids=["alpha", "d", "b", "ratio"])
+    def test_nan_refused(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            TheoryParams(**{"c": 0.85, "alpha": 1.5, "d": 5.0, "p0": 0.0, "b": 0.5, **changes})
 
     def test_from_histogram_checks_mean(self):
         with pytest.raises(ValueError, match="mean"):
