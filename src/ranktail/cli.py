@@ -218,8 +218,7 @@ def cmd_generate(args) -> int:
     text = args.outdeg_hist
     hist = parse_hist(read_json(text[1:] if text.startswith("@") else io.StringIO(text)))
     spec = SynthSpec(n=args.nodes, alpha=args.alpha_gen, d=args.mean_degree,
-                     outdeg_hist=hist, seed=args.seed if args.seed is not None else 0,
-                     fixed_indegree=args.fixed_indegree)
+                     outdeg_hist=hist, seed=args.seed if args.seed is not None else 0)
     g = generate(spec)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -229,7 +228,7 @@ def cmd_generate(args) -> int:
     sidecar = {
         "spec": {"n": spec.n, "alpha": spec.alpha, "d": spec.d,
                  "outdeg_hist": hist_to_json(spec.outdeg_hist),
-                 "seed": spec.seed, "fixed_indegree": spec.fixed_indegree},
+                 "seed": spec.seed},
         "realized_profile": profile.to_dict(),
     }
     write_json(sidecar, outdir / "synth.json")
@@ -286,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-degree", type=float, required=True)
     p.add_argument("--outdeg-hist", type=str, required=True,
                    help="JSON histogram {degree: fraction} or @file")
-    p.add_argument("--fixed-indegree", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--gzip", action="store_true")
     _add_common(p, "outdir")

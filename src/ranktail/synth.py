@@ -14,7 +14,6 @@ degree profile, not the target histogram.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,39 +25,21 @@ from .theory import validate_outdegree_hist
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Generator parameters.  The histogram mean must equal d; if it is off
-    by more than 1e-6 relative, the non-dangling fractions are rescaled (the
-    dangling fraction absorbs the difference) with a warning."""
+    """Generator parameters.  The histogram includes the dangling fraction at
+    key 0 and must have mean d, checked as ``ModelSpec`` checks its own."""
 
     n: int
     alpha: float
     d: float
     outdeg_hist: dict[int, float]
     seed: int = 0
-    fixed_indegree: int | None = None
     indegree: InDegreeLaw = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1_000:
             raise ValueError("need at least 1000 nodes for a meaningful degree law")
         object.__setattr__(self, "indegree", InDegreeLaw(self.alpha, self.d))
-        if self.fixed_indegree is not None and self.fixed_indegree < 0:
-            raise ValueError("fixed in-degree must be non-negative")
-        hist = {int(j): float(p) for j, p in self.outdeg_hist.items()}
-        validate_outdegree_hist(hist)
-        mean = sum(j * p for j, p in hist.items())
-        if abs(mean - self.d) > 1e-6 * max(self.d, 1.0):
-            if mean <= 0:
-                raise ValueError("histogram has no out-degree mass; cannot rescale to d")
-            scale = self.d / mean
-            linked = scale * (1.0 - hist.get(0, 0.0))
-            if linked > 1.0:
-                raise ValueError(f"cannot rescale histogram (mean {mean!r}) to d={self.d!r}")
-            hist = {j: scale * p for j, p in hist.items() if j >= 1}
-            hist[0] = 1.0 - linked
-            warnings.warn(f"out-degree histogram mean {mean!r} != d={self.d!r}; "
-                          "rescaled non-dangling fractions to match")
-        object.__setattr__(self, "outdeg_hist", hist)
+        validate_outdegree_hist(self.outdeg_hist, self.d)
 
 
 _SELF_LOOP_REDRAWS = 100
@@ -72,10 +53,7 @@ def generate(spec: SynthSpec) -> Graph:
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    if spec.fixed_indegree is not None:
-        indeg = np.full(n, spec.fixed_indegree, dtype=np.int64)
-    else:
-        indeg = spec.indegree.sample(rng, n)
+    indeg = spec.indegree.sample(rng, n)
 
     classes_j = np.array(sorted(spec.outdeg_hist), dtype=np.int64)
     class_p = np.array([spec.outdeg_hist[int(j)] for j in classes_j])

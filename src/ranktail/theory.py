@@ -24,6 +24,7 @@ from .tails import TailFit
 
 _HIST_SUM_TOL = 1e-12
 _HIST_MEAN_RTOL = 1e-9
+_K_MAX = 10_000  # the most C_k terms a coefficient table holds
 
 
 def validate_outdegree_hist(p_hist: dict[int, float], d: float | None = None) -> float:
@@ -41,7 +42,7 @@ def validate_outdegree_hist(p_hist: dict[int, float], d: float | None = None) ->
         raise ValueError("histogram fractions must be non-negative")
     total = ps.sum()
     if not abs(total - 1.0) <= _HIST_SUM_TOL:
-        raise ValueError(f"histogram fractions sum to {total!r}, not 1")
+        raise ValueError(f"histogram fractions sum to {float(total)!r}, not 1")
     mean = float((js * ps).sum())
     if d is not None and not abs(mean - d) <= _HIST_MEAN_RTOL * max(abs(d), 1.0):
         raise ValueError(f"histogram mean degree {mean!r} differs from d={d!r}")
@@ -156,12 +157,13 @@ def coefficient_lower_bound(params: TheoryParams) -> float:
 
 
 def coefficient_table(params: TheoryParams, k_max: int | None = None) -> CoefficientTable:
-    """C_1..C_k up to k_max (default: enough terms to reach the limit to 1e-12)."""
+    """C_1..C_k up to k_max (default: enough terms to reach the limit to 1e-12,
+    at most _K_MAX)."""
     if k_max is None:
         r = params.geometric_ratio
-        k_max = 1 if r == 0 else min(10_000, math.ceil(math.log(1e-12) / math.log(r)))
-    elif k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        k_max = 1 if r == 0 else min(_K_MAX, math.ceil(math.log(1e-12) / math.log(r)))
+    elif not 1 <= k_max <= _K_MAX:
+        raise ValueError(f"k_max must be >= 1 and <= {_K_MAX}, got {k_max}")
     cks = [coefficient_Ck(params, k) for k in range(1, k_max + 1)]
     return CoefficientTable(b=params.b, c_k=cks, c_limit=coefficient_C(params),
                             c_lower_bound=coefficient_lower_bound(params))

@@ -321,6 +321,20 @@ class TestPredictCmd:
                      "--damping", "0.5", "--k-max", k_max]) == 2
         assert "k_max must be >= 1" in capsys.readouterr().err
 
+    def test_k_max_above_the_ceiling_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_max": 10_001}))
+        for flags in (["--k-max", "10001"], ["--config", str(cfg)]):
+            assert main(["predict", "--alpha", "1.5", "--d", "8", "--b", "0.5",
+                         "--damping", "0.5", "--indegree-intercept", "-0.2", *flags]) == 2
+            assert capsys.readouterr().err == (
+                "error: k_max must be >= 1 and <= 10000, got 10001\n")
+
+    def test_k_max_at_the_ceiling(self, capsys):
+        assert main(["predict", "--alpha", "1.5", "--d", "8", "--b", "0.5",
+                     "--damping", "0.5", "--k-max", "10000"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["coefficients"]["0.5"]["C_k"]) == 10_000
+
 
 class TestSimulateCmd:
     def spec_file(self, tmp_path, **kw):
@@ -431,6 +445,26 @@ class TestGenerateCmd:
         assert main(["generate", "--nodes", "1000", *[a for kv in law.items() for a in kv],
                      "--outdeg-hist", '{"1": 1.0}', "--output-dir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_mismatched_mean_refused_as_simulate_refuses_it(self, tmp_path, capsys):
+        # one histogram rule: the mean must be d within 1e-9 relative
+        hist = {"0": 0.5, "2": 0.3, "5": 0.2}
+        assert main(["generate", "--nodes", "3000", "--alpha", "1.5", "--mean-degree", "3",
+                     "--outdeg-hist", json.dumps(hist),
+                     "--output-dir", str(tmp_path / "g")]) == 2
+        generate_err = capsys.readouterr().err
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"c": 0.5, "alpha": 1.5, "d": 3.0, "outdeg_hist": hist,
+                                    "pool_size": 10_000}))
+        assert main(["simulate", str(spec), "--output-dir", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == generate_err == (
+            "error: histogram mean degree 1.6 differs from d=3.0\n")
+        assert not (tmp_path / "g").exists() and not (tmp_path / "s").exists()
+
+    def test_fixed_indegree_flag_is_gone(self, tmp_path):
+        assert main(["generate", "--nodes", "1000", "--alpha", "1.5", "--mean-degree", "1",
+                     "--outdeg-hist", '{"1": 1.0}', "--fixed-indegree", "1",
+                     "--output-dir", str(tmp_path)]) == 2
 
     def test_histogram_from_gzipped_file(self, tmp_path):
         hist = tmp_path / "hist.json.gz"

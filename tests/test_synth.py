@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,13 +27,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sum"):
             SynthSpec(n=1000, alpha=1.5, d=1.0, outdeg_hist={1: 0.5}, seed=0)
 
-    def test_mismatched_mean_rescales_with_warning(self):
-        with pytest.warns(UserWarning, match="rescaled"):
-            spec = SynthSpec(n=1000, alpha=1.5, d=2.0,
-                             outdeg_hist={0: 0.5, 2: 0.5}, seed=0)
-        mean = sum(j * p for j, p in spec.outdeg_hist.items())
-        assert mean == pytest.approx(2.0)
-        assert sum(spec.outdeg_hist.values()) == pytest.approx(1.0)
+    @pytest.mark.parametrize("d", [2.0, 1.0 + 1e-7])
+    def test_mismatched_mean_refused(self, d):
+        # the histogram is kept as given: a mean off d by more than 1e-9
+        # relative is refused, not rescaled
+        message = f"histogram mean degree 1.0 differs from d={d!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec(n=1000, alpha=1.5, d=d, outdeg_hist={0: 0.5, 2: 0.5}, seed=0)
+
+    def test_histogram_kept_as_given(self):
+        hist = {0: 0.5, 2: 0.5}
+        assert SynthSpec(n=1000, alpha=1.5, d=1.0, outdeg_hist=hist).outdeg_hist is hist
 
     def test_unreachable_mean_rejected(self):
         with pytest.raises(ValueError):
@@ -50,15 +55,6 @@ class TestSpecValidation:
 
 
 class TestGenerate:
-    def test_fixed_unit_indegree_permutation_like(self):
-        spec = SynthSpec(n=1000, alpha=1.5, d=1.0, outdeg_hist={1: 1.0},
-                         seed=4, fixed_indegree=1)
-        g = generate(spec)
-        assert g.m == g.n == 1000
-        assert (g.in_deg == 1).all()
-        profile = degree_profile(g)
-        assert profile.d == 1.0
-
     def test_in_out_totals_match(self):
         g = generate(spec_for(n=20_000))
         assert int(g.in_deg.sum()) == int(g.out_deg.sum()) == g.m
@@ -117,14 +113,11 @@ class TestGenerate:
 def searchsorted_reference(spec):
     """The generator with each source found by a binary search of the uniform
     draw in the cumulative out-capacities, on the same rng calls in the same
-    order; also returns how many self-loop redraw rounds drew anything."""
+    order, the in-degrees drawn through the spec's own law; also returns how
+    many self-loop redraw rounds drew anything."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    if spec.fixed_indegree is not None:
-        indeg = np.full(n, spec.fixed_indegree, dtype=np.int64)
-    else:
-        t_min = spec.d * (spec.alpha - 1.0) / spec.alpha
-        indeg = rng.poisson(t_min * (1.0 - rng.random(n)) ** (-1.0 / spec.alpha))
+    indeg = spec.indegree.sample(rng, n)
     classes_j = np.array(sorted(spec.outdeg_hist), dtype=np.int64)
     class_p = np.array([spec.outdeg_hist[int(j)] for j in classes_j])
     assigned = classes_j[rng.choice(classes_j.size, size=n, p=class_p / class_p.sum())]
@@ -143,10 +136,18 @@ def searchsorted_reference(spec):
     return Graph.from_edges(src, dst, n), rounds
 
 
-def rescaled_spec():
-    with pytest.warns(UserWarning, match="rescaled"):
-        return SynthSpec(n=3_000, alpha=1.5, d=3.0, outdeg_hist={0: 0.5, 2: 0.3, 5: 0.2},
-                         seed=8)
+class UnitInDegree:
+    """Stands in for a spec's ``indegree`` law: one in-stub per node, drawn
+    with no rng call."""
+
+    def sample(self, rng, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def unit_indegree_spec(**kw):
+    spec = SynthSpec(**kw)
+    object.__setattr__(spec, "indegree", UnitInDegree())
+    return spec
 
 
 @pytest.mark.parametrize("make_spec, redraws", [
@@ -154,18 +155,15 @@ def rescaled_spec():
     (lambda: SynthSpec(n=20_000, alpha=1.3, d=11.2, outdeg_hist={0: 0.2, 8: 0.65, 40: 0.15},
                        seed=3), None),
     (lambda: SynthSpec(n=5_000, alpha=2.5, d=3.0, outdeg_hist={3: 1.0}, seed=4), None),
-    (rescaled_spec, None),
-    (lambda: SynthSpec(n=1_000, alpha=1.5, d=1.0, outdeg_hist={1: 1.0}, seed=4,
-                       fixed_indegree=1), None),
     # every node has one in-stub and one or two nodes own every out-stub, so
     # the owners' in-stubs are self-loops until redrawn: a lone owner's
     # never goes away and runs the redraws to their cap
-    (lambda: SynthSpec(n=1_000, alpha=1.5, d=1.0, outdeg_hist={0: 0.999, 1_000: 0.001},
-                       seed=0, fixed_indegree=1), 100),
-    (lambda: SynthSpec(n=1_000, alpha=1.5, d=1.0, outdeg_hist={0: 0.999, 1_000: 0.001},
-                       seed=1, fixed_indegree=1), 6),
-], ids=["seed0", "seed1", "seed5", "seed12", "class0", "single-class", "rescaled",
-        "fixed-indegree", "redraw-cap", "redraws"])
+    (lambda: unit_indegree_spec(n=1_000, alpha=1.5, d=1.0,
+                                outdeg_hist={0: 0.999, 1_000: 0.001}, seed=0), 100),
+    (lambda: unit_indegree_spec(n=1_000, alpha=1.5, d=1.0,
+                                outdeg_hist={0: 0.999, 1_000: 0.001}, seed=1), 6),
+], ids=["seed0", "seed1", "seed5", "seed12", "class0", "single-class", "redraw-cap",
+        "redraws"])
 def test_same_graph_as_searchsorted_wiring(make_spec, redraws):
     spec = make_spec()
     expected, rounds = searchsorted_reference(spec)

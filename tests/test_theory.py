@@ -42,6 +42,11 @@ class TestB:
         with pytest.raises(ValueError, match="differs from d=nan"):
             validate_outdegree_hist({1: 1.0}, d=math.nan)
 
+    def test_sum_message_prints_a_python_float(self):
+        with pytest.raises(ValueError) as info:
+            validate_outdegree_hist({0: 0.2, 1: 0.5})
+        assert str(info.value) == "histogram fractions sum to 0.7, not 1"
+
     @given(hist=histograms(), alpha=st.floats(1.0, 2.5))
     @settings(max_examples=100, deadline=None)
     def test_bound_chain(self, hist, alpha):
