@@ -9,6 +9,13 @@ is iterated by population dynamics: a pool of M samples approximates the
 law of R at each generation, and every child value R_j is resampled
 uniformly (with replacement) from the previous pool.  D is the effective
 (size-biased) out-degree with P(D=j) = j*p_j/d.
+
+A generation draws all its random numbers on the calling thread, so the
+stream does not depend on the CPU count.  The work on those draws runs on
+every CPU the process may use (`graph._map_ordered`, as the edge-list loader
+and writer and the PageRank kernel), in blocks cut only between samples: a
+sample's children are then summed in one block, in order, and pools are
+byte-identical on one CPU and on many.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import decode_fields, hist_to_json, parse_hist
+from .graph import _map_ordered, decode_fields, hist_to_json, parse_hist
 from .theory import validate_outdegree_hist
 
 _CHUNK = 1 << 22
+_BLOCK = 1 << 18  # children per block of a chunk's draw-free work
 _W1_TOL = 1e-3
 _MAX_GENERATIONS = 200
 _CCDF_WINDOW = (1e-5, 1e-3)  # CCDF levels where the tail ratio is checked
@@ -84,8 +92,12 @@ class EffectiveOutdegreeSampler:
         self._cum = np.cumsum(self.probabilities)
         self._cum[-1] = 1.0  # absorb rounding so every uniform draw lands in range
 
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """The draws of D that the uniforms u in [0, 1) stand for."""
+        return self.values[np.searchsorted(self._cum, u, side="right")]
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.values[np.searchsorted(self._cum, rng.random(size), side="right")]
+        return self.lookup(rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -167,10 +179,20 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
     (D_j, R_j) with R_j resampled uniformly from the previous pool, and is
     set to c * sum R_j/D_j + baseline.  Children are numbered owner by owner
     and processed in chunks of at most ``_CHUNK``, so a single huge N cannot
-    exhaust memory.  A chunk's owners run from its first to its last owner
-    (two scalar binary searches), each repeated by its child count inside
-    the chunk; finding them draws no random numbers, and the per-owner sums
-    add the children in order.
+    exhaust memory.
+
+    Every random number is drawn on the calling thread, in the same order
+    for every CPU count: the in-degrees, then per chunk the uniforms that
+    stand for D and the pool indices of R.  The rest of a chunk (the D
+    lookup, the gather of R, the divide, the owners and their sums) draws
+    none, and `graph._map_ordered` maps it over every CPU the process may
+    use, in blocks of about ``_BLOCK`` children.  Blocks are cut only at
+    owners, so each owner's children in a chunk are summed in one block, in
+    order from 0.0, whatever the blocks; the calling thread adds the block
+    sums into the pool in order, and an owner split across chunks gets its
+    chunks' sums in chunk order.  Pools are therefore byte-identical for
+    every CPU count.  A chunk's blocks all finish before the next chunk is
+    drawn, so no two chunks' draws are held at once.
     """
     m = spec.pool_size
     if pool.values.size != m:
@@ -180,19 +202,33 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
     total = int(bounds[-1]) if m else 0
     acc = np.zeros(m)
     prev = pool.values
+    lookup = spec.effective_outdegree.lookup
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        d_draw = spec.effective_outdegree.sample(rng, stop - start)
-        r_draw = prev[rng.integers(0, prev.size, size=stop - start)]
+        u = rng.random(stop - start)
+        picks = rng.integers(0, prev.size, size=stop - start)
         lo, hi = np.searchsorted(bounds, [start, stop - 1], side="right")
         counts = n_in[lo:hi + 1].copy()
         counts[0] = min(bounds[lo], stop) - start
         if hi > lo:
             counts[-1] = stop - bounds[hi - 1]
-        owners = np.repeat(np.arange(hi + 1 - lo), counts)
-        np.divide(r_draw, d_draw, out=r_draw)
-        acc[lo:hi + 1] += np.bincount(owners, weights=r_draw, minlength=hi + 1 - lo)
-        del d_draw, r_draw, owners  # freed before the next chunk draws
+        firsts = np.cumsum(counts) - counts  # each owner's first child in the chunk
+        cuts = np.unique(np.concatenate([
+            np.searchsorted(firsts, np.arange(0, stop - start, _BLOCK)),
+            np.flatnonzero(counts > _BLOCK), [counts.size]]))  # a hub is a block alone
+        child_cuts = np.append(firsts, stop - start)[cuts].tolist()
+        blocks = list(zip(child_cuts[:-1], child_cuts[1:], cuts[:-1].tolist(), cuts[1:].tolist()))
+
+        def block(cut):
+            c0, c1, o0, o1 = cut
+            r = prev[picks[c0:c1]]
+            np.divide(r, lookup(u[c0:c1]), out=r)
+            return np.bincount(np.repeat(np.arange(o1 - o0), counts[o0:o1]),
+                               weights=r, minlength=o1 - o0)
+
+        for (_, _, o0, o1), sums in zip(blocks, _map_ordered(block, blocks)):
+            acc[lo + o0:lo + o1] += sums
+        del u, picks  # freed before the next chunk draws
     return SamplePool(values=spec.baseline + spec.c * acc, generation=pool.generation + 1)
 
 

@@ -28,14 +28,19 @@ _K_MAX = 10_000  # the most C_k terms a coefficient table holds
 
 
 def validate_outdegree_hist(p_hist: dict[int, float], d: float | None = None) -> float:
-    """Check a histogram sums to 1 and (optionally) matches a mean degree.
+    """Check a histogram's keys are int out-degrees, that its fractions sum
+    to 1 and (optionally) that it matches a mean degree.
 
     Returns the histogram mean sum_j j*p_j.
     """
     if not p_hist:
         raise ValueError("empty out-degree histogram")
-    js = np.array(sorted(p_hist), dtype=float)
-    ps = np.array([p_hist[int(j)] for j in js], dtype=float)
+    for j in p_hist:
+        if not isinstance(j, int) or isinstance(j, bool):
+            raise ValueError(f"out-degree {j!r} is not an integer")
+    keys = sorted(p_hist)
+    js = np.array(keys, dtype=float)
+    ps = np.array([p_hist[j] for j in keys], dtype=float)
     if (js < 0).any():
         raise ValueError("out-degrees must be non-negative")
     if (ps < 0).any():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import SecondGeneration, solved_histogram
+from ranktail import graph as graph_mod
 from ranktail import simulate
 from ranktail.simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec,
                                SimulationConvergenceError, initial_pool, iterate_pool,
@@ -144,6 +145,13 @@ class TestEffectiveOutdegreeSampler:
         expected = (1 - 0.2) / 2.5
         assert abs(inv.mean() - expected) <= 3 * inv.std() / np.sqrt(draws.size)
 
+    def test_sample_is_the_lookup_of_uniforms(self):
+        sampler = EffectiveOutdegreeSampler(CALM_HIST, 2.5)
+        draws = sampler.sample(np.random.default_rng(6), 100_000)
+        looked_up = sampler.lookup(np.random.default_rng(6).random(100_000))
+        assert draws.tobytes() == looked_up.tobytes()
+        assert set(np.unique(draws)) == {1, 2, 4, 10}
+
     def test_all_mass_dangling_rejected(self):
         with pytest.raises(ValueError):
             EffectiveOutdegreeSampler({0: 1.0}, 0.0)
@@ -218,8 +226,10 @@ def searchsorted_generation(pool, spec, rng, n_in, chunk):
 
 
 class TestChunkBoundaries:
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_pool_bytes_match_searchsorted_owners(self, monkeypatch, chunk):
+    @staticmethod
+    def edge_zeros_pools(monkeypatch, chunk):
+        """``iterate_pool`` and ``searchsorted_generation`` from the same
+        pool and seed, with the in-degrees of ``EDGE_ZEROS_IN``."""
         spec = calm_spec(pool_size=10_000)
         n_in = np.zeros(spec.pool_size, dtype=np.int64)
         n_in[list(EDGE_ZEROS_IN)] = list(EDGE_ZEROS_IN.values())
@@ -230,19 +240,53 @@ class TestChunkBoundaries:
                             lambda law, rng, size: n_in.copy())
         new = iterate_pool(pool, spec, np.random.default_rng(8))
         rng = np.random.default_rng(8)
-        expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
-        assert new.values.tobytes() == expected.tobytes()
+        return new.values, searchsorted_generation(pool, spec, rng, n_in, chunk)
 
-    @pytest.mark.parametrize("chunk", [7, 64])
-    def test_drawn_indegrees_match_searchsorted_owners(self, monkeypatch, chunk):
+    @staticmethod
+    def drawn_pools(monkeypatch, chunk):
+        """The same pair of pools, with in-degrees drawn as ``iterate_pool``
+        draws them."""
         spec = calm_spec(pool_size=10_000)
         pool = simulate_R(spec, 1)
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         new = iterate_pool(pool, spec, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         n_in = spec.indegree.sample(rng, spec.pool_size)
-        expected = searchsorted_generation(pool, spec, rng, n_in, chunk)
-        assert new.values.tobytes() == expected.tobytes()
+        return new.values, searchsorted_generation(pool, spec, rng, n_in, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_pool_bytes_match_searchsorted_owners(self, monkeypatch, chunk):
+        new, expected = self.edge_zeros_pools(monkeypatch, chunk)
+        assert new.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_drawn_indegrees_match_searchsorted_owners(self, monkeypatch, chunk):
+        new, expected = self.drawn_pools(monkeypatch, chunk)
+        assert new.tobytes() == expected.tobytes()
+
+    # blocks of 5 and 16 children hold the 150-child owner alone, in each
+    # 64-child chunk it spans
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [5, 16])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_small_blocks_match_on_every_worker_count(self, monkeypatch, spy_pool, chunk,
+                                                      block, workers):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        new, expected = self.edge_zeros_pools(monkeypatch, chunk)
+        assert new.tobytes() == expected.tobytes()
+        if workers > 1 and chunk == 64:  # a chunk of several blocks ran on the pool
+            assert sum(p.submits for p in spy_pool.made) > 0
+        assert all(p.shut_down for p in spy_pool.made)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_drawn_indegrees_in_small_blocks_on_every_worker_count(self, monkeypatch,
+                                                                   chunk, workers):
+        monkeypatch.setattr(simulate, "_BLOCK", 16)
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        new, expected = self.drawn_pools(monkeypatch, chunk)
+        assert new.tobytes() == expected.tobytes()
 
 
 class TestSimulateR:

@@ -47,6 +47,11 @@ class TestB:
             validate_outdegree_hist({0: 0.2, 1: 0.5})
         assert str(info.value) == "histogram fractions sum to 0.7, not 1"
 
+    @pytest.mark.parametrize("key", [1.5, "1", True])
+    def test_key_that_is_not_an_int_is_named(self, key):
+        with pytest.raises(ValueError, match=f"out-degree {key!r} is not an integer"):
+            validate_outdegree_hist({key: 1.0})
+
     @given(hist=histograms(), alpha=st.floats(1.0, 2.5))
     @settings(max_examples=100, deadline=None)
     def test_bound_chain(self, hist, alpha):
