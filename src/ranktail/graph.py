@@ -37,10 +37,11 @@ def _cpu_count() -> int:
 
 
 class EdgeListParseError(ValueError):
-    """A line of an edge-list file could not be parsed."""
+    """An edge list could not be parsed: its line ``line_no``, or, with
+    line_no None, the list as a whole (one that holds no edge)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -118,11 +119,6 @@ class Graph:
     @property
     def in_deg(self) -> np.ndarray:
         return np.diff(self.in_ptr)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) arrays in in-adjacency order."""
-        dst = np.repeat(np.arange(self.n, dtype=np.int64), self.in_deg)
-        return self.in_src, dst
 
 
 @dataclass(frozen=True)
@@ -267,14 +263,15 @@ def load_edge_list(source, *, drop_self_loops: bool = False) -> Graph:
 
     Raises EdgeListParseError (with the line number) on malformed lines,
     UnicodeDecodeError (naming the line) on bytes that are not UTF-8, and
-    ValueError on empty input.  The first fault in file order is raised.
+    EdgeListParseError "empty edge list" on input with no edge, once any
+    self-loops are dropped.  The first fault in file order is raised.
     """
     if hasattr(source, "read") and not isinstance(source.read(0), bytes):
         raise TypeError("load_edge_list reads a path, a .gz path or a binary stream, "
                         f"not {type(source).__name__}")
     columns = _read_edges(source, drop_self_loops)
     if not columns[0].size:
-        raise ValueError("empty edge list")
+        raise EdgeListParseError(None, "empty edge list")
     uniq = _dense_ids(columns)
     return Graph.from_edges(*columns, n=int(uniq.size), orig_ids=uniq)
 
@@ -300,6 +297,38 @@ def _map_ordered(fn, items):
                 yield result(pending.popleft())
         while pending:
             yield result(pending.popleft())
+
+
+def _segment_blocks(counts: np.ndarray, size: int) -> list[tuple[int, int, int, int]]:
+    """(e0, e1, s0, s1) blocks of whole segments: elements e0..e1-1 are those
+    of segments s0..s1-1, where segment i holds the next counts[i] elements.
+
+    A block is cut at the first segment that starts at or after each
+    multiple of ``size``, and a segment longer than ``size`` is a block of
+    its own.  The blocks tile the elements in order; segments of no element
+    between two blocks go with neither, and no block is empty."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    # segment s >= 1 starts at ends[s - 1], so it is the first to start at or
+    # after x > 0 when ends[s - 1] is the first end >= x
+    cuts = np.unique(np.concatenate([
+        [0, counts.size], np.searchsorted(ends, np.arange(size, total, size)) + 1,
+        np.flatnonzero(counts > size)])).tolist()
+    stops = [int(ends[s - 1]) for s in cuts[1:]]
+    return [block for block in zip([0, *stops], stops, cuts, cuts[1:]) if block[0] < block[1]]
+
+
+def _segment_counts(ends: np.ndarray, start: int, stop: int) -> tuple[int, np.ndarray]:
+    """(lo, counts): elements start..stop-1 (start < stop <= ends[-1]) fall in
+    segments lo..lo+counts.size-1, counts[k] of them in segment lo+k, where
+    segment i holds the elements below ends[i] and at or above ends[i - 1]
+    (0 for i = 0); ends is non-decreasing."""
+    lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+    counts = np.empty(hi + 1 - lo, ends.dtype)
+    np.subtract(ends[lo + 1:hi + 1], ends[lo:hi], out=counts[1:])
+    counts[0] = ends[lo] - start  # the end segments hold only the part in range
+    counts[-1] -= ends[hi] - stop
+    return lo, counts
 
 
 def _read_edges(source, drop_self_loops: bool) -> list[np.ndarray]:
@@ -531,12 +560,14 @@ def write_edge_list(g: Graph, dest) -> None:
 
     Chunks of _CHUNK_ROWS rows, their ids looked up one chunk at a time, are
     encoded with numpy (`_edge_rows`) on every CPU (`_map_ordered`) and
-    written in order; the pool threads call numpy only."""
-    src, dst = g.edge_arrays()
-
+    written in order; the pool threads call numpy only.  A chunk's
+    destinations are the nodes whose in-lists it spans (`_segment_counts`),
+    each repeated once per edge of its in-list in the chunk."""
     def encode(start):
-        end = start + _CHUNK_ROWS
-        return _edge_rows(g.orig_ids[src[start:end]], g.orig_ids[dst[start:end]])
+        stop = min(start + _CHUNK_ROWS, g.m)
+        lo, counts = _segment_counts(g.in_ptr[1:], start, stop)
+        dst = np.repeat(g.orig_ids[lo:lo + counts.size], counts)
+        return _edge_rows(g.orig_ids[g.in_src[start:stop]], dst)
 
     with open_text(dest, "w") as stream:
         for rows in _map_ordered(encode, range(0, g.m, _CHUNK_ROWS)):

@@ -19,14 +19,15 @@ damping's residual (1/n) ||R_k - R_{k-1}||_1 is c^k times the shared
 reports on its own; iteration k is a pure function of iteration k-1, which
 makes the per-iteration snapshots well defined.
 
-The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, so a
-block's gathered values are still in cache when they are reduced and no
-scratch array is larger than the largest block.  The blocks are mapped over
-every CPU the process may use by `graph._map_ordered`, as the edge-list
-loader and writer map their chunks; numpy releases the interpreter lock in
-the gather and the reduce.  A row's sum is the same reduceat over the same
-block whichever thread does it, so scores, snapshots and residuals are
-bit-identical for every CPU count.
+The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, cut
+between in-lists by `graph._segment_blocks`, so a block's gathered values
+are still in cache when they are reduced and no scratch array is larger
+than the largest block.  The blocks are mapped over every CPU the process
+may use by `graph._map_ordered`, as the edge-list loader and writer map
+their chunks; numpy releases the interpreter lock in the gather and the
+reduce.  A row's sum is the same reduceat over the same block whichever
+thread does it, so scores, snapshots and residuals are bit-identical for
+every CPU count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, _map_ordered, write_csv
+from .graph import Graph, _map_ordered, _segment_blocks, write_csv
 
 _BLOCK_EDGES = 1 << 16
 
@@ -80,28 +81,24 @@ def _in_edge_kernel(g: Graph):
     """A function ``sums(w, out)`` that sets out[i] to the sum of w over the
     in-edges of i.
 
-    The table of non-empty rows and the block cuts are built once, here.  A
-    block holds whole rows, so a row longer than _BLOCK_EDGES makes a block of
-    its own length.  reduceat mishandles empty segments, so it runs over the
-    non-empty rows only and their sums are scattered into ``out``.  Blocks
-    write disjoint rows of ``out``, and each block's gathered values and sums
-    live only while it runs.
+    The table of non-empty rows and their blocks (`graph._segment_blocks`)
+    are built once, here.  A block holds whole rows, and a row longer than
+    _BLOCK_EDGES is a block of its own.  reduceat mishandles empty segments,
+    so it runs over the non-empty rows only and their sums are scattered into
+    ``out``.  Blocks write disjoint rows of ``out``, and each block's gathered
+    values and sums live only while it runs.
     """
-    rows = np.flatnonzero(np.diff(g.in_ptr))
-    starts = g.in_ptr[rows]
-    cuts = np.append(np.unique(np.searchsorted(starts, np.arange(0, g.m, _BLOCK_EDGES))),
-                     rows.size)
-    edge_cuts = np.append(starts, g.m)[cuts]
-    offsets = starts - np.repeat(edge_cuts[:-1], np.diff(cuts))  # row starts within a block
-    blocks = list(zip(edge_cuts[:-1].tolist(), edge_cuts[1:].tolist(),
-                      cuts[:-1].tolist(), cuts[1:].tolist()))
-    in_src = g.in_src
+    rows = np.flatnonzero(g.in_deg)
+    offsets = g.in_ptr[rows]  # where each row starts, then where in its block
+    blocks = _segment_blocks(g.in_ptr[rows + 1] - offsets, _BLOCK_EDGES)
+    for e0, _, r0, r1 in blocks:
+        offsets[r0:r1] -= e0
 
     def sums(w: np.ndarray, out: np.ndarray) -> None:
         def block(cut):
             e0, e1, r0, r1 = cut
             # a Graph's ids lie in [0, n), and "clip" skips the bounds check
-            seg = np.take(w, in_src[e0:e1], mode="clip")
+            seg = np.take(w, g.in_src[e0:e1], mode="clip")
             out[rows[r0:r1]] = np.add.reduceat(seg, offsets[r0:r1])
 
         out.fill(0.0)

@@ -13,9 +13,9 @@ uniformly (with replacement) from the previous pool.  D is the effective
 A generation draws all its random numbers on the calling thread, so the
 stream does not depend on the CPU count.  The work on those draws runs on
 every CPU the process may use (`graph._map_ordered`, as the edge-list loader
-and writer and the PageRank kernel), in blocks cut only between samples: a
-sample's children are then summed in one block, in order, and pools are
-byte-identical on one CPU and on many.
+and writer and the PageRank kernel), in blocks cut only between samples by
+`graph._segment_blocks`: a sample's children are then summed in one block,
+in order, and pools are byte-identical on one CPU and on many.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import _map_ordered, decode_fields, hist_to_json, parse_hist
+from .graph import (_map_ordered, _segment_blocks, _segment_counts, decode_fields,
+                    hist_to_json, parse_hist)
 from .theory import validate_outdegree_hist
 
 _CHUNK = 1 << 22
@@ -186,19 +187,19 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
     stand for D and the pool indices of R.  The rest of a chunk (the D
     lookup, the gather of R, the divide, the owners and their sums) draws
     none, and `graph._map_ordered` maps it over every CPU the process may
-    use, in blocks of about ``_BLOCK`` children.  Blocks are cut only at
-    owners, so each owner's children in a chunk are summed in one block, in
-    order from 0.0, whatever the blocks; the calling thread adds the block
-    sums into the pool in order, and an owner split across chunks gets its
-    chunks' sums in chunk order.  Pools are therefore byte-identical for
-    every CPU count.  A chunk's blocks all finish before the next chunk is
-    drawn, so no two chunks' draws are held at once.
+    use, in blocks of about ``_BLOCK`` children (`graph._segment_blocks` of
+    the owners' counts in the chunk, `graph._segment_counts`).  Blocks are
+    cut only at owners, so each owner's children in a chunk are summed in
+    one block, in order from 0.0, whatever the blocks; the calling thread
+    adds the block sums into the pool in order, and an owner split across
+    chunks gets its chunks' sums in chunk order.  Pools are therefore
+    byte-identical for every CPU count.  A chunk's blocks all finish before
+    the next chunk is drawn, so no two chunks' draws are held at once.
     """
     m = spec.pool_size
     if pool.values.size != m:
         raise ValueError("pool size does not match spec.pool_size")
-    n_in = spec.indegree.sample(rng, m)
-    bounds = np.cumsum(n_in)
+    bounds = np.cumsum(spec.indegree.sample(rng, m))
     total = int(bounds[-1]) if m else 0
     acc = np.zeros(m)
     prev = pool.values
@@ -207,17 +208,8 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
         stop = min(start + _CHUNK, total)
         u = rng.random(stop - start)
         picks = rng.integers(0, prev.size, size=stop - start)
-        lo, hi = np.searchsorted(bounds, [start, stop - 1], side="right")
-        counts = n_in[lo:hi + 1].copy()
-        counts[0] = min(bounds[lo], stop) - start
-        if hi > lo:
-            counts[-1] = stop - bounds[hi - 1]
-        firsts = np.cumsum(counts) - counts  # each owner's first child in the chunk
-        cuts = np.unique(np.concatenate([
-            np.searchsorted(firsts, np.arange(0, stop - start, _BLOCK)),
-            np.flatnonzero(counts > _BLOCK), [counts.size]]))  # a hub is a block alone
-        child_cuts = np.append(firsts, stop - start)[cuts].tolist()
-        blocks = list(zip(child_cuts[:-1], child_cuts[1:], cuts[:-1].tolist(), cuts[1:].tolist()))
+        lo, counts = _segment_counts(bounds, start, stop)
+        blocks = _segment_blocks(counts, _BLOCK)
 
         def block(cut):
             c0, c1, o0, o1 = cut

@@ -70,6 +70,15 @@ class TestStats:
         assert main(["stats", str(bad)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, flags", [
+        ("", []), ("# a comment\n\n# another\n", []), ("3 3\n7\t7\n", ["--drop-self-loops"]),
+    ], ids=["empty", "comments-only", "self-loops-dropped"])
+    def test_edge_list_with_no_edge_is_data_error(self, tmp_path, capsys, text, flags):
+        bad = tmp_path / "empty.txt"
+        bad.write_text(text)
+        assert main(["stats", str(bad), *flags]) == 3
+        assert capsys.readouterr().err == "error: empty edge list\n"
+
     def test_unknown_flag_is_usage_error(self, star_file):
         assert main(["stats", str(star_file), "--bogus"]) == 2
 

@@ -7,13 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranktail import graph as graph_mod
 from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _map_ordered,
-                            _parse_fast, _parse_lines, degree_profile, load_edge_list,
-                            parse_hist, read_json, write_edge_list, write_json)
+                            _parse_fast, _parse_lines, _segment_blocks, _segment_counts,
+                            degree_profile, load_edge_list, parse_hist, read_json,
+                            write_edge_list, write_json)
 from ranktail.simulate import EffectiveOutdegreeSampler
 
 
@@ -29,7 +30,7 @@ def per_line_graph(text, drop_self_loops=False):
         keep = src != dst
         src, dst = src[keep], dst[keep]
     if not src.size:
-        raise ValueError("empty edge list")
+        raise EdgeListParseError(None, "empty edge list")
     uniq, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
     m = src.size
     return Graph.from_edges(inverse[:m], inverse[m:], n=int(uniq.size), orig_ids=uniq)
@@ -471,9 +472,8 @@ def reference_outcome(raw: bytes, drop: bool):
             try:
                 per_line_graph("\n".join(text + [""]), drop)
             except EdgeListParseError as exc:
-                return type(exc), str(exc)
-            except ValueError:
-                pass
+                if exc.line_no is not None:  # a malformed line, not "empty edge list"
+                    return type(exc), str(exc)
             return UnicodeDecodeError, line_no
     return outcome(per_line_graph, "\n".join(text), drop_self_loops=drop)
 
@@ -644,3 +644,55 @@ def test_map_ordered_shuts_every_pool_down(monkeypatch, spy_pool, how):
     [pool] = spy_pool.made
     assert pool.submits > 0 and pool.shut_down
     assert set(threading.enumerate()) <= before
+
+
+# -- segment blocks and clipped segment counts ---------------------------------
+
+# segment lengths with zeros, and with segments longer than every small size
+SEGMENT_COUNTS = st.lists(st.one_of(st.just(0), st.integers(0, 4), st.integers(5, 40)),
+                          max_size=30)
+
+
+def block_starts(counts, size):
+    """Where blocks must start, element by element: at the first segment that
+    starts at or after each multiple of size, and at both ends of every
+    segment longer than size."""
+    firsts = np.cumsum([0, *counts])
+    total = int(firsts[-1])
+    starts = {int(firsts[np.searchsorted(firsts, x)]) for x in range(0, total, size)}
+    for first, count in zip(firsts.tolist(), counts):
+        if count > size:
+            starts |= {first, first + count}
+    return sorted(starts - {total})
+
+
+@given(counts=SEGMENT_COUNTS, size=st.integers(1, 12))
+@example(counts=[], size=1)
+@example(counts=[0, 0, 0], size=3)  # a total of 0: no block
+@settings(max_examples=400, deadline=None)
+def test_segment_blocks_match_brute_force(counts, size):
+    firsts = np.cumsum([0, *counts]).tolist()
+    blocks = _segment_blocks(np.array(counts, dtype=np.int64), size)
+    assert all(e0 < e1 for e0, e1, _, _ in blocks)  # no block is empty
+    # the blocks tile 0..total once, in order, each holding whole segments
+    bounds = [0] + [e1 for _, e1, _, _ in blocks]
+    assert [e0 for e0, *_ in blocks] == bounds[:-1] and bounds[-1] == firsts[-1]
+    assert all((firsts[s0], firsts[s1]) == (e0, e1) for e0, e1, s0, s1 in blocks)
+    assert all(s0 < s1 for _, _, s0, s1 in blocks)
+    assert [e0 for e0, *_ in blocks] == block_starts(counts, size)
+    # a segment longer than size is a block of its own
+    own = {s0 for _, _, s0, s1 in blocks if s1 == s0 + 1}
+    assert all(i in own for i, count in enumerate(counts) if count > size)
+
+
+@given(counts=SEGMENT_COUNTS.filter(any), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_segment_counts_match_owner_lookup(counts, data):
+    ends = np.cumsum(counts)
+    stop = data.draw(st.integers(1, int(ends[-1])))
+    start = data.draw(st.integers(0, stop - 1))
+    lo, clipped = _segment_counts(ends, start, stop)
+    assert clipped.sum() == stop - start
+    owners = np.searchsorted(ends, np.arange(start, stop), side="right")
+    assert (owners[0], owners[-1]) == (lo, lo + clipped.size - 1)
+    assert clipped.tolist() == np.bincount(owners - lo, minlength=clipped.size).tolist()

@@ -263,7 +263,7 @@ class TestInEdgeKernel:
     def test_blocks_against_bincount(self, rng, monkeypatch):
         monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 2)
         g = hub_graph(rng)
-        src, dst = g.edge_arrays()
+        src, dst = g.in_src, np.repeat(np.arange(g.n), g.in_deg)
         kernel = pagerank_mod._in_edge_kernel(g)
         out = np.empty(g.n)
         for _ in range(2):  # one kernel serves every call
@@ -286,7 +286,7 @@ class TestInEdgeKernel:
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", block)
         for _ in range(10):
             g = random_small_graph(rng, n_max=12)
-            src, dst = g.edge_arrays()
+            src, dst = g.in_src, np.repeat(np.arange(g.n), g.in_deg)
             w = rng.random(g.n)
             expected = np.bincount(dst, weights=w[src], minlength=g.n)
             alone = _kernel_sums(g, w)
@@ -317,6 +317,23 @@ class TestInEdgeKernel:
         g = Graph.from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
         for workers in (1, 2):
             assert (_kernel_sums(g, np.ones(3), workers) == 0).all()
+
+    def test_no_empty_block_after_a_long_last_row(self, monkeypatch):
+        # the last in-list starts before the last multiple of the block size
+        # and is longer than a block: it is a block of its own, and no empty
+        # block follows it
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 4)
+        g = Graph.from_edges(np.array([0, 1] + [0] * 10), np.array([0, 1] + [2] * 10), 3)
+        mapped = []
+
+        def spy(fn, items):
+            items = list(items)
+            mapped.extend(items)
+            return graph_mod._map_ordered(fn, items)
+
+        monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
+        assert _kernel_sums(g, np.array([1.0, 2.0, 0.5])).tolist() == [1.0, 2.0, 10.0]
+        assert mapped == [(0, 2, 0, 2), (2, 12, 2, 3)]
 
 
 def test_export_scores_uses_original_ids(tmp_path):

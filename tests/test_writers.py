@@ -75,7 +75,7 @@ def test_edge_list_over_one_chunk(rng):
     n, m = 5_000, 70_001
     g = Graph.from_edges(rng.integers(0, n, m), rng.integers(0, n, m), n=n,
                          orig_ids=np.arange(n) * 7_919 + 10**11)
-    src, dst = g.edge_arrays()
+    src, dst = g.in_src, np.repeat(np.arange(g.n), g.in_deg)
     expected = csv_reference(None, zip(g.orig_ids[src].tolist(), g.orig_ids[dst].tolist()),
                              delimiter="\t", lineterminator="\n")
     assert expected.count("\n") == m
@@ -166,6 +166,24 @@ def test_int_rows_equal_for_every_worker_count(rng, monkeypatch, tmp_path):
         assert (tmp_path / f"{workers}.txt").read_bytes() == expected
         with gzip.open(tmp_path / f"{workers}.txt.gz", "rb") as fh:
             assert fh.read() == expected
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_edge_list_chunks_cut_inside_and_between_in_lists(monkeypatch, chunk, workers):
+    # empty rows at both ends and inside, an in-list of 10 edges (longer than
+    # every chunk), in-lists that end at edges 3, 14, 21 and 24 (multiples of
+    # 3 or 7, so on chunk boundaries), and sparse 12-digit original ids
+    in_deg = np.array([0, 3, 0, 0, 10, 1, 3, 0, 4, 3, 2, 0, 0])
+    n = in_deg.size
+    g = Graph.from_edges(np.arange(in_deg.sum()) * 5 % n, np.repeat(np.arange(n), in_deg),
+                         n=n, orig_ids=np.arange(n) * 7_919_113 + 10**11)
+    monkeypatch.setattr(graph_mod, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+    expected = fstring_rows(None, g.orig_ids[g.in_src],
+                            g.orig_ids[np.repeat(np.arange(n), g.in_deg)], "\t", "\n")
+    assert expected.count("\n") == g.m == 26
+    assert written(write_edge_list, g) == expected
 
 
 class FailingStream(io.StringIO):
