@@ -26,28 +26,37 @@ from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
 from .tails import TailFit, ccdf, write_ccdf_csv
 
-# option -> (default, the flag's argparse type; [kind] is a list of them)
+# option -> (default, the argparse keywords of its --flag, which also give a
+# --config value's JSON type).  _add_options leaves each flag at None, so that
+# _resolve_options can tell a flag set from one left out
 _OPTIONS = {
-    "damping": ([PageRankParams.c], [float]),
-    "tol": (PageRankParams.tol, float),
-    "max_iters": (PageRankParams.max_iters, int),
-    "snapshots": ([], [int]),
-    "xmin": (None, float),
-    "alpha": (None, float),
-    "seed": (None, int),  # unset: simulate keeps the spec's seed, generate uses 0
-    "output_dir": (".", str),
-    "iters": ("converged", str),
-    "k_max": (None, int),
-    "drop_self_loops": (False, bool),
+    "damping": ([PageRankParams.c],
+                dict(type=float, action="append", help="damping factor; repeat for several runs")),
+    "tol": (PageRankParams.tol, dict(type=float)),
+    "max_iters": (PageRankParams.max_iters, dict(type=int)),
+    "snapshots": ([], dict(type=int, nargs="*",
+                           help="iteration indices whose score vectors are retained")),
+    "xmin": (None, dict(type=float, help="tail threshold override")),
+    "alpha": (None, dict(type=float, help="cumulative tail exponent; overrides analyze's fit")),
+    # unset: simulate keeps the spec's seed, generate uses 0
+    "seed": (None, dict(type=int)),
+    "output_dir": (".", dict(type=str)),
+    "iters": ("converged", dict(type=str, help="generation count, or 'converged' for the count "
+                                "that brings the pool within 1e-3 of the fixed point in W1")),
+    "k_max": (None, dict(type=int)),
+    "drop_self_loops": (False, dict(action="store_true")),
 }
 
 
-def _convert(value, kind):
-    """A --config value as `kind`: numbers must arrive as JSON numbers
-    (`graph.as_number`) and bools as bools; anything goes through str."""
-    if isinstance(kind, list):
+def _convert(value, flag):
+    """A --config value in its flag's JSON type: a list for a repeated or
+    multi-valued flag, a bool for a switch, else the flag's type.  Numbers
+    must arrive as JSON numbers (`graph.as_number`); anything goes through str."""
+    kind = flag.get("type", bool)  # a store_true switch has no type
+    if "nargs" in flag or flag.get("action") == "append":
         if isinstance(value, list):
-            return [_convert(v, kind[0]) for v in value]
+            return [_convert(v, {"type": kind}) for v in value]
+        kind = list
     elif kind is str:
         return str(value)
     elif kind is bool:
@@ -55,27 +64,14 @@ def _convert(value, kind):
             return value
     else:
         return as_number(value, kind)
-    raise TypeError(f"expected {getattr(kind, '__name__', 'list')}, got {value!r}")
+    raise TypeError(f"expected {kind.__name__}, got {value!r}")
 
 
-def _add_common(p, *names):
-    if "graph" in names:
-        p.add_argument("graph", help="edge-list file ('src dst' lines, optionally .gz)")
-        p.add_argument("--drop-self-loops", action="store_true", default=None)
-    if "damping" in names:
-        p.add_argument("--damping", type=float, action="append",
-                       help="damping factor; repeat for several runs")
-    if "iterate" in names:
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iters", type=int)
-        p.add_argument("--snapshots", type=int, nargs="*",
-                       help="iteration indices whose score vectors are retained")
-    if "fit" in names:
-        p.add_argument("--xmin", type=float, help="tail threshold override")
-        p.add_argument("--alpha", type=float, help="cumulative exponent override")
-    if "outdir" in names:
-        p.add_argument("--output-dir", type=str)
-    p.add_argument("--config", type=str, help="JSON file with option defaults")
+def _add_options(parser, *names) -> None:
+    """Declare the --<name> flag of each named _OPTIONS entry, then --config."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), default=None, **_OPTIONS[name][1])
+    parser.add_argument("--config", type=str, help="JSON file with option defaults")
 
 
 def _resolve_options(args) -> None:
@@ -84,12 +80,12 @@ def _resolve_options(args) -> None:
     config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    for key, (default, kind) in _OPTIONS.items():
+    for key, (default, flag) in _OPTIONS.items():
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue
         value = config.get(key)
         try:
-            setattr(args, key, default if value is None else _convert(value, kind))
+            setattr(args, key, default if value is None else _convert(value, flag))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
 
@@ -243,40 +239,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "prediction, and Monte Carlo validation for directed graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # analyze takes every option of pagerank
+    pagerank_options = ("drop_self_loops", "damping", "tol", "max_iters", "snapshots", "output_dir")
+
     p = sub.add_parser("stats", help="degree statistics of an edge-list graph")
-    _add_common(p, "graph")
+    p.add_argument("graph", help="edge-list file ('src dst' lines, optionally .gz)")
     p.add_argument("--output", type=str)
+    _add_options(p, "drop_self_loops")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("pagerank", help="power-iteration scores to CSV")
-    _add_common(p, "graph", "damping", "iterate", "outdir")
+    p.add_argument("graph", help="edge-list file ('src dst' lines, optionally .gz)")
+    _add_options(p, *pagerank_options)
     p.set_defaults(func=cmd_pagerank)
 
     p = sub.add_parser("analyze", help="full pipeline: stats, fits, coefficients, residuals")
-    _add_common(p, "graph", "damping", "iterate", "fit", "outdir")
+    p.add_argument("graph", help="edge-list file ('src dst' lines, optionally .gz)")
+    _add_options(p, *pagerank_options, "xmin", "alpha")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("predict", help="coefficient table and predicted log-log lines")
-    _add_common(p, "damping")
-    p.add_argument("--alpha", type=float, help="cumulative tail exponent")
     p.add_argument("--profile", type=str, help="degree-profile JSON from 'stats'")
     p.add_argument("--d", type=float, help="mean degree (when no profile)")
     p.add_argument("--p0", type=float, default=0.0,
                    help="dangling fraction (when no profile)")
     p.add_argument("--b", type=float, help="out-degree tail factor (when no profile)")
-    p.add_argument("--k-max", type=int, dest="k_max")
     p.add_argument("--indegree-intercept", type=float,
                    help="in-degree log-log intercept; enables predicted lines")
     p.add_argument("--output", type=str)
+    _add_options(p, "damping", "alpha", "k_max")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="population-dynamics run from a model-spec JSON")
     p.add_argument("spec", help="ModelSpec JSON file")
-    p.add_argument("--iters", type=str,
-                   help="generation count, or 'converged' for the count that brings "
-                        "the pool within 1e-3 of the fixed point in W1")
-    p.add_argument("--seed", type=int)
-    _add_common(p, "outdir")
+    _add_options(p, "iters", "seed", "output_dir")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="synthesize a heavy-tailed random graph")
@@ -285,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-degree", type=float, required=True)
     p.add_argument("--outdeg-hist", type=str, required=True,
                    help="JSON histogram {degree: fraction} or @file")
-    p.add_argument("--seed", type=int)
     p.add_argument("--gzip", action="store_true")
-    _add_common(p, "outdir")
+    _add_options(p, "seed", "output_dir")
     p.set_defaults(func=cmd_generate)
 
     return parser

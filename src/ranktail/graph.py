@@ -98,11 +98,17 @@ class Graph:
         When dst is already non-decreasing, as in every edge list ranktail
         writes, the edges are in in-adjacency order: src is in_src as it
         stands (an int64 src is frozen in place, as orig_ids is) and no sort
-        is made.  dst of a signed integer type is read as it is."""
-        dst = np.asarray(dst)
+        is made.  dst of a signed integer type is read as it is.  Ids of a
+        dtype that is not an integer one, float or bool, are refused, not
+        cast; an empty list, which numpy reads as float, holds no id."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        orig_ids = None if orig_ids is None else np.asarray(orig_ids)
+        if any(a.dtype.kind not in "iu" and a.size for a in (src, dst, orig_ids)
+               if a is not None):
+            raise ValueError("src, dst and orig_ids must be arrays of an integer type")
         if dst.dtype.kind != "i":
             dst = dst.astype(np.int64)
-        if np.shape(src) != dst.shape:
+        if src.shape != dst.shape:
             raise ValueError("src and dst must have the same length")
         m = int(dst.size)
         if m and (dst.min() < 0 or dst.max() >= n):

@@ -32,13 +32,20 @@ every CPU count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from .graph import Graph, _map_ordered, _segment_blocks, write_csv
 
 _BLOCK_EDGES = 1 << 16
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -51,11 +58,14 @@ class PageRankParams:
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"damping factor must be in (0, 1), got {self.c}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        object.__setattr__(self, "snapshot_iters", frozenset(int(k) for k in self.snapshot_iters))
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not _is_int(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1 and an integer, got {self.max_iters!r}")
+        snapshots = list(self.snapshot_iters)
+        if not all(_is_int(k) for k in snapshots):
+            raise ValueError(f"snapshot iterations must be integers, got {snapshots!r}")
+        object.__setattr__(self, "snapshot_iters", frozenset(int(k) for k in snapshots))
         if not all(1 <= k <= self.max_iters for k in self.snapshot_iters):
             raise ValueError(f"snapshot iterations must lie in [1, max_iters = {self.max_iters}], "
                              f"got {sorted(self.snapshot_iters)}")

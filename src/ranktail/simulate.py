@@ -58,10 +58,11 @@ class InDegreeLaw:
     d: float
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError("tail index alpha must exceed 1 (finite mean in-degree)")
-        if not self.d > 0:
-            raise ValueError("mean degree must be positive")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError("tail index alpha must exceed 1 (finite mean in-degree) and be "
+                             f"finite, got {self.alpha}")
+        if not 0 < self.d < math.inf:
+            raise ValueError(f"mean degree must be positive and finite, got {self.d}")
 
     @property
     def t_min(self) -> float:

@@ -94,8 +94,8 @@ class TheoryParams:
             raise ValueError(f"damping factor must be in (0, 1), got {self.c}")
         if not self.alpha > 1.0:
             raise ValueError(f"cumulative tail exponent must exceed 1, got {self.alpha}")
-        if not self.d > 0:
-            raise ValueError("mean degree must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError(f"mean degree must be positive and finite, got {self.d}")
         if not 0.0 <= self.p0 < 1.0:
             raise ValueError("dangling fraction must lie in [0, 1)")
         if not self.b >= 0:
@@ -179,4 +179,6 @@ def predict_line(indegree_fit: TailFit, c_value: float) -> tuple[float, float]:
     fit, intercept shifted up by log10 of the tail coefficient."""
     if c_value <= 0:
         raise ValueError("coefficient must be positive")
+    if not math.isfinite(indegree_fit.intercept):
+        raise ValueError(f"in-degree intercept must be finite, got {indegree_fit.intercept}")
     return (-indegree_fit.alpha_hat, indegree_fit.intercept + math.log10(c_value))

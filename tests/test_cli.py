@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import json
 import math
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from ranktail.cli import main
+from ranktail.cli import _OPTIONS, _resolve_options, build_parser, main
 
 
 def numbered_edges(count: int) -> bytes:
@@ -274,6 +275,13 @@ def test_bad_pagerank_options_refused_before_the_graph_is_read(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "pagerank"])
+def test_infinite_tol_refused_before_the_graph_is_read(tmp_path, capsys, command):
+    # an infinite tol stopped every damping after one step, reported as converged
+    assert main([command, str(tmp_path / "missing.txt"), "--tol", "inf"]) == 2
+    assert capsys.readouterr().err == "error: tol must be positive and finite, got inf\n"
+
+
 class TestPredictCmd:
     def test_small_web_sample_golden(self, capsys):
         code = main(["predict", "--alpha", "1.1", "--d", "8.2032", "--p0", "0.006",
@@ -323,6 +331,20 @@ class TestPredictCmd:
     def test_nan_parameter_is_usage_error(self, capsys, flags, message):
         assert main(["predict", "--alpha", "1.5", *flags]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--indegree-intercept", "nan", "in-degree intercept must be finite, got nan"),
+        ("--indegree-intercept", "inf", "in-degree intercept must be finite, got inf"),
+        ("--d", "inf", "mean degree must be positive and finite, got inf"),
+    ], ids=["intercept-nan", "intercept-inf", "d-inf"])
+    def test_non_finite_input_is_usage_error(self, capsys, flag, value, message):
+        # a NaN or infinite intercept is not JSON, and an infinite d read every
+        # coefficient as 0
+        given = {"--d": "8", "--indegree-intercept": "-0.2", flag: value}
+        assert main(["predict", "--alpha", "1.5", "--p0", "0.1", "--b", "0.5",
+                     "--damping", "0.85", "--k-max", "2",
+                     *[a for kv in given.items() for a in kv]]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_nonpositive_k_max_is_usage_error(self, capsys, k_max):
@@ -454,6 +476,18 @@ class TestGenerateCmd:
         assert main(["generate", "--nodes", "1000", *[a for kv in law.items() for a in kv],
                      "--outdeg-hist", '{"1": 1.0}', "--output-dir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha", "tail index alpha must exceed 1 (finite mean in-degree) and be finite, "
+                    "got inf"),
+        ("--mean-degree", "mean degree must be positive and finite, got inf"),
+    ], ids=["alpha", "mean-degree"])
+    def test_infinite_law_parameter_is_usage_error(self, tmp_path, capsys, flag, message):
+        law = {"--alpha": "1.5", "--mean-degree": "1", flag: "inf"}
+        assert main(["generate", "--nodes", "1000", *[a for kv in law.items() for a in kv],
+                     "--outdeg-hist", '{"1": 1.0}', "--output-dir", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "g").exists()
 
     def test_mismatched_mean_refused_as_simulate_refuses_it(self, tmp_path, capsys):
         # one histogram rule: the mean must be d within 1e-9 relative
@@ -608,3 +642,85 @@ def test_every_json_document_is_canonical(tmp_path, capsys):
     assert len(texts) == 8
     for name, text in texts.items():
         assert text == canonical(text), name
+
+
+# the positional arguments and required flags each subcommand is parsed with
+REQUIRED = {
+    "stats": ["g.txt"], "pagerank": ["g.txt"], "analyze": ["g.txt"], "predict": [],
+    "simulate": ["spec.json"],
+    "generate": ["--nodes", "1000", "--alpha", "1.5", "--mean-degree", "1",
+                 "--outdeg-hist", "{}"],
+}
+
+# each _OPTIONS key: its flags, the same value as JSON, and its resolved default
+OPTION_VALUES = {
+    "damping": (["--damping", "0.5", "--damping", "0.2"], [0.5, 0.2], [0.85]),
+    "tol": (["--tol", "1e-06"], 1e-06, 1e-10),
+    "max_iters": (["--max-iters", "7"], 7, 200),
+    "snapshots": (["--snapshots", "1", "3"], [1, 3], []),
+    "xmin": (["--xmin", "2.5"], 2.5, None),
+    "alpha": (["--alpha", "1.5"], 1.5, None),
+    "seed": (["--seed", "3"], 3, None),
+    "output_dir": (["--output-dir", "out"], "out", "."),
+    "iters": (["--iters", "4"], 4, "converged"),
+    "k_max": (["--k-max", "5"], 5, None),
+    "drop_self_loops": (["--drop-self-loops"], True, False),
+}
+
+
+def by_dest(*options, **renamed):
+    """{dest: option string}, each dest read off its option as argparse does."""
+    return {**{o.lstrip("-").replace("-", "_"): o for o in options}, **renamed}
+
+
+PAGERANK_OPTIONS = ("graph", "--drop-self-loops", "--damping", "--tol", "--max-iters",
+                    "--snapshots", "--output-dir", "--config")
+OPTION_STRINGS = {
+    "stats": by_dest("graph", "--drop-self-loops", "--output", "--config"),
+    "pagerank": by_dest(*PAGERANK_OPTIONS),
+    "analyze": by_dest(*PAGERANK_OPTIONS, "--xmin", "--alpha"),
+    "predict": by_dest("--damping", "--alpha", "--k-max", "--profile", "--d", "--p0", "--b",
+                       "--indegree-intercept", "--output", "--config"),
+    "simulate": by_dest("spec", "--iters", "--seed", "--output-dir", "--config"),
+    "generate": by_dest("--nodes", "--mean-degree", "--outdeg-hist", "--seed", "--gzip",
+                        "--output-dir", "--config", alpha_gen="--alpha"),
+}
+
+
+def resolved(argv):
+    """The parsed and resolved options of argv, less --config, in a form that
+    tells 7 from 7.0 and "4" from 4."""
+    args = build_parser().parse_args(argv)
+    _resolve_options(args)
+    return repr(sorted((k, v) for k, v in vars(args).items() if k != "config"))
+
+
+def test_option_values_cover_the_table():
+    assert set(OPTION_VALUES) == set(_OPTIONS)
+
+
+@pytest.mark.parametrize("key", list(OPTION_VALUES))
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_option_set_by_flag_or_config_reads_the_same(tmp_path, command, key):
+    flags, value, _ = OPTION_VALUES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    by_config = resolved([command, *REQUIRED[command], "--config", str(cfg)])
+    if key in OPTION_STRINGS[command]:
+        assert resolved([command, *REQUIRED[command], *flags]) == by_config
+    else:  # the key is ignored: the options read as with no config at all
+        assert resolved([command, *REQUIRED[command]]) == by_config
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_each_subcommand_keeps_its_option_strings_and_defaults(command):
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+    assert {a.dest: "/".join(a.option_strings) or a.dest for a in actions} == (
+        OPTION_STRINGS[command])
+    args = build_parser().parse_args([command, *REQUIRED[command]])
+    _resolve_options(args)
+    defaults = {key: default for key, (_, _, default) in OPTION_VALUES.items()
+                if key in OPTION_STRINGS[command]}
+    assert {key: getattr(args, key) for key in defaults} == defaults

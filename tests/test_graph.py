@@ -323,6 +323,24 @@ class TestGraphConstructor:
         for got, want in zip((g.in_ptr, g.in_src, g.out_deg, g.orig_ids), expected):
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("arrays", [
+        (np.array([0.9, 1.7]), np.array([1.2, 0.99]), None),
+        (np.array([True, False]), np.array([False, True]), None),
+        (np.array([0, 1]), np.array([1, 0]), np.array([5.0, 7.0])),
+    ], ids=["float", "bool", "float-orig-ids"])
+    def test_from_edges_refuses_ids_of_no_integer_type(self, arrays):
+        # a cast would truncate 0.9 -> 1.7 to the edge 0 -> 1 without a word
+        with pytest.raises(ValueError, match="must be arrays of an integer type"):
+            Graph.from_edges(*arrays[:2], 2, orig_ids=arrays[2])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_from_edges_takes_every_integer_type(self, dtype):
+        src, dst = np.array([1, 0], dtype=dtype), np.array([0, 1], dtype=dtype)
+        g = Graph.from_edges(src, dst, 2, orig_ids=np.array([4, 9], dtype=dtype))
+        assert g.in_src.tolist() == [1, 0] and g.orig_ids.tolist() == [4, 9]
+        assert Graph.from_edges([1, 0], [0, 1], 2).in_src.tolist() == [1, 0]
+        assert Graph.from_edges([], [], 2).m == 0  # numpy reads [] as float: no id to cut
+
     def test_sorted_dst_keeps_src_as_in_src(self):
         src, dst = np.array([2, 0, 1]), np.array([0, 1, 1])
         g = Graph.from_edges(src, dst, 3)

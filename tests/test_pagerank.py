@@ -65,6 +65,25 @@ class TestParams:
         with pytest.raises(ValueError):
             PageRankParams(max_iters=0)
 
+    def test_infinite_tol_refused(self):
+        # every residual is below an infinite tol: one step would read as converged
+        with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+            PageRankParams(tol=float("inf"))
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be >= 1 and an integer"):
+            PageRankParams(max_iters=max_iters)
+
+    @pytest.mark.parametrize("snapshots", [[1.5], [True], [2, 1.0]])
+    def test_snapshot_indices_must_be_integers(self, snapshots):
+        with pytest.raises(ValueError, match="snapshot iterations must be integers"):
+            PageRankParams(snapshot_iters=snapshots)
+
+    def test_numpy_integers_accepted(self):
+        params = PageRankParams(max_iters=np.int32(5), snapshot_iters=[np.int64(2), 3])
+        assert params.snapshot_iters == frozenset({2, 3})
+
 
 class TestFixedPoints:
     def test_single_dangling_node(self):

@@ -112,6 +112,18 @@ class TestInDegreeSampler:
         assert (law.tail(xs[xs <= oracle.t_min]) == 1.0).all()
         np.testing.assert_allclose(law.tail(xs), oracle._sf(xs), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("alpha, d, message", [
+        (np.inf, 8.0, "tail index alpha must exceed 1 (finite mean in-degree) and be finite, "
+                      "got inf"),
+        (1.5, np.inf, "mean degree must be positive and finite, got inf"),
+    ], ids=["alpha", "d"])
+    def test_infinite_parameter_refused(self, alpha, d, message):
+        # an infinite alpha or d would make the Pareto scale NaN or infinite,
+        # which numpy's Poisson draw refuses with a message naming neither
+        with pytest.raises(ValueError) as info:
+            InDegreeLaw(alpha=alpha, d=d)
+        assert str(info.value) == message
+
     def test_law_built_once_per_spec(self, monkeypatch):
         built = []
         init = InDegreeLaw.__init__

@@ -87,6 +87,11 @@ class TestParams:
         with pytest.raises(ValueError, match="mean"):
             TheoryParams.from_histogram(0.85, 1.2, {1: 0.5, 3: 0.5}, d=5.0)
 
+    def test_infinite_mean_degree_refused(self):
+        # (c (1 - p0) / d)^alpha would read 0, and every coefficient with it
+        with pytest.raises(ValueError, match="mean degree must be positive and finite, got inf"):
+            TheoryParams(c=0.85, alpha=1.5, d=math.inf, p0=0.1, b=0.5)
+
     def test_from_histogram_derives_fields(self):
         params = TheoryParams.from_histogram(0.85, 1.2, {0: 0.2, 1: 0.4, 3: 0.4})
         assert params.d == pytest.approx(1.6)
@@ -204,6 +209,12 @@ class TestPredictLine:
         params = TheoryParams(c=0.85, **STANFORD)
         _, intercept = predict_line(fit, coefficient_C(params))
         assert intercept == pytest.approx(-0.46, abs=0.01)
+
+    @pytest.mark.parametrize("intercept", [math.nan, math.inf, -math.inf])
+    def test_non_finite_intercept_refused(self, intercept):
+        fit = TailFit(alpha_hat=1.5, x_min=1.0, intercept=intercept, tail_count=0)
+        with pytest.raises(ValueError, match=f"in-degree intercept must be finite, got {intercept}"):
+            predict_line(fit, 0.5)
 
     def test_table_export(self):
         params = TheoryParams(c=0.85, **STANFORD)
