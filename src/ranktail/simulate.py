@@ -8,7 +8,9 @@ whose mean is d and whose tail has index alpha.  The recursion
 is iterated by population dynamics: a pool of M samples approximates the
 law of R at each generation, and every child value R_j is resampled
 uniformly (with replacement) from the previous pool.  D is the effective
-(size-biased) out-degree with P(D=j) = j*p_j/d.
+(size-biased) out-degree with P(D=j) = j*p_j/d, drawn by inverse CDF from
+one uniform each through a guide table (``EffectiveOutdegreeSampler``) that
+gives exactly the class a binary search of the cumulative sums gives.
 
 A generation draws all its random numbers on the calling thread, so the
 stream does not depend on the CPU count.  The work on those draws runs on
@@ -31,6 +33,7 @@ from .theory import validate_outdegree_hist
 
 _CHUNK = 1 << 22
 _BLOCK = 1 << 18  # children per block of a chunk's draw-free work
+_GUIDE_MAX = 1 << 16  # the most buckets of an out-degree guide table
 _W1_TOL = 1e-3
 _MAX_GENERATIONS = 200
 _CCDF_WINDOW = (1e-5, 1e-3)  # CCDF levels where the tail ratio is checked
@@ -82,7 +85,21 @@ class InDegreeLaw:
 class EffectiveOutdegreeSampler:
     """Inverse-CDF table for the size-biased out-degree law q_j = j*p_j/d of
     a histogram with mean d.  ``values`` and ``probabilities`` hold the
-    support j >= 1 and q_j."""
+    support j >= 1 and q_j.
+
+    A uniform u stands for class i = #{cuts <= u}, the index that
+    ``np.searchsorted(cum, u, side="right")`` gives for the cumulative sums
+    ``cum`` of q_j.  ``lookup`` reads it through a guide table (Chen & Asau
+    1974; Devroye 1986, *Non-Uniform Random Variate Generation*, III.2.4):
+    K buckets, K a power of two so that u*K and b/K are exact, and
+    G[b] = #{cuts <= b/K}.  Every u in bucket b = floor(u*K) lies at most P
+    cuts past G[b], P being the most cuts strictly inside one bucket, so
+    ceil(log2(P + 1)) correction passes, each adding a power of two s where
+    u >= cum[i + s - 1], land on i exactly.  K is the smallest power of two
+    from the class count up to 2^16 that makes P at most 1, which leaves the
+    single pass i += (u >= cum[i]); at 2^16 buckets a wider table pays a few
+    passes more.
+    """
 
     def __init__(self, outdeg_hist: dict[int, float], d: float):
         validate_outdegree_hist(outdeg_hist, d)
@@ -93,13 +110,33 @@ class EffectiveOutdegreeSampler:
         self.probabilities = np.array([j * p / d for j, p in items])
         self._cum = np.cumsum(self.probabilities)
         self._cum[-1] = 1.0  # absorb rounding so every uniform draw lands in range
+        buckets = 1 << (self._cum.size - 1).bit_length()
+        while (crowd := _most_cuts_in_a_bucket(self._cum, buckets)) > 1 and buckets < _GUIDE_MAX:
+            buckets *= 2
+        self._guide = np.searchsorted(self._cum, np.arange(buckets) / buckets, side="right")
+        self._steps = [1 << k for k in reversed(range(crowd.bit_length()))]
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """The draws of D that the uniforms u in [0, 1) stand for."""
-        return self.values[np.searchsorted(self._cum, u, side="right")]
+        idx = np.take(self._guide, (u * self._guide.size).astype(np.intp))
+        for step in self._steps:
+            # past the last class the clip reads cum[-1] = 1.0 > u
+            hit = u >= np.take(self._cum[step - 1:], idx, mode="clip")
+            idx += hit * step if step > 1 else hit
+        return np.take(self.values, idx)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.lookup(rng.random(size))
+
+
+def _most_cuts_in_a_bucket(cum: np.ndarray, buckets: int) -> int:
+    """The most of the cuts cum[:-1] strictly inside one of ``buckets``
+    equal buckets of [0, 1); a cut on a bucket's lower edge is counted by
+    that bucket's guide entry, and cum[-1] = 1.0 is the upper edge."""
+    scaled = cum[:-1] * buckets
+    first = scaled.astype(np.intp)
+    inside = first[scaled != first]
+    return int(np.bincount(inside).max()) if inside.size else 0
 
 
 @dataclass(frozen=True)
@@ -165,9 +202,12 @@ class SamplePool:
 
     def ccdf_at(self, xs: np.ndarray) -> np.ndarray:
         """Empirical P(value > x) at the probe positions."""
-        ordered = np.sort(self.values)
-        idx = np.searchsorted(ordered, xs, side="right")
-        return (ordered.size - idx) / ordered.size
+        return _ccdf_of_sorted(np.sort(self.values), xs)
+
+
+def _ccdf_of_sorted(ordered: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The fraction of the sorted samples above each probe."""
+    return (ordered.size - np.searchsorted(ordered, xs, side="right")) / ordered.size
 
 
 def initial_pool(spec: ModelSpec) -> SamplePool:
@@ -214,7 +254,7 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
 
         def block(cut):
             c0, c1, o0, o1 = cut
-            r = prev[picks[c0:c1]]
+            r = np.take(prev, picks[c0:c1], mode="clip")
             np.divide(r, lookup(u[c0:c1]), out=r)
             return np.bincount(np.repeat(np.arange(o1 - o0), counts[o0:o1]),
                                weights=r, minlength=o1 - o0)
@@ -228,9 +268,9 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
 def simulate_R(spec: ModelSpec, k) -> SamplePool:
     """Run the recursion k generations from the all-ones pool.
 
-    ``k`` may be a positive integer (or its string) or "converged", which
-    runs the smallest k with 2 * (c*(1-p0))^k <= 1e-3.  Two copies of the
-    recursion fed the same N and D move apart in W1 by the factor
+    ``k`` may be a positive integer or "converged", which runs the smallest
+    k with 2 * (c*(1-p0))^k <= 1e-3.  Two copies of the recursion fed the
+    same N and D move apart in W1 by the factor
     c*E[N]*E[1/D] = c*(1-p0) per generation, and the all-ones start lies
     within E[1] + E[R_inf] = 2 of R_inf, so after k generations the law of
     R_k is within 1e-3 of R_inf in W1.  The tail coefficient closes its gap
@@ -248,9 +288,8 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
         k = math.ceil(math.log(_W1_TOL / 2) / math.log(rate)) if rate > 0 else 1
         if k > _MAX_GENERATIONS:
             raise SimulationConvergenceError(k, rate)
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be >= 1 or 'converged'")
+    elif isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be a positive integer or 'converged', got {k!r}")
     rng = np.random.default_rng(spec.seed)
     pool = initial_pool(spec)
     for _ in range(k):
@@ -266,11 +305,10 @@ def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float) -> list[
     in_window=False.
     """
     lo_ccdf, hi_ccdf = _CCDF_WINDOW
-    vals = pool.values
-    x_lo = np.quantile(vals, 1.0 - hi_ccdf)
-    x_hi = np.quantile(vals, 1.0 - lo_ccdf)
+    ordered = np.sort(pool.values)  # one sort serves the quantiles and the CCDF
+    x_lo, x_hi = np.quantile(ordered, [1.0 - hi_ccdf, 1.0 - lo_ccdf])
     xs = np.geomspace(x_lo, x_hi, 5)
-    emp = pool.ccdf_at(xs)
+    emp = _ccdf_of_sorted(ordered, xs)
     theory = c_value * spec.indegree.tail(xs)
     rows = []
     for x, e, t in zip(xs, emp, theory):

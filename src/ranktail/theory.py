@@ -102,16 +102,23 @@ class TheoryParams:
             raise ValueError("b must be non-negative")
         if not self.geometric_ratio < 1.0:
             raise ValueError(f"series diverges: c^alpha * b = {self.geometric_ratio} >= 1")
+        try:
+            finite = math.isfinite(self.c1)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"(c*(1-p0)/d)^alpha is not a finite float at c={self.c}, "
+                             f"p0={self.p0}, d={self.d}, alpha={self.alpha}")
 
     @property
     def geometric_ratio(self) -> float:
         return self.c ** self.alpha * self.b
 
     @property
-    def log10_c1(self) -> float:
-        # log-domain evaluation of (c*(1-p0)/d)^alpha, robust for large d
-        return self.alpha * (math.log10(self.c) + math.log10(1.0 - self.p0)
-                             - math.log10(self.d))
+    def c1(self) -> float:
+        """(c*(1-p0)/d)^alpha, evaluated in the log domain, robust for large d."""
+        return 10.0 ** (self.alpha * (math.log10(self.c) + math.log10(1.0 - self.p0)
+                                      - math.log10(self.d)))
 
     @classmethod
     def from_histogram(cls, c: float, alpha: float, p_hist: dict[int, float],
@@ -142,13 +149,12 @@ def coefficient_Ck(params: TheoryParams, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     r = params.geometric_ratio
-    c1 = 10.0 ** params.log10_c1
-    return c1 * (1.0 - r ** k) / (1.0 - r)
+    return params.c1 * (1.0 - r ** k) / (1.0 - r)
 
 
 def coefficient_C(params: TheoryParams) -> float:
     """Limit tail coefficient of the fixed point."""
-    return 10.0 ** params.log10_c1 / (1.0 - params.geometric_ratio)
+    return params.c1 / (1.0 - params.geometric_ratio)
 
 
 def coefficient_lower_bound(params: TheoryParams) -> float:
@@ -158,7 +164,7 @@ def coefficient_lower_bound(params: TheoryParams) -> float:
     denom = 1.0 - params.c ** params.alpha * b_const
     if denom <= 0:
         raise ValueError("constant-out-degree series diverges; bound undefined")
-    return 10.0 ** params.log10_c1 / denom
+    return params.c1 / denom
 
 
 def coefficient_table(params: TheoryParams, k_max: int | None = None) -> CoefficientTable:

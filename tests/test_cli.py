@@ -2,7 +2,11 @@ import argparse
 import gzip
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -336,10 +340,12 @@ class TestPredictCmd:
         ("--indegree-intercept", "nan", "in-degree intercept must be finite, got nan"),
         ("--indegree-intercept", "inf", "in-degree intercept must be finite, got inf"),
         ("--d", "inf", "mean degree must be positive and finite, got inf"),
-    ], ids=["intercept-nan", "intercept-inf", "d-inf"])
+        ("--d", "1e-320", "(c*(1-p0)/d)^alpha is not a finite float at c=0.85, p0=0.1, "
+                          "d=1e-320, alpha=1.5"),
+    ], ids=["intercept-nan", "intercept-inf", "d-inf", "d-tiny"])
     def test_non_finite_input_is_usage_error(self, capsys, flag, value, message):
-        # a NaN or infinite intercept is not JSON, and an infinite d read every
-        # coefficient as 0
+        # a NaN or infinite intercept is not JSON, an infinite d read every
+        # coefficient as 0, and a tiny d overflowed (c(1-p0)/d)^alpha
         given = {"--d": "8", "--indegree-intercept": "-0.2", flag: value}
         assert main(["predict", "--alpha", "1.5", "--p0", "0.1", "--b", "0.5",
                      "--damping", "0.85", "--k-max", "2",
@@ -449,6 +455,36 @@ class TestSimulateCmd:
         assert main(["simulate", str(self.spec_file(tmp_path)), "--iters", "1",
                      "--config", str(cfg), "--output-dir", str(out), *flags]) == 0
         assert json.loads((out / "summary.json").read_text())["spec"]["seed"] == seed
+
+    @pytest.mark.parametrize("text", ["2.5", "true", "0"])
+    def test_iters_flag_other_than_a_count_is_usage_error(self, tmp_path, capsys, text):
+        out = tmp_path / "sim"
+        assert main(["simulate", str(self.spec_file(tmp_path)), "--iters", text,
+                     "--output-dir", str(out)]) == 2
+        assert ("error: argument --iters: expected 'converged' or a positive integer, "
+                f"got '{text}'\n") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [2.5, True, 0, "2.0"])
+    def test_iters_config_other_than_a_count_is_usage_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": value}))
+        out = tmp_path / "sim"
+        assert main(["simulate", str(self.spec_file(tmp_path)), "--config", str(cfg),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'iters': expected 'converged' or a positive integer, "
+            f"got {value!r}\n")
+        assert not out.exists()
+
+    def test_integral_iters_config_reads_as_a_count(self, tmp_path):
+        # an int option takes an integral JSON number, as max_iters does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": 2.0}))
+        out = tmp_path / "sim"
+        assert main(["simulate", str(self.spec_file(tmp_path)), "--config", str(cfg),
+                     "--output-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["generations"] == 2
 
     def test_default_iters_converge(self, tmp_path):
         # c*(1-p0) = 0.4: 2 * 0.4^9 = 5.2e-4 <= 1e-3 after 9 generations
@@ -724,3 +760,40 @@ def test_each_subcommand_keeps_its_option_strings_and_defaults(command):
     defaults = {key: default for key, (_, _, default) in OPTION_VALUES.items()
                 if key in OPTION_STRINGS[command]}
     assert {key: getattr(args, key) for key in defaults} == defaults
+
+
+# Freeing a mapped 16 MiB array raises glibc's mapping threshold to its size,
+# so the 8 MiB arrays after it come from the heap; freeing every other one
+# leaves holes between live arrays, which the heap cannot shrink away.
+HEAP_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from ranktail.cli import main
+try:
+    ctypes.CDLL(None).malloc_trim
+except AttributeError:
+    sys.exit(77)
+
+def rss_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+np.ones(1 << 21)
+blocks = [np.ones(1 << 20) for _ in range(8)]
+del blocks[::2]
+before = rss_kb()
+assert main(["predict", "--alpha", "1.5", "--d", "8", "--b", "0.5", "--k-max", "2"]) == 0
+print(before - rss_kb())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS")
+def test_main_hands_freed_heap_back():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", HEAP_SCRIPT],
+                         capture_output=True, text=True, env=env)
+    if run.returncode == 77:
+        pytest.skip("no glibc malloc_trim")
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) > 24 * 1024  # of the 32 MiB freed

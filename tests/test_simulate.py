@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import SecondGeneration, solved_histogram
 from ranktail import graph as graph_mod
@@ -19,6 +21,15 @@ EDGE_ZEROS_IN = {2: 3, 5: 4, 8: 150, 10: 1, 12: 57, 15: 7, 400: 2, 9_997: 5}
 
 # moderate-tail spec (finite variance) used wherever sample means must settle
 CALM_HIST = {0: 0.2, 1: 0.3, 2: 0.2, 4: 0.2, 10: 0.1}  # mean 2.5
+
+
+def outdegree_table(hist, d):
+    """The classes j >= 1 of a histogram and the cumulative sums of
+    q_j = j*p_j/d, the last set to 1.0, as the sampler builds them."""
+    items = [(j, p) for j, p in sorted(hist.items()) if j >= 1 and p > 0]
+    cum = np.cumsum([j * p / d for j, p in items])
+    cum[-1] = 1.0
+    return np.array([j for j, _ in items]), cum
 
 
 def calm_spec(**kw):
@@ -168,6 +179,33 @@ class TestEffectiveOutdegreeSampler:
         with pytest.raises(ValueError):
             EffectiveOutdegreeSampler({0: 1.0}, 0.0)
 
+    def test_cuts_on_bucket_edges(self):
+        # q = (1/4, 1/8, 1/8, 1/2) puts the cuts 1/4 and 1/2 on edges of the
+        # four-bucket guide table and 3/8 inside a bucket
+        sampler = EffectiveOutdegreeSampler({2: 1 / 2, 3: 1 / 6, 6: 1 / 12, 8: 1 / 4}, 4.0)
+        below = np.nextafter([0.25, 0.375, 0.5, 1.0], 0.0)
+        u = np.array([0.0, below[0], 0.25, below[1], 0.375, below[2], 0.5, below[3]])
+        assert sampler.lookup(u).tolist() == [2, 2, 3, 3, 6, 6, 8, 8]
+
+    # q_j many decades apart (a wide spread) crowds cuts into one bucket of
+    # the guide table, and rounding makes some cuts equal
+    @given(classes=st.integers(1, 3_000), spread=st.floats(0.0, 30.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_is_the_binary_search_of_the_cuts(self, classes, spread, seed):
+        rng = np.random.default_rng(seed)
+        degrees = np.sort(rng.choice(np.arange(1, 10 * classes + 1), classes, replace=False))
+        weights = np.exp(spread * rng.standard_normal(classes))
+        hist = dict(zip(degrees.tolist(), (weights / weights.sum()).tolist()))
+        d = float(sum(j * p for j, p in hist.items()))
+        values, cum = outdegree_table(hist, d)
+        edges = np.arange(1 << 16) / (1 << 16)  # every bucket edge of every table
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), edges, np.nextafter(edges, 0.0),
+                            [0.0, np.nextafter(1.0, 0.0)], rng.random(1_000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        looked_up = EffectiveOutdegreeSampler(hist, d).lookup(u)
+        assert looked_up.tolist() == values[np.searchsorted(cum, u, side="right")].tolist()
+
 
 class TestIteratePool:
     def test_zero_damping_collapses_to_ones(self, rng):
@@ -222,15 +260,15 @@ class TestIteratePool:
 
 
 def searchsorted_generation(pool, spec, rng, n_in, chunk):
-    """One generation with a binary search per child for its owner and the
-    same draws, in the same order, as ``iterate_pool``."""
-    sampler = EffectiveOutdegreeSampler(spec.outdeg_hist, spec.d)
+    """One generation with a binary search per child for its owner and for
+    its D, and the same draws, in the same order, as ``iterate_pool``."""
+    values, cum = outdegree_table(spec.outdeg_hist, spec.d)
     bounds = np.cumsum(n_in)
     acc = np.zeros(spec.pool_size)
     prev = pool.values
     for start in range(0, int(bounds[-1]), chunk):
         stop = min(start + chunk, int(bounds[-1]))
-        d_draw = sampler.sample(rng, stop - start)
+        d_draw = values[np.searchsorted(cum, rng.random(stop - start), side="right")]
         r_draw = prev[rng.integers(0, prev.size, size=stop - start)]
         owners = np.searchsorted(bounds, np.arange(start, stop), side="right")
         acc += np.bincount(owners, weights=r_draw / d_draw, minlength=spec.pool_size)

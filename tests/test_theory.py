@@ -92,6 +92,15 @@ class TestParams:
         with pytest.raises(ValueError, match="mean degree must be positive and finite, got inf"):
             TheoryParams(c=0.85, alpha=1.5, d=math.inf, p0=0.1, b=0.5)
 
+    @pytest.mark.parametrize("d, alpha", [(1e-320, 1.5), (0.85, math.inf)],
+                             ids=["overflow", "nan"])
+    def test_leading_coefficient_must_be_a_finite_float(self, d, alpha):
+        # (0.85/1e-320)^1.5 = 10^480 overflows a float; at c(1-p0) = d an
+        # infinite alpha reads inf * log10(1) = NaN
+        with pytest.raises(ValueError, match=r"^\(c\*\(1-p0\)/d\)\^alpha is not a finite float "
+                                             rf"at c=0\.85, p0=0\.0, d={d}, alpha={alpha}$"):
+            TheoryParams(c=0.85, alpha=alpha, d=d, p0=0.0, b=0.5)
+
     def test_from_histogram_derives_fields(self):
         params = TheoryParams.from_histogram(0.85, 1.2, {0: 0.2, 1: 0.4, 3: 0.4})
         assert params.d == pytest.approx(1.6)
