@@ -11,8 +11,7 @@ from .simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec, Sample
                        iterate_pool, simulate_R, simulate_Y_levels, tail_ratio_table)
 from .synth import SynthSpec, generate
 from .tails import CcdfSeries, TailFit, ccdf, choose_xmin, fit_exponent_mle
-from .theory import (CoefficientTable, TheoryParams, b_coefficient, coefficient_C,
-                     coefficient_Ck, coefficient_lower_bound, coefficient_table,
-                     predict_line)
+from .theory import (TheoryParams, b_coefficient, coefficient_C, coefficient_Ck,
+                     coefficient_lower_bound, coefficient_table, predict_line)
 
 __version__ = "0.1.0"

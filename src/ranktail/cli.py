@@ -169,12 +169,11 @@ def cmd_predict(args) -> int:
             if args.d is None or args.b is None:
                 raise ValueError("predict needs --profile, or --d, --p0 and --b")
             params = theory.TheoryParams(c=c, alpha=alpha, d=args.d, p0=args.p0, b=args.b)
-        table = theory.coefficient_table(params, k_max=args.k_max)
-        tables[repr(float(c))] = table.to_dict()
+        table = tables[repr(float(c))] = theory.coefficient_table(params, k_max=args.k_max)
         if args.indegree_intercept is not None:
             fit = TailFit(alpha_hat=alpha, x_min=1.0,
                           intercept=args.indegree_intercept, tail_count=0)
-            for k, ck in [("limit", table.c_limit), *enumerate(table.c_k, 1)]:
+            for k, ck in [("limit", table["C_limit"]), *enumerate(table["C_k"], 1)]:
                 slope, intercept = theory.predict_line(fit, ck)
                 lines.append({"c": c, "k": k, "slope": slope, "intercept": intercept})
     out = {"coefficients": tables}

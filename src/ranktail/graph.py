@@ -18,6 +18,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -168,6 +169,11 @@ def decode_fields(obj, what: str, fields: dict, defaults: dict) -> dict:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{what} field {key!r}: {exc}") from None
     return out
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def as_number(value, kind=float):

@@ -34,18 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
-from .graph import Graph, _map_ordered, _segment_blocks, write_csv
+from .graph import Graph, _is_int, _map_ordered, _segment_blocks, write_csv
 
 _BLOCK_EDGES = 1 << 16
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer; a bool is not one."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

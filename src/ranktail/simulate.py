@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (_map_ordered, _segment_blocks, _segment_counts, decode_fields,
+from .graph import (_is_int, _map_ordered, _segment_blocks, _segment_counts, decode_fields,
                     hist_to_json, parse_hist)
 from .theory import validate_outdegree_hist
 
@@ -166,6 +166,8 @@ class ModelSpec:
         object.__setattr__(self, "indegree", InDegreeLaw(self.alpha, self.d))
         if self.pool_size < 10_000:
             raise ValueError("pool_size must be at least 10_000")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "effective_outdegree",
                            EffectiveOutdegreeSampler(self.outdeg_hist, self.d))
 
@@ -200,15 +202,6 @@ class SamplePool:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def ccdf_at(self, xs: np.ndarray) -> np.ndarray:
-        """Empirical P(value > x) at the probe positions."""
-        return _ccdf_of_sorted(np.sort(self.values), xs)
-
-
-def _ccdf_of_sorted(ordered: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The fraction of the sorted samples above each probe."""
-    return (ordered.size - np.searchsorted(ordered, xs, side="right")) / ordered.size
-
 
 def initial_pool(spec: ModelSpec) -> SamplePool:
     return SamplePool(values=np.ones(spec.pool_size), generation=0)
@@ -241,7 +234,7 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
     if pool.values.size != m:
         raise ValueError("pool size does not match spec.pool_size")
     bounds = np.cumsum(spec.indegree.sample(rng, m))
-    total = int(bounds[-1]) if m else 0
+    total = int(bounds[-1])
     acc = np.zeros(m)
     prev = pool.values
     lookup = spec.effective_outdegree.lookup
@@ -288,7 +281,7 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
         k = math.ceil(math.log(_W1_TOL / 2) / math.log(rate)) if rate > 0 else 1
         if k > _MAX_GENERATIONS:
             raise SimulationConvergenceError(k, rate)
-    elif isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+    elif not _is_int(k) or k < 1:
         raise ValueError(f"k must be a positive integer or 'converged', got {k!r}")
     rng = np.random.default_rng(spec.seed)
     pool = initial_pool(spec)
@@ -308,7 +301,7 @@ def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float) -> list[
     ordered = np.sort(pool.values)  # one sort serves the quantiles and the CCDF
     x_lo, x_hi = np.quantile(ordered, [1.0 - hi_ccdf, 1.0 - lo_ccdf])
     xs = np.geomspace(x_lo, x_hi, 5)
-    emp = _ccdf_of_sorted(ordered, xs)
+    emp = (ordered.size - np.searchsorted(ordered, xs, side="right")) / ordered.size
     theory = c_value * spec.indegree.tail(xs)
     rows = []
     for x, e, t in zip(xs, emp, theory):

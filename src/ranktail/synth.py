@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _is_int
 from .simulate import InDegreeLaw
 from .theory import validate_outdegree_hist
 
@@ -38,6 +38,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n < 1_000:
             raise ValueError("need at least 1000 nodes for a meaningful degree law")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "indegree", InDegreeLaw(self.alpha, self.d))
         validate_outdegree_hist(self.outdeg_hist, self.d)
 

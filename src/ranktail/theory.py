@@ -9,7 +9,14 @@ distribution after k iterations is C_k times the in-degree tail, with
     C       = lim_k C_k = (c*(1-p0)/d)^alpha / (1 - c^alpha * b)
 
 and a Jensen lower bound obtained by replacing b with its constant
-out-degree value (1-p0)^alpha * d^(1-alpha).
+out-degree value b_J = (1-p0)^alpha * d^(1-alpha).  Since
+c^alpha * b_J = d * c1, with c1 = C_1 = (c*(1-p0)/d)^alpha,
+
+    C_J     = c1 / (1 - d*c1),
+
+and C / C_J = (1 - d*c1) / (1 - c^alpha * b) is the whole effect of the
+out-degree law's shape.  Parameters are admitted only where C is a finite
+float; as 0 <= c^alpha * b < 1, every C_k (c1 <= C_k <= C) is then one too.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreeProfile
+from .graph import DegreeProfile, _is_int
 from .tails import TailFit
 
 _HIST_SUM_TOL = 1e-12
@@ -36,7 +43,7 @@ def validate_outdegree_hist(p_hist: dict[int, float], d: float | None = None) ->
     if not p_hist:
         raise ValueError("empty out-degree histogram")
     for j in p_hist:
-        if not isinstance(j, int) or isinstance(j, bool):
+        if not _is_int(j):
             raise ValueError(f"out-degree {j!r} is not an integer")
     keys = sorted(p_hist)
     js = np.array(keys, dtype=float)
@@ -102,13 +109,10 @@ class TheoryParams:
             raise ValueError("b must be non-negative")
         if not self.geometric_ratio < 1.0:
             raise ValueError(f"series diverges: c^alpha * b = {self.geometric_ratio} >= 1")
-        try:
-            finite = math.isfinite(self.c1)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"(c*(1-p0)/d)^alpha is not a finite float at c={self.c}, "
-                             f"p0={self.p0}, d={self.d}, alpha={self.alpha}")
+        if not math.isfinite(coefficient_C(self)):
+            raise ValueError("limit coefficient C = (c*(1-p0)/d)^alpha / (1 - c^alpha*b) is not "
+                             f"a finite float at c={self.c}, p0={self.p0}, d={self.d}, "
+                             f"alpha={self.alpha}, b={self.b}")
 
     @property
     def geometric_ratio(self) -> float:
@@ -116,9 +120,11 @@ class TheoryParams:
 
     @property
     def c1(self) -> float:
-        """(c*(1-p0)/d)^alpha, evaluated in the log domain, robust for large d."""
-        return 10.0 ** (self.alpha * (math.log10(self.c) + math.log10(1.0 - self.p0)
-                                      - math.log10(self.d)))
+        """(c*(1-p0)/d)^alpha, evaluated in the log domain, robust for large d;
+        inf past the float range (refused when the params are built)."""
+        with np.errstate(over="ignore"):
+            return float(np.float64(10.0) ** (self.alpha * (
+                math.log10(self.c) + math.log10(1.0 - self.p0) - math.log10(self.d))))
 
     @classmethod
     def from_histogram(cls, c: float, alpha: float, p_hist: dict[int, float],
@@ -132,22 +138,10 @@ class TheoryParams:
         return cls.from_histogram(c, alpha, profile.p_hist, d=profile.d)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    b: float
-    c_k: list[float]
-    c_limit: float
-    c_lower_bound: float
-
-    def to_dict(self) -> dict:
-        return {"b": self.b, "C_k": self.c_k, "C_limit": self.c_limit,
-                "C_lower_bound": self.c_lower_bound}
-
-
 def coefficient_Ck(params: TheoryParams, k: int) -> float:
     """Tail coefficient after k iterations (finite geometric sum)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     r = params.geometric_ratio
     return params.c1 * (1.0 - r ** k) / (1.0 - r)
 
@@ -158,26 +152,30 @@ def coefficient_C(params: TheoryParams) -> float:
 
 
 def coefficient_lower_bound(params: TheoryParams) -> float:
-    """Value of the limit coefficient when every non-dangling node has the
-    same (constant) out-degree; a lower bound by Jensen's inequality."""
-    b_const = (1.0 - params.p0) ** params.alpha * params.d ** (1.0 - params.alpha)
-    denom = 1.0 - params.c ** params.alpha * b_const
-    if denom <= 0:
-        raise ValueError("constant-out-degree series diverges; bound undefined")
-    return params.c1 / denom
+    """C_J = c1 / (1 - d*c1), the limit coefficient when every non-dangling
+    node has the same (constant) out-degree; a lower bound by Jensen's
+    inequality.  Params from a histogram always have one, as its d is at
+    least 1 - p0; others may not."""
+    ratio = params.d * params.c1  # c^alpha * b_J
+    bound = params.c1 / (1.0 - ratio) if ratio < 1.0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"constant-out-degree coefficient C_J = c1 / (1 - d*c1) is not a "
+                         f"finite float at d*c1 = {ratio}")
+    return bound
 
 
-def coefficient_table(params: TheoryParams, k_max: int | None = None) -> CoefficientTable:
-    """C_1..C_k up to k_max (default: enough terms to reach the limit to 1e-12,
-    at most _K_MAX)."""
+def coefficient_table(params: TheoryParams, k_max: int | None = None) -> dict:
+    """b, C_1..C_k_max, C and C_J, under the keys `predict` prints.  k_max
+    defaults to enough terms to reach the limit to 1e-12, at most _K_MAX."""
     if k_max is None:
         r = params.geometric_ratio
         k_max = 1 if r == 0 else min(_K_MAX, math.ceil(math.log(1e-12) / math.log(r)))
+    elif not _is_int(k_max):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     elif not 1 <= k_max <= _K_MAX:
         raise ValueError(f"k_max must be >= 1 and <= {_K_MAX}, got {k_max}")
-    cks = [coefficient_Ck(params, k) for k in range(1, k_max + 1)]
-    return CoefficientTable(b=params.b, c_k=cks, c_limit=coefficient_C(params),
-                            c_lower_bound=coefficient_lower_bound(params))
+    return {"b": params.b, "C_k": [coefficient_Ck(params, k) for k in range(1, k_max + 1)],
+            "C_limit": coefficient_C(params), "C_lower_bound": coefficient_lower_bound(params)}
 
 
 def predict_line(indegree_fit: TailFit, c_value: float) -> tuple[float, float]:

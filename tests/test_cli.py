@@ -340,17 +340,29 @@ class TestPredictCmd:
         ("--indegree-intercept", "nan", "in-degree intercept must be finite, got nan"),
         ("--indegree-intercept", "inf", "in-degree intercept must be finite, got inf"),
         ("--d", "inf", "mean degree must be positive and finite, got inf"),
-        ("--d", "1e-320", "(c*(1-p0)/d)^alpha is not a finite float at c=0.85, p0=0.1, "
-                          "d=1e-320, alpha=1.5"),
-    ], ids=["intercept-nan", "intercept-inf", "d-inf", "d-tiny"])
+        ("--d", "1e-320", "limit coefficient C = (c*(1-p0)/d)^alpha / (1 - c^alpha*b) is not "
+                          "a finite float at c=0.85, p0=0.1, d=1e-320, alpha=1.5, b=0.5"),
+        ("--d", "3e-206", "limit coefficient C = (c*(1-p0)/d)^alpha / (1 - c^alpha*b) is not "
+                          "a finite float at c=0.85, p0=0.1, d=3e-206, alpha=1.5, b=0.5"),
+    ], ids=["intercept-nan", "intercept-inf", "d-inf", "d-tiny", "C-overflow"])
     def test_non_finite_input_is_usage_error(self, capsys, flag, value, message):
         # a NaN or infinite intercept is not JSON, an infinite d read every
-        # coefficient as 0, and a tiny d overflowed (c(1-p0)/d)^alpha
+        # coefficient as 0, a tiny d overflows (c(1-p0)/d)^alpha, and at
+        # d = 3e-206 that is a float, 1.3e308, but C = 1.64 times it is not
         given = {"--d": "8", "--indegree-intercept": "-0.2", flag: value}
         assert main(["predict", "--alpha", "1.5", "--p0", "0.1", "--b", "0.5",
                      "--damping", "0.85", "--k-max", "2",
                      *[a for kv in given.items() for a in kv]]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_vanishing_damping_is_its_own_lower_bound(self, capsys):
+        # c^alpha and d * c1 underflow to 0, so C = C_J = C_1 = 1e-290; the
+        # constant-out-degree b, d^(1-alpha) = 1e380, is never formed
+        assert main(["predict", "--alpha", "2.9", "--d", "1e-200", "--b", "0.5",
+                     "--damping", "1e-300", "--k-max", "1"]) == 0
+        table = json.loads(capsys.readouterr().out)["coefficients"]["1e-300"]
+        assert table["C_lower_bound"] == table["C_limit"] == table["C_k"][0]
+        assert table["C_limit"] == pytest.approx(1e-290, rel=1e-12)
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_nonpositive_k_max_is_usage_error(self, capsys, k_max):
@@ -456,6 +468,20 @@ class TestSimulateCmd:
                      "--config", str(cfg), "--output-dir", str(out), *flags]) == 0
         assert json.loads((out / "summary.json").read_text())["spec"]["seed"] == seed
 
+    @pytest.mark.parametrize("flags, config, spec_seed", [
+        (["--seed", "-1"], {}, 1),
+        ([], {"seed": -1}, 1),
+        ([], {}, -1),
+    ], ids=["flag", "config", "spec"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, flags, config, spec_seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "sim"
+        assert main(["simulate", str(self.spec_file(tmp_path, seed=spec_seed)), "--iters", "1",
+                     "--config", str(cfg), "--output-dir", str(out), *flags]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["2.5", "true", "0"])
     def test_iters_flag_other_than_a_count_is_usage_error(self, tmp_path, capsys, text):
         out = tmp_path / "sim"
@@ -539,6 +565,13 @@ class TestGenerateCmd:
         assert capsys.readouterr().err == generate_err == (
             "error: histogram mean degree 1.6 differs from d=3.0\n")
         assert not (tmp_path / "g").exists() and not (tmp_path / "s").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # refused by name when the spec is built, not by numpy when it draws
+        assert main(GENERATE_1K + ["--outdeg-hist", '{"1": 1.0}', "--seed", "-3",
+                                   "--output-dir", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+        assert not (tmp_path / "g").exists()
 
     def test_fixed_indegree_flag_is_gone(self, tmp_path):
         assert main(["generate", "--nodes", "1000", "--alpha", "1.5", "--mean-degree", "1",

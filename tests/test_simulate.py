@@ -85,6 +85,12 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=r"field 'seed': expected int, got 1\.5"):
             ModelSpec.from_dict({**obj, "seed": 1.5})
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
+    def test_seed_that_is_not_a_non_negative_integer_is_named(self, seed):
+        message = f"^seed must be a non-negative integer, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
+            calm_spec(seed=seed)
+
 
 class TestInDegreeSampler:
     def test_mean_matches_d(self, rng):
@@ -346,8 +352,10 @@ class TestSimulateR:
         assert pool.generation == 3
 
     def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_R(calm_spec(pool_size=10_000), 0)
+        spec = calm_spec(pool_size=10_000)
+        for k in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="k must be a positive integer or 'converged'"):
+                simulate_R(spec, k)
 
     def test_converged_mode_stops(self):
         # smallest k with 2 * (c*(1-p0))^k <= 1e-3: 2 * 0.24^6 = 3.8e-4
@@ -373,7 +381,12 @@ class TestSimulateR:
         probes = np.geomspace(pool.values.min(),
                               np.quantile(pool.values, 0.999), 20)
         after = iterate_pool(pool, spec, np.random.default_rng(777))
-        diff = np.abs(pool.ccdf_at(probes) - after.ccdf_at(probes)).max()
+
+        def ccdf_at(values):  # the fraction of the samples above each probe
+            above = values.size - np.searchsorted(np.sort(values), probes, side="right")
+            return above / values.size
+
+        diff = np.abs(ccdf_at(pool.values) - ccdf_at(after.values)).max()
         assert diff < 2e-3
 
     def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranktail.tails import TailFit
-from ranktail.theory import (CoefficientTable, TheoryParams, b_coefficient,
-                             coefficient_C, coefficient_Ck, coefficient_lower_bound,
-                             coefficient_table, predict_line, validate_outdegree_hist)
+from ranktail.theory import (TheoryParams, b_coefficient, coefficient_C, coefficient_Ck,
+                             coefficient_lower_bound, coefficient_table, predict_line,
+                             validate_outdegree_hist)
 
 INDOCHINA = dict(alpha=1.17, d=26.17, p0=0.18, b=0.65)
 STANFORD = dict(alpha=1.1, d=8.2032, p0=0.006, b=0.8558)
@@ -92,14 +93,31 @@ class TestParams:
         with pytest.raises(ValueError, match="mean degree must be positive and finite, got inf"):
             TheoryParams(c=0.85, alpha=1.5, d=math.inf, p0=0.1, b=0.5)
 
-    @pytest.mark.parametrize("d, alpha", [(1e-320, 1.5), (0.85, math.inf)],
-                             ids=["overflow", "nan"])
-    def test_leading_coefficient_must_be_a_finite_float(self, d, alpha):
+    @pytest.mark.parametrize("d, alpha, b", [(1e-320, 1.5, 0.5), (0.85, math.inf, 0.5),
+                                             (1e-205, 1.5, 1.276)],
+                             ids=["overflow", "nan", "limit"])
+    def test_leading_coefficient_must_be_a_finite_float(self, d, alpha, b):
         # (0.85/1e-320)^1.5 = 10^480 overflows a float; at c(1-p0) = d an
-        # infinite alpha reads inf * log10(1) = NaN
-        with pytest.raises(ValueError, match=r"^\(c\*\(1-p0\)/d\)\^alpha is not a finite float "
-                                             rf"at c=0\.85, p0=0\.0, d={d}, alpha={alpha}$"):
-            TheoryParams(c=0.85, alpha=alpha, d=d, p0=0.0, b=0.5)
+        # infinite alpha reads inf * log10(1) = NaN; (0.85/1e-205)^1.5 is a
+        # float, 2.5e307, but 1 - c^alpha*b = 1.5e-5 lifts C past the range
+        with pytest.raises(ValueError, match=r"^limit coefficient C = \(c\*\(1-p0\)/d\)\^alpha / "
+                                             r"\(1 - c\^alpha\*b\) is not a finite float at "
+                                             rf"c=0\.85, p0=0\.0, d={d}, alpha={alpha}, b={b}$"):
+            TheoryParams(c=0.85, alpha=alpha, d=d, p0=0.0, b=b)
+
+    @given(c=st.floats(1e-6, 0.999), alpha=st.floats(1.0, 3.0, exclude_min=True,
+                                                     exclude_max=True),
+           log10_d=st.floats(-300.0, 3.0), p0=st.floats(0.0, 0.99), b=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_every_coefficient_of_built_params_is_a_finite_float(self, c, alpha, log10_d,
+                                                                 p0, b):
+        try:
+            params = TheoryParams(c=c, alpha=alpha, d=10.0 ** log10_d, p0=p0, b=b)
+        except ValueError:
+            return
+        ks = (1, 10, 10_000)
+        for value in (coefficient_C(params), *(coefficient_Ck(params, k) for k in ks)):
+            assert isinstance(value, float) and math.isfinite(value)
 
     def test_from_histogram_derives_fields(self):
         params = TheoryParams.from_histogram(0.85, 1.2, {0: 0.2, 1: 0.4, 3: 0.4})
@@ -149,7 +167,26 @@ class TestCoefficients:
         diff = coefficient_C(params) - coefficient_Ck(params, k_needed)
         assert abs(diff) <= 1e-12
         table = coefficient_table(params)
-        assert table.c_k[-1] == pytest.approx(table.c_limit, abs=1e-12)
+        assert table["C_k"][-1] == pytest.approx(table["C_limit"], abs=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 2.5, True, "1"])
+    def test_k_that_is_not_a_positive_integer_is_refused(self, k):
+        params = TheoryParams(c=0.85, **STANFORD)
+        with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
+            coefficient_Ck(params, k)
+
+    @pytest.mark.parametrize("k_max, message", [
+        (2.5, "k_max must be an integer, got 2.5"),
+        (True, "k_max must be an integer, got True"),
+    ])
+    def test_k_max_that_is_not_a_count_is_refused(self, k_max, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coefficient_table(TheoryParams(c=0.85, **STANFORD), k_max=k_max)
+
+    def test_numpy_integer_counts_accepted(self):
+        params = TheoryParams(c=0.85, **STANFORD)
+        assert coefficient_Ck(params, np.int64(2)) == coefficient_Ck(params, 2)
+        assert coefficient_table(params, k_max=np.int32(2)) == coefficient_table(params, k_max=2)
 
     def test_damping_to_zero_kills_tail(self):
         params = TheoryParams(c=1e-4, **INDOCHINA)
@@ -169,6 +206,23 @@ class TestLowerBound:
         params = TheoryParams.from_histogram(0.85, 1.3, {5: 1.0})
         assert coefficient_lower_bound(params) == pytest.approx(
             coefficient_C(params), rel=1e-12)
+
+    @pytest.mark.parametrize("graph", [INDOCHINA, STANFORD], ids=["indochina", "stanford"])
+    def test_ratio_is_d_times_c1(self, graph):
+        # c^alpha * (1-p0)^alpha * d^(1-alpha), the constant out-degree b, is d * c1
+        params = TheoryParams(c=0.85, **graph)
+        b_const = (1 - params.p0) ** params.alpha * params.d ** (1 - params.alpha)
+        assert coefficient_lower_bound(params) == pytest.approx(
+            params.c1 / (1 - params.c ** params.alpha * b_const), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [0.1, 1e-200])
+    def test_no_finite_bound_is_refused(self, d):
+        # a d below 1 - p0, which no histogram gives, puts d * c1 at 2.5
+        # (d = 0.1) and 2.5e99 (d = 1e-200)
+        params = TheoryParams(c=0.85, alpha=1.5, d=d, p0=0.0, b=0.0)
+        with pytest.raises(ValueError, match=r"^constant-out-degree coefficient C_J = "
+                                             r"c1 / \(1 - d\*c1\) is not a finite float"):
+            coefficient_lower_bound(params)
 
     def test_heavy_graph_gap(self):
         # direct evaluation of both closed forms at the heavy-graph params:
@@ -228,6 +282,7 @@ class TestPredictLine:
     def test_table_export(self):
         params = TheoryParams(c=0.85, **STANFORD)
         table = coefficient_table(params, k_max=3)
-        assert isinstance(table, CoefficientTable)
-        assert len(table.c_k) == 3
-        assert table.to_dict()["C_k"] == table.c_k
+        assert table == {"b": params.b,
+                         "C_k": [coefficient_Ck(params, k) for k in (1, 2, 3)],
+                         "C_limit": coefficient_C(params),
+                         "C_lower_bound": coefficient_lower_bound(params)}
