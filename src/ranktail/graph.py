@@ -26,7 +26,58 @@ _ID_MAX = np.iinfo(np.int64).max
 _DEGREE_KEY = re.compile("0|[1-9][0-9]*")
 _CHUNK_ROWS = 1 << 16
 _CHUNK_BYTES = 1 << 20
+_ID_CHUNK = 1 << 20  # ids a builder copies or draws at a time
 _COMMENT = re.compile(rb"^#[^\n]*", re.M)
+
+
+def _id_dtype(n: int) -> np.dtype:
+    """The width of the node ids of an n-node graph: int32 when every id in
+    [0, n) fits in it (n <= 2**31), else int64."""
+    return np.dtype(np.int32 if n <= 2**31 else np.int64)
+
+
+def _id_counts(ids: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount(ids, minlength=n) as int64, for ids in [0, n).  bincount
+    copies ids narrower than intp, so they are counted in pieces of
+    max(_ID_CHUNK, n): no copy is larger than a piece, and the adds stay
+    O(ids.size + n)."""
+    counts = np.zeros(n, np.int64)
+    step = max(_ID_CHUNK, n)
+    for start in range(0, ids.size, step):
+        counts += np.bincount(ids[start:start + step], minlength=n)
+    return counts
+
+
+def _is_sorted(a: np.ndarray) -> bool:
+    """Whether a is non-decreasing, checked a piece at a time, so that no
+    comparison array is larger than _ID_CHUNK."""
+    for start in range(1, a.size, _ID_CHUNK):
+        stop = min(start + _ID_CHUNK, a.size)
+        if (a[start:stop] < a[start - 1:stop - 1]).any():
+            return False
+    return True
+
+
+def _stable_group(keys: np.ndarray, values: np.ndarray, starts: np.ndarray,
+                  dtype) -> np.ndarray:
+    """values as ``dtype``, in the order of a stable sort of their keys, in
+    [0, starts.size), where starts[k] is the count of keys below k.  A
+    counting sort, _ID_CHUNK keys at a time: each piece is sorted on its own
+    and its runs are placed after those of the pieces before it, so the
+    result is the one array of one entry per key that it makes."""
+    out = np.empty(values.size, dtype)
+    fill = starts.copy()  # where the next value of each key goes
+    for start in range(0, keys.size, _ID_CHUNK):
+        piece = keys[start:start + _ID_CHUNK]
+        order = np.argsort(piece, kind="stable")
+        ordered = piece[order]
+        runs = np.flatnonzero(np.diff(ordered, prepend=-1))  # where each key's run starts
+        counts = np.diff(runs, append=ordered.size)
+        run_keys = ordered[runs]
+        out[np.repeat(fill[run_keys] - runs, counts) + np.arange(ordered.size)] = (
+            values[start:start + _ID_CHUNK][order])
+        fill[run_keys] += counts
+    return out
 
 
 def _cpu_count() -> int:
@@ -54,6 +105,11 @@ class Graph:
     node i, with multiplicity.  ``out_deg[j]`` counts outgoing edges of j
     (multiplicity included); nodes with ``out_deg == 0`` are dangling.
     ``orig_ids`` maps dense ids back to the ids found in the input.
+
+    The graphs that ``from_edges``, ``load_edge_list`` and ``synth.generate``
+    build hold in_src at the id width (`_id_dtype`): int32 when n <= 2**31,
+    else int64.  in_ptr, out_deg and orig_ids are int64.  An in_src of
+    another signed integer type is taken as it is.
     """
 
     n: int
@@ -80,7 +136,7 @@ class Graph:
             raise ValueError("in_ptr must hold n + 1 offsets rising from 0 to m")
         if src.size != m or (m and (src.min() < 0 or src.max() >= n)):
             raise ValueError("in_src must hold m node ids in [0, n)")
-        counts = np.bincount(src, minlength=n).astype(np.int64, copy=False)
+        counts = _id_counts(src, n)
         if self.out_deg is None:
             object.__setattr__(self, "out_deg", counts)
         elif not np.array_equal(self.out_deg, counts):
@@ -96,29 +152,35 @@ class Graph:
     def from_edges(cls, src, dst, n: int, orig_ids=None) -> "Graph":
         """Build a graph from parallel source/destination arrays of dense ids.
 
-        When dst is already non-decreasing, as in every edge list ranktail
-        writes, the edges are in in-adjacency order: src is in_src as it
-        stands (an int64 src is frozen in place, as orig_ids is) and no sort
-        is made.  dst of a signed integer type is read as it is.  Ids of a
-        dtype that is not an integer one, float or bool, are refused, not
+        in_src holds the ids at the id width (`_id_dtype`), whatever the
+        input's integer type.  When dst is already non-decreasing, as in
+        every edge list ranktail writes, the edges are in in-adjacency order
+        and no sort is made: a src of the id width is in_src as it stands,
+        frozen in place, as an int64 orig_ids is.  Otherwise the edges are
+        grouped by a stable counting sort on dst (`_stable_group`).  No array
+        of one entry per edge is made that the graph does not keep.  Ids of
+        a dtype that is not an integer one, float or bool, are refused, not
         cast; an empty list, which numpy reads as float, holds no id."""
         src, dst = np.asarray(src), np.asarray(dst)
         orig_ids = None if orig_ids is None else np.asarray(orig_ids)
         if any(a.dtype.kind not in "iu" and a.size for a in (src, dst, orig_ids)
                if a is not None):
             raise ValueError("src, dst and orig_ids must be arrays of an integer type")
-        if dst.dtype.kind != "i":
-            dst = dst.astype(np.int64)
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same length")
         m = int(dst.size)
-        if m and (dst.min() < 0 or dst.max() >= n):
+        # checked before the ids are cast, which would wrap one beyond the width
+        if m and any(a.min() < 0 or a.max() >= n for a in (src, dst)):
             raise ValueError("node ids must lie in [0, n)")
+        width = _id_dtype(n)
+        if dst.dtype.kind != "i":  # bincount takes no uint64
+            dst = dst.astype(width)
         in_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=in_ptr[1:])
-        in_src = np.ascontiguousarray(src, dtype=np.int64)
-        if (dst[1:] < dst[:-1]).any():  # group in-edges by destination
-            in_src = in_src[np.argsort(dst, kind="stable")]
+        np.cumsum(_id_counts(dst, n), out=in_ptr[1:])
+        if _is_sorted(dst):
+            in_src = np.ascontiguousarray(src, dtype=width)
+        else:  # group in-edges by destination
+            in_src = _stable_group(dst, src, in_ptr[:-1], width)
         if orig_ids is not None:
             orig_ids = np.asarray(orig_ids, dtype=np.int64)
         return cls(n=n, m=m, in_ptr=in_ptr, in_src=in_src, orig_ids=orig_ids)
@@ -448,10 +510,11 @@ def _parse_fast(raw: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
 
 def _parse_lines(chunk: bytes, first_line: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
     """(src, dst, line count) of LF-ended lines parsed one at a time, with
-    int64 ids: accepts everything int() does and raises EdgeListParseError
-    with the line number, counted from first_line, on the rest.  Each line
-    is decoded as UTF-8 with its LF, so a line that is not UTF-8 raises
-    UnicodeDecodeError naming it, in file order with the other faults."""
+    ids int32 while every id fits, else int64: accepts everything int()
+    does and raises EdgeListParseError with the line number, counted from
+    first_line, on the rest.  Each line is decoded as UTF-8 with its LF, so
+    a line that is not UTF-8 raises UnicodeDecodeError naming it, in file
+    order with the other faults."""
     src: list[int] = []
     dst: list[int] = []
     lines = chunk.splitlines(keepends=True)
@@ -476,7 +539,8 @@ def _parse_lines(chunk: bytes, first_line: int = 1) -> tuple[np.ndarray, np.ndar
             raise EdgeListParseError(line_no, f"node id out of range in {line.strip()!r}")
         src.append(s)
         dst.append(t)
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), len(lines)
+    dtype = np.int32 if max(src + dst, default=0) < 2**31 else np.int64
+    return np.asarray(src, dtype=dtype), np.asarray(dst, dtype=dtype), len(lines)
 
 
 def _dense_ids(columns: list[np.ndarray]) -> np.ndarray:
@@ -484,19 +548,24 @@ def _dense_ids(columns: list[np.ndarray]) -> np.ndarray:
     by their indices among them, as np.unique with return_inverse=True
     gives.  When the largest id is below twice the id count, a presence
     table of that size replaces the sort, and each column is remapped in
-    place."""
+    place, _ID_CHUNK ids at a time: numpy copies int32 indices to intp, and
+    a piece's copy is all it makes.  Otherwise np.unique's indices are cast
+    to the id width (`_id_dtype`)."""
     top = max(int(col.max()) for col in columns)
     if top >= 2 * sum(col.size for col in columns):
         uniq, inverse = np.unique(np.concatenate(columns), return_inverse=True)
+        inverse = inverse.astype(_id_dtype(uniq.size))
         columns[:] = np.split(inverse, [columns[0].size])
         return uniq
+    pieces = [col[start:start + _ID_CHUNK] for col in columns
+              for start in range(0, col.size, _ID_CHUNK)]
     present = np.zeros(top + 1, dtype=bool)
-    for col in columns:
-        present[col] = True
+    for piece in pieces:
+        present[piece] = True
     rank = np.cumsum(present, dtype=columns[0].dtype)
     rank -= 1
-    for col in columns:
-        np.take(rank, col, out=col, mode="clip")  # every id is in range; "clip" writes out directly
+    for piece in pieces:  # every id is in range; "clip" writes out directly
+        np.take(rank, piece, out=piece, mode="clip")
     return np.flatnonzero(present)
 
 

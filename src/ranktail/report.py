@@ -103,7 +103,11 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
         if alpha_used is None or alpha_used <= 1.0:
             warnings_out.append(f"c={key}: no usable tail exponent; coefficients skipped")
             continue
-        tparams = theory.TheoryParams.from_profile(profile, c=c, alpha=alpha_used)
+        try:
+            tparams = theory.TheoryParams.from_profile(profile, c=c, alpha=alpha_used)
+        except ValueError as exc:
+            warnings_out.append(f"c={key}: coefficients skipped ({exc})")
+            continue
         try:
             lower = theory.coefficient_lower_bound(tparams)
         except ValueError as exc:

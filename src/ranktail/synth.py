@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _is_int
+from .graph import _ID_CHUNK, Graph, _id_dtype, _is_int, _segment_counts
 from .simulate import InDegreeLaw
 from .theory import validate_outdegree_hist
 
@@ -52,6 +52,12 @@ def generate(spec: SynthSpec) -> Graph:
 
     Self-loops are redrawn up to 100 times and then accepted.  Raises when
     the assigned classes leave no out-capacity but in-stubs exist.
+
+    The ids are at the width of `graph._id_dtype` (int32 up to 2**31
+    nodes).  Sources are drawn _ID_CHUNK at a time, which draws the same
+    numbers as one call, and no array of one entry per edge is made but the
+    out-stub table and in_src: each chunk's destinations are found from the
+    in-degrees (`_segment_counts`), and only redrawn edges are checked again.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n
@@ -61,23 +67,35 @@ def generate(spec: SynthSpec) -> Graph:
     class_p = np.array([spec.outdeg_hist[int(j)] for j in classes_j])
     assigned = classes_j[rng.choice(classes_j.size, size=n, p=class_p / class_p.sum())]
 
-    stubs = np.repeat(np.arange(n, dtype=np.int64), assigned)  # owner of each out-stub
+    width = _id_dtype(n)
+    stubs = np.repeat(np.arange(n, dtype=width), assigned)  # owner of each out-stub
     capacity = stubs.size
-    m = int(indeg.sum())
-    if m == 0:
-        return Graph.from_edges(np.empty(0, np.int64), np.empty(0, np.int64), n)
-    if capacity == 0:
+    in_ptr = np.zeros(n + 1, dtype=np.int64)
+    ends = np.cumsum(indeg, out=in_ptr[1:])
+    m = int(ends[-1])
+    if m and capacity == 0:
         raise ValueError("no out-capacity assigned but in-stubs exist")
 
-    def sources(size):  # owners of `size` uniform out-stubs
-        return stubs[(rng.random(size) * capacity).astype(np.int64)]
+    def draw(out):  # out[:] = owners of uniform out-stubs
+        picks = rng.random(out.size)
+        picks *= capacity
+        np.take(stubs, picks.astype(np.intp), out=out, mode="clip")  # picks < capacity
 
-    dst = np.repeat(np.arange(n, dtype=np.int64), indeg)
-    src = sources(m)
+    src = np.empty(m, dtype=width)
+    loops = [np.empty(0, np.intp)]
+    for start in range(0, m, _ID_CHUNK):
+        chunk = src[start:start + _ID_CHUNK]
+        draw(chunk)
+        lo, counts = _segment_counts(ends, start, start + chunk.size)
+        dst = np.repeat(np.arange(lo, lo + counts.size, dtype=width), counts)
+        loops.append(np.flatnonzero(chunk == dst) + start)
+    loops = np.concatenate(loops)
     for _ in range(_SELF_LOOP_REDRAWS):
-        loops = np.flatnonzero(src == dst)
         if loops.size == 0:
             break
-        src[loops] = sources(loops.size)
+        redrawn = np.empty(loops.size, dtype=width)
+        draw(redrawn)
+        src[loops] = redrawn
+        loops = loops[redrawn == np.searchsorted(ends, loops, side="right")]
     del stubs  # the out-stub table is as large as src; free it before the build
-    return Graph.from_edges(src, dst, n)
+    return Graph(n=n, m=m, in_ptr=in_ptr, in_src=src)

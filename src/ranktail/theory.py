@@ -15,8 +15,9 @@ c^alpha * b_J = d * c1, with c1 = C_1 = (c*(1-p0)/d)^alpha,
     C_J     = c1 / (1 - d*c1),
 
 and C / C_J = (1 - d*c1) / (1 - c^alpha * b) is the whole effect of the
-out-degree law's shape.  Parameters are admitted only where C is a finite
-float; as 0 <= c^alpha * b < 1, every C_k (c1 <= C_k <= C) is then one too.
+out-degree law's shape.  Parameters are admitted only where C is a positive
+finite float; as 0 <= c^alpha * b < 1, every C_k (c1 <= C_k <= C) is then one
+too.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ class TheoryParams:
             raise ValueError("b must be non-negative")
         if not self.geometric_ratio < 1.0:
             raise ValueError(f"series diverges: c^alpha * b = {self.geometric_ratio} >= 1")
-        if not math.isfinite(coefficient_C(self)):
+        if not 0.0 < coefficient_C(self) < math.inf:
             raise ValueError("limit coefficient C = (c*(1-p0)/d)^alpha / (1 - c^alpha*b) is not "
-                             f"a finite float at c={self.c}, p0={self.p0}, d={self.d}, "
+                             f"a positive finite float at c={self.c}, p0={self.p0}, d={self.d}, "
                              f"alpha={self.alpha}, b={self.b}")
 
     @property

@@ -341,14 +341,17 @@ class TestPredictCmd:
         ("--indegree-intercept", "inf", "in-degree intercept must be finite, got inf"),
         ("--d", "inf", "mean degree must be positive and finite, got inf"),
         ("--d", "1e-320", "limit coefficient C = (c*(1-p0)/d)^alpha / (1 - c^alpha*b) is not "
-                          "a finite float at c=0.85, p0=0.1, d=1e-320, alpha=1.5, b=0.5"),
+                          "a positive finite float at c=0.85, p0=0.1, d=1e-320, alpha=1.5, b=0.5"),
         ("--d", "3e-206", "limit coefficient C = (c*(1-p0)/d)^alpha / (1 - c^alpha*b) is not "
-                          "a finite float at c=0.85, p0=0.1, d=3e-206, alpha=1.5, b=0.5"),
-    ], ids=["intercept-nan", "intercept-inf", "d-inf", "d-tiny", "C-overflow"])
+                          "a positive finite float at c=0.85, p0=0.1, d=3e-206, alpha=1.5, b=0.5"),
+        ("--d", "1e300", "limit coefficient C = (c*(1-p0)/d)^alpha / (1 - c^alpha*b) is not "
+                         "a positive finite float at c=0.85, p0=0.1, d=1e+300, alpha=1.5, b=0.5"),
+    ], ids=["intercept-nan", "intercept-inf", "d-inf", "d-tiny", "C-overflow", "C-underflow"])
     def test_non_finite_input_is_usage_error(self, capsys, flag, value, message):
         # a NaN or infinite intercept is not JSON, an infinite d read every
         # coefficient as 0, a tiny d overflows (c(1-p0)/d)^alpha, and at
-        # d = 3e-206 that is a float, 1.3e308, but C = 1.64 times it is not
+        # d = 3e-206 that is a float, 1.3e308, but C = 1.64 times it is not;
+        # at d = 1e300, (c(1-p0)/d)^alpha underflows to C = 0.0
         given = {"--d": "8", "--indegree-intercept": "-0.2", flag: value}
         assert main(["predict", "--alpha", "1.5", "--p0", "0.1", "--b", "0.5",
                      "--damping", "0.85", "--k-max", "2",

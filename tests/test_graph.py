@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranktail import graph as graph_mod
-from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _map_ordered,
-                            _parse_fast, _parse_lines, _segment_blocks, _segment_counts,
-                            degree_profile, load_edge_list, parse_hist, read_json,
-                            write_edge_list, write_json)
+from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _id_dtype,
+                            _map_ordered, _parse_fast, _parse_lines, _segment_blocks,
+                            _segment_counts, degree_profile, load_edge_list, parse_hist,
+                            read_json, write_edge_list, write_json)
+from ranktail.pagerank import pagerank_series
 from ranktail.simulate import EffectiveOutdegreeSampler
 
 
@@ -321,7 +322,8 @@ class TestGraphConstructor:
         in_ptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=7))])
         expected = (in_ptr, src[order], np.bincount(src, minlength=7), np.arange(7))
         for got, want in zip((g.in_ptr, g.in_src, g.out_deg, g.orig_ids), expected):
-            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            width = np.int32 if got is g.in_src else np.int64  # in_src at the id width
+            assert got.dtype == width and got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("arrays", [
         (np.array([0.9, 1.7]), np.array([1.2, 0.99]), None),
@@ -342,9 +344,68 @@ class TestGraphConstructor:
         assert Graph.from_edges([], [], 2).m == 0  # numpy reads [] as float: no id to cut
 
     def test_sorted_dst_keeps_src_as_in_src(self):
-        src, dst = np.array([2, 0, 1]), np.array([0, 1, 1])
+        # an int32 src is of the id width at n = 3: kept in place, not widened
+        src, dst = np.array([2, 0, 1], dtype=np.int32), np.array([0, 1, 1])
         g = Graph.from_edges(src, dst, 3)
         assert g.in_src is src and not src.flags.writeable
+
+
+class TestIdWidth:
+    @pytest.mark.parametrize("n, width", [(2**31 - 1, np.int32), (2**31, np.int32),
+                                          (2**31 + 1, np.int64)])
+    def test_width_rule_at_the_int32_limit(self, n, width):
+        # the ids of an n-node graph are 0..n-1: at n = 2**31 the largest is
+        # int32's largest
+        assert _id_dtype(n) == width
+
+    def test_both_widths_give_the_same_results(self, rng):
+        n, m = 20_000, 200_000
+        orig_ids = np.arange(n, dtype=np.int64) * 1_000_003 + 2**33
+        g32 = Graph.from_edges(rng.integers(0, n, m), np.sort(rng.integers(0, n, m)), n,
+                               orig_ids=orig_ids)
+        g64 = Graph(n=n, m=m, in_ptr=g32.in_ptr.copy(), in_src=g32.in_src.astype(np.int64),
+                    orig_ids=orig_ids.copy())
+        assert (g32.in_src.dtype, g64.in_src.dtype) == (np.int32, np.int64)
+        results = [pagerank_series(g, [0.5, 0.85], tol=1e-12, snapshot_iters=[1, 3])
+                   for g in (g32, g64)]
+        for a, b in zip(*results):
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.residuals.tobytes() == b.residuals.tobytes()
+            assert {k: v.tobytes() for k, v in a.snapshots.items()} == \
+                   {k: v.tobytes() for k, v in b.snapshots.items()}
+        written = []
+        for g in (g32, g64):
+            out = io.StringIO()
+            write_edge_list(g, out)
+            written.append(out.getvalue())
+        assert written[0] == written[1]
+        assert degree_profile(g32) == degree_profile(g64)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_builders_in_pieces_equal_the_whole_array_results(self, monkeypatch, rng, chunk):
+        # the counts, the order check, the counting sort and the id remap
+        # work _ID_CHUNK ids at a time; pieces of any size give the results of
+        # bincount, a stable argsort and np.unique on the whole arrays
+        n, m = 50, 500
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        text = "".join(f"{3 * s} {3 * t}\n" for s, t in zip(src, dst))
+        monkeypatch.setattr(graph_mod, "_ID_CHUNK", chunk)
+        for d in (dst, np.sort(dst), np.sort(dst)[::-1]):
+            g = Graph.from_edges(src, d, n)
+            order = np.argsort(d, kind="stable")
+            assert g.in_src.tolist() == src[order].tolist()
+            assert g.in_ptr.tolist() == [0, *np.cumsum(np.bincount(d, minlength=n))]
+            assert g.out_deg.tolist() == np.bincount(src, minlength=n).tolist()
+        assert outcome(graph_from_text, text) == outcome(per_line_graph, text)
+
+    def test_ids_beyond_int32_load_at_the_id_width(self):
+        text = f"{2**31} {2**40}\n{2**40} 5\n5 {2**31}\n"
+        g = graph_from_text(text)
+        assert g.in_src.dtype == np.int32
+        assert g.orig_ids.tolist() == [5, 2**31, 2**40]
+        out = io.StringIO()
+        write_edge_list(g, out)
+        assert out.getvalue() == f"{2**40}\t5\n5\t{2**31}\n{2**31}\t{2**40}\n"
 
 
 class TestDegreeProfile:

@@ -1,0 +1,67 @@
+"""Peak memory of the graph builders, counted by tracemalloc, which sees
+numpy's allocations (not RSS, which moves with the allocator).  Each bound
+is in bytes per edge above the builder's inputs, at about 2M edges; an
+int64 copy of one id column alone is 8 B/edge."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ranktail.graph import Graph, _dense_ids
+from ranktail.synth import SynthSpec, generate
+
+M = 1 << 21
+
+
+def peak_bytes(build) -> int:
+    """The most bytes that build() held at once above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sorted_columns():
+    """int32 (src, dst) of M edges over 2**16 nodes, dst non-decreasing, as
+    ranktail writes edge lists."""
+    rng = np.random.default_rng(3)
+    n = 1 << 16
+    src = rng.integers(0, n, M).astype(np.int32)
+    dst = np.sort(rng.integers(0, n, M)).astype(np.int32)
+    return src, dst, n
+
+
+def test_from_edges_on_a_sorted_int32_list(sorted_columns):
+    # the graph keeps src as in_src and adds arrays of n entries only; the
+    # rest is one piece of the counts.  Kept to 8 B/edge, which an int64
+    # copy of src, or of dst for bincount, exceeds.
+    src, dst, n = sorted_columns
+    assert peak_bytes(lambda: Graph.from_edges(src, dst, n)) / M < 8.0
+
+
+def test_dense_ids_remaps_in_place(sorted_columns):
+    # the presence table and ranks are of the id range; each column is
+    # remapped a piece at a time.  Kept to 6 B/edge, which an intp copy of
+    # a column (8 B/edge) exceeds.
+    src, dst, _ = sorted_columns
+    columns = [src.copy(), dst.copy()]
+    assert peak_bytes(lambda: _dense_ids(columns)) / M < 6.0
+
+
+def test_generate_holds_no_edge_sized_temporary():
+    # what generate keeps is in_src (4 B/edge at int32) and arrays of n
+    # entries; it also holds the out-stub table (about 4 B/edge) and one
+    # chunk of draws.  Kept to 24 B/edge, which three int64 arrays of one
+    # entry per edge exceed.
+    spec = SynthSpec(n=1 << 18, alpha=1.5, d=8.0, outdeg_hist={0: 0.1, 4: 0.68, 24: 0.22},
+                     seed=1)
+    graphs = []
+    peak = peak_bytes(lambda: graphs.append(generate(spec)))
+    m = graphs[0].m
+    assert 1.8e6 < m < 2.4e6
+    assert peak / m < 24.0

@@ -100,6 +100,17 @@ def test_tiny_tail_yields_partial_report():
     assert report["pagerank"]["0.5"]["iters_run"] >= 1
 
 
+def test_refused_coefficients_are_a_warning_per_damping(small_graph):
+    # at c = 1e-300, (c(1-p0)/d)^alpha underflows, so C = 0.0 is refused when
+    # the coefficients are built; that damping warns and the next one is kept
+    report, _ = analyze_graph(small_graph, AnalysisOptions(dampings=[1e-300, 0.85]))
+    assert set(report["pagerank"]) == {"1e-300", "0.85"}
+    assert list(report["coefficients"]) == ["0.85"]
+    assert {row["c"] for row in report["predicted_lines"]} == {0.85}
+    skipped = [w for w in report["warnings"] if w.startswith("c=1e-300: coefficients skipped")]
+    assert len(skipped) == 1 and "limit coefficient C = " in skipped[0]
+
+
 def test_alpha_override_guard():
     AnalysisOptions(alpha=2.1)  # plausible cumulative exponent: accepted
     with pytest.raises(ValueError, match="density"):

@@ -8,6 +8,7 @@ import pytest
 from oracles import solved_histogram
 from ranktail.graph import Graph, degree_profile
 from ranktail.simulate import EffectiveOutdegreeSampler
+from ranktail import synth as synth_mod
 from ranktail.synth import SynthSpec, generate
 from ranktail.tails import fit_exponent_mle
 
@@ -98,10 +99,11 @@ class TestGenerate:
 
     def test_graph_digest_pinned(self):
         # digests taken before the in-degree law moved into InDegreeLaw, at
-        # the README's histogram; they pin the draws (on numpy 2.4, x86-64)
+        # the README's histogram; they pin the draws (on numpy 2.4, x86-64).
+        # They hash the values as int64, the width every array had then
         g = generate(SynthSpec(n=20_000, alpha=1.5, d=8.0,
                                outdeg_hist={0: 0.1, 4: 0.68, 24: 0.22}, seed=1))
-        digests = {name: hashlib.sha256(getattr(g, name).tobytes()).hexdigest()
+        digests = {name: hashlib.sha256(getattr(g, name).astype(np.int64).tobytes()).hexdigest()
                    for name in ("in_ptr", "in_src", "out_deg")}
         assert digests == {
             "in_ptr": "e335fbf4538ff97e203b95e87564e9a1320c87233b4c811e8cc35712d0e27960",
@@ -173,6 +175,20 @@ def test_same_graph_as_searchsorted_wiring(make_spec, redraws):
         assert np.array_equal(getattr(g, name), getattr(expected, name)), name
     if redraws is not None:
         assert rounds == redraws
+
+
+@pytest.mark.parametrize("chunk", [1_000, 4_097])
+def test_sources_drawn_in_chunks_give_the_same_graph(monkeypatch, chunk):
+    # sources are drawn and checked for self-loops _ID_CHUNK edges at a
+    # time; chunks that cut in-lists give the graph of one whole-array draw
+    monkeypatch.setattr(synth_mod, "_ID_CHUNK", chunk)
+    for spec in (spec_for(n=20_000, seed=1),
+                 unit_indegree_spec(n=3_000, alpha=1.5, d=1.0,
+                                    outdeg_hist={0: 0.999, 1_000: 0.001}, seed=1)):
+        expected, _ = searchsorted_reference(spec)
+        g = generate(spec)
+        for name in ("in_ptr", "in_src", "out_deg"):
+            assert np.array_equal(getattr(g, name), getattr(expected, name)), name
 
 
 @pytest.mark.slow

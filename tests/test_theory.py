@@ -94,15 +94,19 @@ class TestParams:
             TheoryParams(c=0.85, alpha=1.5, d=math.inf, p0=0.1, b=0.5)
 
     @pytest.mark.parametrize("d, alpha, b", [(1e-320, 1.5, 0.5), (0.85, math.inf, 0.5),
-                                             (1e-205, 1.5, 1.276)],
-                             ids=["overflow", "nan", "limit"])
+                                             (1e-205, 1.5, 1.276), (5.0, math.inf, 0.5),
+                                             (8.0, 400.0, 0.5)],
+                             ids=["overflow", "nan", "limit", "infinite-alpha", "underflow"])
     def test_leading_coefficient_must_be_a_finite_float(self, d, alpha, b):
         # (0.85/1e-320)^1.5 = 10^480 overflows a float; at c(1-p0) = d an
         # infinite alpha reads inf * log10(1) = NaN; (0.85/1e-205)^1.5 is a
-        # float, 2.5e307, but 1 - c^alpha*b = 1.5e-5 lifts C past the range
+        # float, 2.5e307, but 1 - c^alpha*b = 1.5e-5 lifts C past the range.
+        # C must also be positive: (0.85/5)^inf and (0.85/8)^400 = 10^-389
+        # read 0.0, which would make every coefficient 0
         with pytest.raises(ValueError, match=r"^limit coefficient C = \(c\*\(1-p0\)/d\)\^alpha / "
-                                             r"\(1 - c\^alpha\*b\) is not a finite float at "
-                                             rf"c=0\.85, p0=0\.0, d={d}, alpha={alpha}, b={b}$"):
+                                             r"\(1 - c\^alpha\*b\) is not a positive finite "
+                                             rf"float at c=0\.85, p0=0\.0, d={d}, alpha={alpha}, "
+                                             rf"b={b}$"):
             TheoryParams(c=0.85, alpha=alpha, d=d, p0=0.0, b=b)
 
     @given(c=st.floats(1e-6, 0.999), alpha=st.floats(1.0, 3.0, exclude_min=True,
@@ -117,7 +121,7 @@ class TestParams:
             return
         ks = (1, 10, 10_000)
         for value in (coefficient_C(params), *(coefficient_Ck(params, k) for k in ks)):
-            assert isinstance(value, float) and math.isfinite(value)
+            assert isinstance(value, float) and math.isfinite(value) and value > 0
 
     def test_from_histogram_derives_fields(self):
         params = TheoryParams.from_histogram(0.85, 1.2, {0: 0.2, 1: 0.4, 3: 0.4})
