@@ -132,6 +132,9 @@ def cmd_pagerank(args) -> int:
         export_scores(g, result.scores, outdir / f"scores_c{key}.csv")
         for k, vec in sorted(result.snapshots.items()):
             export_scores(g, vec, outdir / f"scores_c{key}_iter{k}.csv")
+        missed = report_mod.missed_snapshots(key, result, args.snapshots)
+        if missed:
+            print(f"warning: {missed}", file=sys.stderr)
         if not result.converged:
             all_converged = False
             print(f"warning: c={key} not converged after {result.iters_run} iterations "
@@ -159,6 +162,8 @@ def cmd_predict(args) -> int:
     if alpha is None:
         raise ValueError("--alpha is required for predict")
     theory.validate_cumulative_alpha(alpha)
+    # one table per damping: each must lie in (0, 1) and be distinct
+    series_params(args.damping, PageRankParams.tol, PageRankParams.max_iters, ())
     tables = {}
     lines = []
     profile = DegreeProfile.from_dict(read_json(args.profile)) if args.profile else None

@@ -658,9 +658,9 @@ def write_edge_list(g: Graph, dest) -> None:
 def degree_profile(g: Graph) -> DegreeProfile:
     """Exact degree statistics: d = m/n, dangling fraction, degree histograms."""
     n = g.n
-    out_counts = np.bincount(g.out_deg)
-    in_counts = np.bincount(g.in_deg)
-    p_hist = {int(j): float(c / n) for j, c in enumerate(out_counts) if c > 0}
-    in_hist = {int(k): float(c / n) for k, c in enumerate(in_counts) if c > 0}
+    out_counts, in_counts = np.bincount(g.out_deg), np.bincount(g.in_deg)
+    out_seen, in_seen = np.flatnonzero(out_counts), np.flatnonzero(in_counts)
+    p_hist = dict(zip(out_seen.tolist(), (out_counts[out_seen] / n).tolist()))
+    in_hist = dict(zip(in_seen.tolist(), (in_counts[in_seen] / n).tolist()))
     return DegreeProfile(n=n, m=g.m, d=g.m / n, p0=p_hist.get(0, 0.0),
                          p_hist=p_hist, in_hist=in_hist)

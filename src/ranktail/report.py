@@ -46,6 +46,16 @@ def _analyze_vector(values, xmin: float | None, warnings_out: list[str],
     return tails.decimate_ccdf(series), fit
 
 
+def missed_snapshots(key: str, result, snapshot_iters) -> str | None:
+    """The warning that names the requested snapshots after damping ``key``
+    stopped, which were not taken; None when there are none."""
+    missed = sorted(k for k in set(snapshot_iters) if k > result.iters_run)
+    if missed:
+        return (f"c={key}: snapshot iterations {missed} not taken; "
+                f"the damping stopped at iteration {result.iters_run}")
+    return None
+
+
 def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
     """Run the full pipeline.
 
@@ -81,6 +91,9 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
                               options.snapshot_iters)
     for c, result in zip(options.dampings, results):
         key = repr(float(c))
+        missed = missed_snapshots(key, result, options.snapshot_iters)
+        if missed:
+            warnings_out.append(missed)
         scores_by_label = {"final": result.scores}
         for k in sorted(result.snapshots):
             scores_by_label[str(k)] = result.snapshots[k]

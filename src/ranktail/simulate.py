@@ -298,10 +298,11 @@ def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float) -> list[
     in_window=False.
     """
     lo_ccdf, hi_ccdf = _CCDF_WINDOW
-    ordered = np.sort(pool.values)  # one sort serves the quantiles and the CCDF
-    x_lo, x_hi = np.quantile(ordered, [1.0 - hi_ccdf, 1.0 - lo_ccdf])
+    # np.quantile partitions a copy and the probes count, so the pool is sorted
+    # only where its CCDF is written
+    x_lo, x_hi = np.quantile(pool.values, [1.0 - hi_ccdf, 1.0 - lo_ccdf])
     xs = np.geomspace(x_lo, x_hi, 5)
-    emp = (ordered.size - np.searchsorted(ordered, xs, side="right")) / ordered.size
+    emp = np.array([np.count_nonzero(pool.values > x) for x in xs]) / pool.values.size
     theory = c_value * spec.indegree.tail(xs)
     rows = []
     for x, e, t in zip(xs, emp, theory):

@@ -58,17 +58,16 @@ def ccdf(values) -> CcdfSeries:
         raise ValueError("empty input")
     if (v < 0).any():
         raise ValueError("values must be non-negative")
-    pos = v[v > 0]
+    pos = v[v > 0]  # a copy, so it is sorted in place
     if pos.size == 0:
         raise ValueError("all values are zero; CCDF undefined on log-log axes")
-    n = v.size
-    xs, counts = np.unique(pos, return_counts=True)
-    greater = pos.size - np.cumsum(counts)
-    fractions = greater / n
-    keep = greater > 0
-    if not keep.any():
+    pos.sort()
+    # one point at the end of each run of equal values; the largest value
+    # closes no run, so its zero-fraction point drops out
+    last = np.flatnonzero(pos[1:] != pos[:-1])
+    if last.size == 0:
         warnings.warn("degenerate CCDF: single distinct value, no plottable points")
-    return CcdfSeries(xs=xs[keep], fractions=fractions[keep])
+    return CcdfSeries(xs=pos[last], fractions=(pos.size - 1 - last) / v.size)
 
 
 def decimate_ccdf(series: CcdfSeries) -> CcdfSeries:

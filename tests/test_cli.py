@@ -152,6 +152,16 @@ class TestPagerankCmd:
         assert len(body) == 6
         assert (out / "scores_c0.5_iter1.csv").exists()
 
+    def test_snapshot_after_the_stop_is_named_on_stderr(self, star_file, tmp_path, capsys):
+        # on the star, c = 0.5 stops at iteration 26 with the default tol
+        out = tmp_path / "scores"
+        assert main(["pagerank", str(star_file), "--damping", "0.5",
+                     "--snapshots", "1", "150", "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ("warning: c=0.5: snapshot iterations [150] not taken; "
+                                           "the damping stopped at iteration 26\n")
+        assert sorted(p.name for p in out.iterdir()) == ["scores_c0.5.csv",
+                                                         "scores_c0.5_iter1.csv"]
+
     def test_nonconvergence_exit_code(self, tmp_path):
         path = tmp_path / "path.txt"
         path.write_text("0 1\n1 2\n")
@@ -321,6 +331,13 @@ class TestPredictCmd:
         assert out["coefficients"]["0.5"]["b"] == pytest.approx(0.8)
         assert len(out["coefficients"]["0.5"]["C_k"]) == 1
 
+    def test_repeated_damping_is_usage_error(self, capsys):
+        # a repeated damping printed every predicted line twice
+        assert main(["predict", "--alpha", "1.5", "--d", "8", "--b", "0.5",
+                     "--damping", "0.85", "--damping", "0.85",
+                     "--indegree-intercept", "0.3", "--k-max", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: dampings must be distinct, got [0.85, 0.85]\n")
+
     def test_missing_inputs_usage_error(self):
         assert main(["predict", "--alpha", "1.2", "--damping", "0.5"]) == 2
 
@@ -401,8 +418,9 @@ class TestSimulateCmd:
     def test_degenerate_zero_damping(self, tmp_path):
         path = self.spec_file(tmp_path, c=0.0)
         out = tmp_path / "sim"
-        assert main(["simulate", str(path), "--iters", "2",
-                     "--output-dir", str(out)]) == 0
+        with pytest.warns(UserWarning, match="degenerate CCDF"):  # every sample is 1.0
+            assert main(["simulate", str(path), "--iters", "2",
+                         "--output-dir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["degenerate"] is True
         assert summary["pool_mean"] == 1.0

@@ -4,6 +4,7 @@ import re
 import threading
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -423,6 +424,21 @@ class TestDegreeProfile:
         assert p.p0 == pytest.approx(0.2)
         assert p.p_hist == {0: pytest.approx(0.2), 1: pytest.approx(0.8)}
         assert p.in_hist[4] == pytest.approx(0.2)
+
+    def test_matches_a_counter_with_a_large_hub(self):
+        # node 0 takes a link from every other node; 50,000 more edges land anywhere
+        n = 200_001
+        rng = np.random.default_rng(3)
+        src = np.concatenate([np.arange(1, n), rng.integers(0, n, 50_000)])
+        dst = np.concatenate([np.zeros(n - 1, dtype=np.int64), rng.integers(0, n, 50_000)])
+        g = Graph.from_edges(src, dst, n)
+        p = degree_profile(g)
+        assert max(p.in_hist) >= 10 ** 5
+        for hist, degrees in ((p.p_hist, g.out_deg), (p.in_hist, g.in_deg)):
+            counts = Counter(degrees.tolist())
+            expected = {k: counts[k] / n for k in sorted(counts)}
+            assert list(hist.items()) == list(expected.items())
+            assert all(type(k) is int and type(f) is float for k, f in hist.items())
 
     def test_json_round_trip(self):
         g = graph_from_text("0 1\n1 0\n2 1\n")

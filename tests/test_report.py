@@ -102,13 +102,29 @@ def test_tiny_tail_yields_partial_report():
 
 def test_refused_coefficients_are_a_warning_per_damping(small_graph):
     # at c = 1e-300, (c(1-p0)/d)^alpha underflows, so C = 0.0 is refused when
-    # the coefficients are built; that damping warns and the next one is kept
-    report, _ = analyze_graph(small_graph, AnalysisOptions(dampings=[1e-300, 0.85]))
+    # the coefficients are built; that damping warns and the next one is kept.
+    # Its scores are all 1.0, a CCDF of no point
+    with pytest.warns(UserWarning, match="degenerate CCDF"):
+        report, _ = analyze_graph(small_graph, AnalysisOptions(dampings=[1e-300, 0.85]))
     assert set(report["pagerank"]) == {"1e-300", "0.85"}
     assert list(report["coefficients"]) == ["0.85"]
     assert {row["c"] for row in report["predicted_lines"]} == {0.85}
     skipped = [w for w in report["warnings"] if w.startswith("c=1e-300: coefficients skipped")]
     assert len(skipped) == 1 and "limit coefficient C = " in skipped[0]
+
+
+def test_snapshot_after_the_stop_is_named_in_a_warning(small_graph):
+    # at tol 1e-6, c = 0.5 stops at iteration 10 and c = 0.85 at 15
+    options = AnalysisOptions(dampings=[0.5, 0.85], tol=1e-6, snapshot_iters=[2, 12, 150])
+    report, dists = analyze_graph(small_graph, options)
+    stops = {key: entry["iters_run"] for key, entry in report["pagerank"].items()}
+    assert stops == {"0.5": 10, "0.85": 15}
+    assert [w for w in report["warnings"] if "snapshot" in w] == [
+        "c=0.5: snapshot iterations [12, 150] not taken; the damping stopped at iteration 10",
+        "c=0.85: snapshot iterations [150] not taken; the damping stopped at iteration 15"]
+    assert set(report["pagerank"]["0.5"]["snapshot_fits"]) == {"2"}
+    assert set(report["coefficients"]["0.85"]["C_k"]) == {"2", "12"}
+    assert "ccdf_pagerank_c0.85_iter150" not in dists
 
 
 def test_alpha_override_guard():

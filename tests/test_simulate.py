@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import SecondGeneration, solved_histogram
 from ranktail import graph as graph_mod
 from ranktail import simulate
-from ranktail.simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec,
+from ranktail.simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec, SamplePool,
                                SimulationConvergenceError, initial_pool, iterate_pool,
                                simulate_R, simulate_Y_levels, tail_ratio_table)
 from ranktail.theory import TheoryParams, coefficient_Ck
@@ -438,6 +438,24 @@ class TestTailRatioTable:
         assert below, rows
         assert all(r["theory"] == c3 for r in below), below
         assert all(r["theory"] < c3 for r in rows if r["x"] > spec.indegree.t_min)
+
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["pool", "tied"])
+    def test_rows_match_a_sorted_reference(self, monkeypatch, tied):
+        monkeypatch.setattr(simulate, "_CCDF_WINDOW", (1e-3, 1e-1))
+        spec = calm_spec(pool_size=100_000)
+        pool = simulate_R(spec, 2)
+        if tied:  # integer values, so probes fall on values many samples share
+            values = np.random.default_rng(4).integers(1, 30, 100_000).astype(float)
+            pool = SamplePool(values=values, generation=2)
+        rows = tail_ratio_table(pool, spec, 0.05)
+        ordered = np.sort(pool.values)
+        lo, hi = simulate._CCDF_WINDOW
+        xs = np.geomspace(*np.quantile(ordered, [1.0 - hi, 1.0 - lo]), 5)
+        emp = (ordered.size - np.searchsorted(ordered, xs, side="right")) / ordered.size
+        assert [r["x"] for r in rows] == xs.tolist()
+        assert [r["empirical"] for r in rows] == emp.tolist()
+        assert [r["theory"] for r in rows] == (0.05 * spec.indegree.tail(xs)).tolist()
 
 
 class TestTreeLevels:
