@@ -114,6 +114,11 @@ def _load_graph(args):
     return load_edge_list(args.graph, drop_self_loops=args.drop_self_loops)
 
 
+def _print_warnings(lines) -> None:
+    for line in lines:
+        print(f"warning: {line}", file=sys.stderr)
+
+
 def cmd_stats(args) -> int:
     write_json(degree_profile(_load_graph(args)).to_dict(), args.output or sys.stdout)
     return 0
@@ -126,20 +131,12 @@ def cmd_pagerank(args) -> int:
     results = pagerank_series(g, args.damping, args.tol, args.max_iters, args.snapshots)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    all_converged = True
     for c, result in zip(args.damping, results):
         key = repr(float(c))
-        export_scores(g, result.scores, outdir / f"scores_c{key}.csv")
-        for k, vec in sorted(result.snapshots.items()):
-            export_scores(g, vec, outdir / f"scores_c{key}_iter{k}.csv")
-        missed = report_mod.missed_snapshots(key, result, args.snapshots)
-        if missed:
-            print(f"warning: {missed}", file=sys.stderr)
-        if not result.converged:
-            all_converged = False
-            print(f"warning: c={key} not converged after {result.iters_run} iterations "
-                  f"(residual {result.residuals[-1]:.3e})", file=sys.stderr)
-    return 0 if all_converged else 4
+        for _, suffix, scores in report_mod.damping_vectors(key, result):
+            export_scores(g, scores, outdir / f"scores_{suffix}.csv")
+        _print_warnings(report_mod.damping_warnings(key, result, args.snapshots))
+    return 0 if all(r.converged for r in results) else 4
 
 
 def cmd_analyze(args) -> int:
@@ -150,11 +147,8 @@ def cmd_analyze(args) -> int:
     rep, dists = report_mod.analyze_graph(g, options)
     path = report_mod.write_analysis(rep, dists, args.output_dir)
     print(f"report written to {path}")
-    not_conv = [key for key, entry in rep["pagerank"].items() if not entry["converged"]]
-    if not_conv:
-        print(f"warning: not converged for damping {not_conv}", file=sys.stderr)
-        return 4
-    return 0
+    _print_warnings(rep["warnings"])
+    return 0 if all(entry["converged"] for entry in rep["pagerank"].values()) else 4
 
 
 def cmd_predict(args) -> int:
@@ -200,6 +194,7 @@ def cmd_simulate(args) -> int:
     write_ccdf_csv(ccdf(pool.values), outdir / "pool_ccdf.csv")
 
     mean = float(pool.values.mean())
+    pool_min, pool_max = float(pool.values.min()), float(pool.values.max())
     lower = spec.baseline
     # the 5/sqrt(M) CLT band on the mean needs a finite variance: alpha > 2
     mean_in_band = (abs(mean - 1.0) <= 5.0 / math.sqrt(spec.pool_size)
@@ -209,11 +204,11 @@ def cmd_simulate(args) -> int:
         "spec": spec.to_dict(),
         "generations": pool.generation,
         "pool_mean": mean,
-        "pool_min": float(pool.values.min()),
-        "pool_max": float(pool.values.max()),
-        "degenerate": bool(pool.values.min() == pool.values.max()),
+        "pool_min": pool_min,
+        "pool_max": pool_max,
+        "degenerate": pool_min == pool_max,
         "invariants": {
-            "values_at_least_baseline": bool(pool.values.min() >= lower - 1e-12),
+            "values_at_least_baseline": pool_min >= lower - 1e-12,
             "mean_within_5_over_sqrt_M": mean_in_band,
         },
     }
@@ -230,6 +225,9 @@ def cmd_simulate(args) -> int:
                             if checked else None),
         }
     write_json(summary, outdir / "summary.json")
+    if summary["degenerate"]:
+        _print_warnings([f"degenerate pool: every sample is {pool_min}; "
+                         "pool_ccdf.csv holds no point"])
     write_json(summary["invariants"], sys.stdout)
     return 0
 

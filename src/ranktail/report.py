@@ -39,6 +39,8 @@ def _analyze_vector(values, xmin: float | None, warnings_out: list[str],
     the tail fit, with x_min read off that CCDF unless ``xmin`` is given."""
     series = ccdf(values)
     try:
+        if series.xs.size == 0:  # every fit of it would raise
+            raise ValueError("degenerate CCDF: every positive value is equal")
         fit = fit_exponent_mle(values, xmin if xmin is not None else choose_xmin(series))
     except ValueError as exc:
         warnings_out.append(f"{label}: tail fit skipped ({exc})")
@@ -46,14 +48,25 @@ def _analyze_vector(values, xmin: float | None, warnings_out: list[str],
     return tails.decimate_ccdf(series), fit
 
 
-def missed_snapshots(key: str, result, snapshot_iters) -> str | None:
-    """The warning that names the requested snapshots after damping ``key``
-    stopped, which were not taken; None when there are none."""
+def damping_warnings(key: str, result, snapshot_iters) -> list[str]:
+    """The warnings of damping ``key``'s run: the requested snapshots after
+    its stop, which were not taken, and its non-convergence."""
+    lines = []
     missed = sorted(k for k in set(snapshot_iters) if k > result.iters_run)
     if missed:
-        return (f"c={key}: snapshot iterations {missed} not taken; "
-                f"the damping stopped at iteration {result.iters_run}")
-    return None
+        lines.append(f"c={key}: snapshot iterations {missed} not taken; "
+                     f"the damping stopped at iteration {result.iters_run}")
+    if not result.converged:
+        lines.append(f"c={key} not converged after {result.iters_run} iterations "
+                     f"(residual {result.residuals[-1]:.3e})")
+    return lines
+
+
+def damping_vectors(key: str, result):
+    """(label, file-stem suffix, scores) of the final vector, then each snapshot."""
+    yield "final", f"c{key}", result.scores
+    for k in sorted(result.snapshots):
+        yield str(k), f"c{key}_iter{k}", result.snapshots[k]
 
 
 def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
@@ -91,16 +104,9 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
                               options.snapshot_iters)
     for c, result in zip(options.dampings, results):
         key = repr(float(c))
-        missed = missed_snapshots(key, result, options.snapshot_iters)
-        if missed:
-            warnings_out.append(missed)
-        scores_by_label = {"final": result.scores}
-        for k in sorted(result.snapshots):
-            scores_by_label[str(k)] = result.snapshots[k]
-
+        warnings_out.extend(damping_warnings(key, result, options.snapshot_iters))
         fits = {}
-        for label, scores in scores_by_label.items():
-            suffix = f"c{key}" if label == "final" else f"c{key}_iter{label}"
+        for label, suffix, scores in damping_vectors(key, result):
             distributions[f"ccdf_pagerank_{suffix}"], fits[label] = _analyze_vector(
                 scores, None, warnings_out, f"pagerank c={key} {label}")
 

@@ -125,9 +125,6 @@ class EffectiveOutdegreeSampler:
             idx += hit * step if step > 1 else hit
         return np.take(self.values, idx)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.lookup(rng.random(size))
-
 
 def _most_cuts_in_a_bucket(cum: np.ndarray, buckets: int) -> int:
     """The most of the cuts cum[:-1] strictly inside one of ``buckets``
@@ -379,7 +376,7 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int,
             kids = offspring[keep]
             owner = np.repeat((np.cumsum(live) - 1)[owner[keep]], kids)
             weights = (np.repeat(weights[keep], kids)
-                       / spec.effective_outdegree.sample(rng, owner.size))
+                       / spec.effective_outdegree.lookup(rng.random(owner.size)))
             values[samples, level] = np.bincount(owner, weights=weights,
                                                  minlength=samples.size)
             if level == max_level:

@@ -9,7 +9,6 @@ fit afterwards with the slope pinned to the estimate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,8 @@ def ccdf(values) -> CcdfSeries:
     """Empirical CCDF of non-negative data.
 
     Zeros count in the denominator but produce no point (log-log plots);
-    the trailing zero-fraction point at the maximum is omitted.
+    the trailing zero-fraction point at the maximum is omitted, so a
+    vector whose positive values are all equal gives the empty series.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
@@ -65,8 +65,6 @@ def ccdf(values) -> CcdfSeries:
     # one point at the end of each run of equal values; the largest value
     # closes no run, so its zero-fraction point drops out
     last = np.flatnonzero(pos[1:] != pos[:-1])
-    if last.size == 0:
-        warnings.warn("degenerate CCDF: single distinct value, no plottable points")
     return CcdfSeries(xs=pos[last], fractions=(pos.size - 1 - last) / v.size)
 
 

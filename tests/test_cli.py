@@ -162,13 +162,16 @@ class TestPagerankCmd:
         assert sorted(p.name for p in out.iterdir()) == ["scores_c0.5.csv",
                                                          "scores_c0.5_iter1.csv"]
 
-    def test_nonconvergence_exit_code(self, tmp_path):
+    def test_nonconvergence_exit_code(self, tmp_path, capsys):
         path = tmp_path / "path.txt"
         path.write_text("0 1\n1 2\n")
         code = main(["pagerank", str(path), "--damping", "0.95",
                      "--tol", "1e-30", "--max-iters", "3",
                      "--output-dir", str(tmp_path / "o")])
         assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("warning: c=0.95 not converged after 3 iterations (residual ")
+        assert err.endswith(")\n") and err.count("\n") == 1
 
     def test_config_key_the_command_lacks_is_ignored(self, star_file, tmp_path):
         # pagerank takes no --alpha, so a mistyped alpha is never checked
@@ -186,6 +189,30 @@ class TestPagerankCmd:
 
 
 class TestAnalyzeCmd:
+    def test_each_report_warning_is_printed(self, tmp_path, capsys):
+        # a 3-cycle's in-degrees and scores are each all equal: CCDFs of no point
+        path = tmp_path / "cycle.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        out = tmp_path / "rep"
+        assert main(["analyze", str(path), "--damping", "0.5", "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        degenerate = "tail fit skipped (degenerate CCDF: every positive value is equal)"
+        assert f"in-degree: {degenerate}" in report["warnings"]
+        assert f"pagerank c=0.5 final: {degenerate}" in report["warnings"]
+        assert capsys.readouterr().err == "".join(
+            f"warning: {line}\n" for line in report["warnings"])
+
+    def test_nonconvergence_is_a_report_warning(self, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n")
+        out = tmp_path / "rep"
+        assert main(["analyze", str(path), "--damping", "0.95", "--tol", "1e-30",
+                     "--max-iters", "3", "--output-dir", str(out)]) == 4
+        report = json.loads((out / "report.json").read_text())
+        [line] = [w for w in report["warnings"] if "not converged" in w]
+        assert line.startswith("c=0.95 not converged after 3 iterations (residual ")
+        assert f"warning: {line}\n" in capsys.readouterr().err
+
     def test_report_written(self, synth_dir, tmp_path):
         out = tmp_path / "rep"
         code = main(["analyze", str(synth_dir / "edges.txt"), "--damping", "0.85",
@@ -415,16 +442,18 @@ class TestSimulateCmd:
         path.write_text(json.dumps(spec))
         return path
 
-    def test_degenerate_zero_damping(self, tmp_path):
+    def test_degenerate_zero_damping(self, tmp_path, capsys):
         path = self.spec_file(tmp_path, c=0.0)
         out = tmp_path / "sim"
-        with pytest.warns(UserWarning, match="degenerate CCDF"):  # every sample is 1.0
-            assert main(["simulate", str(path), "--iters", "2",
-                         "--output-dir", str(out)]) == 0
+        assert main(["simulate", str(path), "--iters", "2",
+                     "--output-dir", str(out)]) == 0
+        # every sample is 1.0
+        assert capsys.readouterr().err == ("warning: degenerate pool: every sample is 1.0; "
+                                           "pool_ccdf.csv holds no point\n")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["degenerate"] is True
         assert summary["pool_mean"] == 1.0
-        assert (out / "pool_ccdf.csv").exists()
+        assert (out / "pool_ccdf.csv").read_bytes() == b"x,ccdf\r\n"
 
     @pytest.mark.parametrize("alpha", [2.5, 1.5])
     def test_fixed_iterations_summary(self, tmp_path, alpha):

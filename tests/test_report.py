@@ -93,19 +93,39 @@ def test_tiny_tail_yields_partial_report():
     # a 3-cycle has constant degrees: no fit is possible, but stats survive
     from ranktail.graph import Graph
     g = Graph.from_edges(np.array([0, 1, 2]), np.array([1, 2, 0]), 3)
-    with pytest.warns(UserWarning):
-        report, _ = analyze_graph(g, AnalysisOptions(dampings=[0.5]))
+    report, dists = analyze_graph(g, AnalysisOptions(dampings=[0.5]))
     assert report["indegree_fit"] is None
-    assert report["warnings"]
+    degenerate = "tail fit skipped (degenerate CCDF: every positive value is equal)"
+    assert report["warnings"][:3] == [f"in-degree: {degenerate}",
+                                      f"pagerank c=0.5 final: {degenerate}",
+                                      "c=0.5: no usable tail exponent; coefficients skipped"]
     assert report["pagerank"]["0.5"]["iters_run"] >= 1
+    assert all(series.xs.size == 0 for series in dists.values())
+
+
+def test_degenerate_vector_tries_no_fit(monkeypatch):
+    # every fit of a CCDF of no point raises, so none is tried, with --xmin too
+    from ranktail.graph import Graph
+
+    def refuse(*args):
+        raise AssertionError("fit tried on a degenerate CCDF")
+
+    monkeypatch.setattr(report_mod, "choose_xmin", refuse)
+    monkeypatch.setattr(report_mod, "fit_exponent_mle", refuse)
+    g = Graph.from_edges(np.array([0, 1, 2]), np.array([1, 2, 0]), 3)
+    report, _ = analyze_graph(g, AnalysisOptions(dampings=[0.5], xmin=0.5))
+    assert report["indegree_fit"] is None
+    assert report["pagerank"]["0.5"]["fit"] is None
 
 
 def test_refused_coefficients_are_a_warning_per_damping(small_graph):
     # at c = 1e-300, (c(1-p0)/d)^alpha underflows, so C = 0.0 is refused when
     # the coefficients are built; that damping warns and the next one is kept.
-    # Its scores are all 1.0, a CCDF of no point
-    with pytest.warns(UserWarning, match="degenerate CCDF"):
-        report, _ = analyze_graph(small_graph, AnalysisOptions(dampings=[1e-300, 0.85]))
+    # Its scores are all 1.0, a CCDF of no point, which the report names
+    report, _ = analyze_graph(small_graph, AnalysisOptions(dampings=[1e-300, 0.85]))
+    assert report["pagerank"]["1e-300"]["fit"] is None
+    assert ("pagerank c=1e-300 final: tail fit skipped "
+            "(degenerate CCDF: every positive value is equal)") in report["warnings"]
     assert set(report["pagerank"]) == {"1e-300", "0.85"}
     assert list(report["coefficients"]) == ["0.85"]
     assert {row["c"] for row in report["predicted_lines"]} == {0.85}

@@ -159,27 +159,20 @@ class TestInDegreeSampler:
 
 class TestEffectiveOutdegreeSampler:
     def test_degenerate_single_class(self, rng):
-        assert (EffectiveOutdegreeSampler({1: 1.0}, 1.0).sample(rng, 10) == 1).all()
+        assert (EffectiveOutdegreeSampler({1: 1.0}, 1.0).lookup(rng.random(10)) == 1).all()
 
     def test_size_biased_frequencies(self, rng):
-        draws = EffectiveOutdegreeSampler({1: 0.5, 3: 0.5}, 2.0).sample(rng, 1_000_000)
+        draws = EffectiveOutdegreeSampler({1: 0.5, 3: 0.5}, 2.0).lookup(rng.random(1_000_000))
         for j, q in [(1, 0.25), (3, 0.75)]:
             freq = np.mean(draws == j)
             assert abs(freq - q) <= 3 * np.sqrt(q * (1 - q) / draws.size)
 
     def test_inverse_mean_identity(self, rng):
         sampler = EffectiveOutdegreeSampler(CALM_HIST, 2.5)
-        draws = sampler.sample(rng, 1_000_000)
+        draws = sampler.lookup(rng.random(1_000_000))
         inv = 1.0 / draws
         expected = (1 - 0.2) / 2.5
         assert abs(inv.mean() - expected) <= 3 * inv.std() / np.sqrt(draws.size)
-
-    def test_sample_is_the_lookup_of_uniforms(self):
-        sampler = EffectiveOutdegreeSampler(CALM_HIST, 2.5)
-        draws = sampler.sample(np.random.default_rng(6), 100_000)
-        looked_up = sampler.lookup(np.random.default_rng(6).random(100_000))
-        assert draws.tobytes() == looked_up.tobytes()
-        assert set(np.unique(draws)) == {1, 2, 4, 10}
 
     def test_all_mass_dangling_rejected(self):
         with pytest.raises(ValueError):
@@ -512,14 +505,14 @@ class TestTreeLevels:
 
     def test_block_split_keeps_level_means(self, monkeypatch):
         sizes = []
-        draw = EffectiveOutdegreeSampler.sample
+        draw = EffectiveOutdegreeSampler.lookup
 
-        def spy(self, rng, size):
-            sizes.append(size)
-            return draw(self, rng, size)
+        def spy(self, u):
+            sizes.append(u.size)
+            return draw(self, u)
 
         monkeypatch.setattr(simulate, "_CHUNK", 64)
-        monkeypatch.setattr(EffectiveOutdegreeSampler, "sample", spy)
+        monkeypatch.setattr(EffectiveOutdegreeSampler, "lookup", spy)
         spec = calm_spec(pool_size=10_000, seed=13)
         res = simulate_Y_levels(spec, 4, n_samples=8_000)
         assert len(sizes) > 4  # more than one block per level

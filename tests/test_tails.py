@@ -22,9 +22,11 @@ class TestCcdf:
         assert s.fractions[0] == pytest.approx(0.4)
 
     def test_single_value_degenerate(self):
-        with pytest.warns(UserWarning, match="degenerate"):
+        # the empty series is the whole answer: the report names it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             s = ccdf([5.0])
-        assert s.xs.size == 0
+        assert s.xs.size == 0 and s.fractions.size == 0
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -54,19 +56,17 @@ class TestCcdf:
 def test_ccdf_matches_brute_force(values):
     if not any(v > 0 for v in values):
         return
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         s = ccdf(values)
     expected = brute_force_ccdf(values)
     assert list(s.xs) == [x for x, _ in expected]
     # the oracle divides the same integer counts by n: equal to the last bit
     assert list(s.fractions) == [f for _, f in expected]
-    # one distinct positive value leaves no point, and warns
-    assert [str(w.message) for w in caught] == (
-        [] if expected else ["degenerate CCDF: single distinct value, no plottable points"])
+    # one distinct positive value leaves no point, and nothing else
+    assert (s.xs.size == 0) == (len({v for v in values if v > 0}) == 1)
 
 
-@pytest.mark.filterwarnings("ignore:degenerate CCDF:UserWarning")  # all values equal
 @given(values=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=50),
        k=st.floats(0.25, 64.0))
 @settings(max_examples=100, deadline=None)
@@ -147,6 +147,14 @@ class TestMleFit:
         fit = fit_exponent_mle(x, s)
         assert fit.intercept == pytest.approx(a * np.log10(s), abs=0.02)
 
+    # the report tries no fit of a degenerate CCDF, as no x_min fits equal
+    # values: too few samples, no spread, or no CCDF point at or above x_min
+    @pytest.mark.parametrize("x_min", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("size", [5, 50])
+    def test_equal_values_have_no_fit(self, x_min, size):
+        with pytest.raises(ValueError):
+            fit_exponent_mle(np.ones(size), x_min)
+
 
 class TestChooseXmin:
     def test_pareto_lands_in_band(self, rng):
@@ -158,6 +166,10 @@ class TestChooseXmin:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             choose_xmin(ccdf([1.0, -2.0, 3.0]))
+
+    def test_degenerate_ccdf_rejected(self):
+        with pytest.raises(ValueError, match=r"\[1%, 10%\]"):
+            choose_xmin(ccdf(np.ones(50)))
 
     def test_empty_band_rejected(self):
         # two values: the only CCDF point reads 50%, outside [1%, 10%]
