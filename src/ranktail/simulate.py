@@ -17,11 +17,15 @@ stream does not depend on the CPU count.  The work on those draws runs on
 every CPU the process may use (`graph._map_ordered`, as the edge-list loader
 and writer and the PageRank kernel), in blocks cut only between samples by
 `graph._segment_blocks`: a sample's children are then summed in one block,
-in order, and pools are byte-identical on one CPU and on many.
+in order, and pools are byte-identical on one CPU and on many.  Each block's
+draws are made as the block is handed out, from the stream and from a PCG64
+copy of it jumped past the chunk's uniforms (``_after_doubles``), so a
+generation holds the pool and the blocks in flight, not a chunk of draws.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -31,8 +35,10 @@ from .graph import (_is_int, _map_ordered, _segment_blocks, _segment_counts, dec
                     hist_to_json, parse_hist)
 from .theory import validate_outdegree_hist
 
+# children per chunk of the stream: a chunk's uniforms come before its pool
+# indices, so this fixes the order of the draws; no array of this size is made
 _CHUNK = 1 << 22
-_BLOCK = 1 << 18  # children per block of a chunk's draw-free work
+_BLOCK = 1 << 18  # children per block of a chunk, drawn as the block is handed out
 _GUIDE_MAX = 1 << 16  # the most buckets of an out-degree guide table
 _W1_TOL = 1e-3
 _MAX_GENERATIONS = 200
@@ -204,6 +210,18 @@ def initial_pool(spec: ModelSpec) -> SamplePool:
     return SamplePool(values=np.ones(spec.pool_size), generation=0)
 
 
+def _after_doubles(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A generator whose draws are those ``rng`` makes after ``rng.random(k)``.
+
+    A double takes exactly one 64-bit step of PCG64 and leaves its cached
+    32-bit half alone, so the copy advances k steps (which empties the cache)
+    and then takes ``rng``'s cache back.  ``rng`` itself does not move."""
+    cache = {key: rng.bit_generator.state[key] for key in ("has_uint32", "uinteger")}
+    jumped = copy.deepcopy(rng.bit_generator).advance(k)
+    jumped.state = {**jumped.state, **cache}
+    return np.random.Generator(jumped)
+
+
 def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) -> SamplePool:
     """Advance the pool one generation.
 
@@ -224,12 +242,25 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
     one block, in order from 0.0, whatever the blocks; the calling thread
     adds the block sums into the pool in order, and an owner split across
     chunks gets its chunks' sums in chunk order.  Pools are therefore
-    byte-identical for every CPU count.  A chunk's blocks all finish before
-    the next chunk is drawn, so no two chunks' draws are held at once.
+    byte-identical for every CPU count.
+
+    A block's draws are made on the calling thread as `graph._map_ordered`
+    takes the block, in block order: its uniforms from ``rng`` and its pool
+    indices from ``_after_doubles(rng, chunk size)``, which draws what
+    ``rng`` would after the chunk's uniforms; at the chunk's end ``rng``
+    takes that copy's state.  So the stream is the one that drawing a whole
+    chunk at once gives, and a generation holds only the pool, its sums, the
+    in-degree bounds and the draws of at most two blocks per CPU, and never
+    of more than one chunk (16 B a child).  ``rng`` must be a PCG64 generator, as ``np.random.default_rng``
+    makes: a TypeError naming its bit generator is raised before any draw
+    otherwise.
     """
     m = spec.pool_size
     if pool.values.size != m:
         raise ValueError("pool size does not match spec.pool_size")
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise TypeError("iterate_pool needs a PCG64 generator to jump over a chunk's "
+                        f"uniforms, got {type(rng.bit_generator).__name__}")
     bounds = np.cumsum(spec.indegree.sample(rng, m))
     total = int(bounds[-1])
     acc = np.zeros(m)
@@ -237,21 +268,25 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) ->
     lookup = spec.effective_outdegree.lookup
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        u = rng.random(stop - start)
-        picks = rng.integers(0, prev.size, size=stop - start)
+        picker = _after_doubles(rng, stop - start)
         lo, counts = _segment_counts(bounds, start, stop)
         blocks = _segment_blocks(counts, _BLOCK)
 
-        def block(cut):
-            c0, c1, o0, o1 = cut
-            r = np.take(prev, picks[c0:c1], mode="clip")
-            np.divide(r, lookup(u[c0:c1]), out=r)
+        def drawn():
+            for cut in blocks:
+                size = cut[1] - cut[0]
+                yield cut, rng.random(size), picker.integers(0, m, size=size)
+
+        def block(item):
+            (_, _, o0, o1), u, picks = item
+            r = np.take(prev, picks, mode="clip")
+            np.divide(r, lookup(u), out=r)
             return np.bincount(np.repeat(np.arange(o1 - o0), counts[o0:o1]),
                                weights=r, minlength=o1 - o0)
 
-        for (_, _, o0, o1), sums in zip(blocks, _map_ordered(block, blocks)):
+        for (_, _, o0, o1), sums in zip(blocks, _map_ordered(block, drawn())):
             acc[lo + o0:lo + o1] += sums
-        del u, picks  # freed before the next chunk draws
+        rng.bit_generator.state = picker.bit_generator.state
     return SamplePool(values=spec.baseline + spec.c * acc, generation=pool.generation + 1)
 
 

@@ -1,14 +1,18 @@
-"""Peak memory of the graph builders, counted by tracemalloc, which sees
-numpy's allocations (not RSS, which moves with the allocator).  Each bound
-is in bytes per edge above the builder's inputs, at about 2M edges; an
-int64 copy of one id column alone is 8 B/edge."""
+"""Peak memory of the graph builders and of a pool generation, counted by
+tracemalloc, which sees numpy's allocations (not RSS, which moves with the
+allocator).  Each builder's bound is in bytes per edge above its inputs, at
+about 2M edges; an int64 copy of one id column alone is 8 B/edge.  The
+generation's bound is in bytes per pool sample above the previous pool."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import solved_histogram
+from ranktail import graph
 from ranktail.graph import Graph, _dense_ids
+from ranktail.simulate import ModelSpec, initial_pool, iterate_pool
 from ranktail.synth import SynthSpec, generate
 
 M = 1 << 21
@@ -65,3 +69,18 @@ def test_generate_holds_no_edge_sized_temporary():
     m = graphs[0].m
     assert 1.8e6 < m < 2.4e6
     assert peak / m < 24.0
+
+
+def test_pool_generation_holds_blocks_not_a_chunk_of_draws(monkeypatch):
+    # crit3 at M = 1e6 draws about 6.1M children, two chunks.  A generation
+    # holds the in-degree bounds, the sums, the new pool and, on two CPUs, the
+    # draws and work of at most four blocks of 2**18 children.  Kept to
+    # 64 B/sample, which one chunk of draws (2**22 uniforms and pool
+    # indices, 67 B/sample) exceeds alone.
+    monkeypatch.setattr(graph, "_cpu_count", lambda: 2)
+    spec = ModelSpec(c=0.85, alpha=1.1, d=8.2,
+                     outdeg_hist=solved_histogram(1.1, 8.2, 0.006, 0.8558),
+                     pool_size=1_000_000, seed=5)
+    pool = initial_pool(spec)
+    rng = np.random.default_rng(spec.seed)
+    assert peak_bytes(lambda: iterate_pool(pool, spec, rng)) / spec.pool_size < 64.0

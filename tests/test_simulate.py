@@ -338,6 +338,33 @@ class TestChunkBoundaries:
         assert new.tobytes() == expected.tobytes()
 
 
+class TestStreamJump:
+    # a full-range uint32 draw takes one 32-bit half of a 64-bit step, so
+    # 3 of them leave the other half of the third step in the cache
+    @pytest.mark.parametrize("halves", [0, 3])
+    @pytest.mark.parametrize("k", [0, 1, 7, 1 << 22])
+    def test_after_doubles_draws_what_follows_the_doubles(self, k, halves):
+        rng = np.random.default_rng(11)
+        rng.integers(0, 1 << 32, size=halves, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == halves % 2
+        before = rng.bit_generator.state
+        jumped = simulate._after_doubles(rng, k)
+        assert rng.bit_generator.state == before
+        rng.random(k)
+        assert jumped.bit_generator.state == rng.bit_generator.state
+        assert np.array_equal(jumped.integers(0, 1_000_000, size=1_001),
+                              rng.integers(0, 1_000_000, size=1_001))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+    def test_generator_that_cannot_jump_refused_before_any_draw(self, bit_generator):
+        spec = calm_spec(pool_size=10_000)
+        rng = np.random.Generator(bit_generator(3))
+        with pytest.raises(TypeError, match=bit_generator.__name__):
+            iterate_pool(initial_pool(spec), spec, rng)
+        fresh = np.random.Generator(bit_generator(3))
+        assert rng.random(8).tobytes() == fresh.random(8).tobytes()
+
+
 class TestSimulateR:
     def test_integer_generations(self):
         spec = calm_spec(pool_size=10_000)
@@ -576,6 +603,13 @@ class TestDeterminism:
         pool = simulate_R(heavy_spec(pool_size=10_000, seed=5), 3)  # the crit3 spec
         assert sha256(pool.values) == (
             "05ef7b010e2ec0d01d383e5964ae7bf6e6baca37c1a3e0f97a3281de5cc9fef7")
+
+    def test_two_chunk_generation_digest_pinned(self):
+        # crit3 at M = 1e6 draws 6,102,046 children in its first generation,
+        # so the stream is handed from one chunk's draws to the next
+        pool = simulate_R(heavy_spec(pool_size=1_000_000, seed=5), 1)
+        assert sha256(pool.values) == (
+            "b0b687724d0017475ba04066745d64c888d772fe9c1ba71a39c17ef1557dd5df")
 
     def test_y_levels_digest_pinned(self):
         res = simulate_Y_levels(calm_spec(pool_size=10_000, seed=13), 4, 1_000)  # crit5
