@@ -24,9 +24,10 @@ import numpy as np
 
 _ID_MAX = np.iinfo(np.int64).max
 _DEGREE_KEY = re.compile("0|[1-9][0-9]*")
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 14
 _CHUNK_BYTES = 1 << 20
 _ID_CHUNK = 1 << 20  # ids a builder copies or draws at a time
+_SORT_CHUNK = 1 << 16  # keys `_stable_group` sorts at a time
 _COMMENT = re.compile(rb"^#[^\n]*", re.M)
 
 
@@ -62,20 +63,21 @@ def _stable_group(keys: np.ndarray, values: np.ndarray, starts: np.ndarray,
                   dtype) -> np.ndarray:
     """values as ``dtype``, in the order of a stable sort of their keys, in
     [0, starts.size), where starts[k] is the count of keys below k.  A
-    counting sort, _ID_CHUNK keys at a time: each piece is sorted on its own
-    and its runs are placed after those of the pieces before it, so the
-    result is the one array of one entry per key that it makes."""
+    counting sort, _SORT_CHUNK keys at a time: each piece is sorted on its
+    own and its runs are placed after those of the pieces before it, so the
+    result is the one array of one entry per key that it makes, and a
+    piece's temporaries (about 44 B a key) stay near 3 MB."""
     out = np.empty(values.size, dtype)
     fill = starts.copy()  # where the next value of each key goes
-    for start in range(0, keys.size, _ID_CHUNK):
-        piece = keys[start:start + _ID_CHUNK]
+    for start in range(0, keys.size, _SORT_CHUNK):
+        piece = keys[start:start + _SORT_CHUNK]
         order = np.argsort(piece, kind="stable")
         ordered = piece[order]
         runs = np.flatnonzero(np.diff(ordered, prepend=-1))  # where each key's run starts
         counts = np.diff(runs, append=ordered.size)
         run_keys = ordered[runs]
         out[np.repeat(fill[run_keys] - runs, counts) + np.arange(ordered.size)] = (
-            values[start:start + _ID_CHUNK][order])
+            values[start:start + _SORT_CHUNK][order])
         fill[run_keys] += counts
     return out
 
@@ -576,24 +578,36 @@ _DIGITS4 = ((np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])) % 10
 # _KEEP[20 + t]: four byte flags as one word, the first t (clipped to [0, 4]) off
 _KEEP = (np.arange(4) >= np.clip(np.arange(-20, 21), 0, 4)[:, None]).astype(
     np.uint8).view(np.uint32).ravel()
-# words whose first byte is TAB and LF, and the flags that keep the first byte only
-_TAB, _LF, _FIRST = np.array([[ord("\t"), 0, 0, 0], [ord("\n"), 0, 0, 0], [1, 0, 0, 0]],
-                             np.uint8).view(np.uint32).ravel()
 
 
-def _id_words(x: np.ndarray) -> list[tuple]:
-    """(words, flags) pairs of arrays that print the ids ``x``, in [0, 2**63),
-    as str(int) does: four digits a word, most significant first.  The flags
-    drop the leading zeros."""
-    top = int(x.max())
-    if top < 2**31:
-        x = x.astype(np.int32)  # narrower arithmetic is faster
+def _words(*texts: bytes) -> np.ndarray:
+    """Each text of at most four bytes as one word, zero-padded."""
+    return np.array([list(t.ljust(4, b"\0")) for t in texts], np.uint8).view(np.uint32).ravel()
+
+
+# single words, and the flags that keep their first one, two or three bytes
+_TAB, _LF, _COMMA, _CRLF, _MINUS, _POINT, _E_PLUS, _E_MINUS, _INF, _NAN = _words(
+    b"\t", b"\n", b",", b"\r\n", b"-", b".", b"e+", b"e-", b"inf", b"nan")
+_FIRST, _FIRST2, _FIRST3 = _words(b"\1", b"\1\1", b"\1\1\1")
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 10**19 < 2**64
+
+
+def _digit_count(x: np.ndarray) -> np.ndarray:
+    """The digits of each x >= 0 as str(int) prints it."""
+    top = int(x.max(initial=0))
     digits = np.ones(x.size, np.int32)
     power = 10
     while power <= top:
         digits += x >= power
         power *= 10
-    groups = -(-len(str(top)) // 4)
+    return digits
+
+
+def _digit_words(x: np.ndarray, places: np.ndarray) -> list[tuple]:
+    """(words, flags) pairs that print each x >= 0 zero-padded to ``places``
+    digits, at least its own count: four digits a word, most significant
+    first.  The flags drop the leading places beyond places[i]."""
+    groups = max(-(-int(places.max(initial=0)) // 4), 1)
     values = []  # four digits each, least significant first
     for _ in range(groups - 1):
         high = x // 10_000
@@ -601,19 +615,175 @@ def _id_words(x: np.ndarray) -> list[tuple]:
         x = high
     values.append(x)
     # word j holds digit places 4j..4j+3 of 4 * groups; the first
-    # 4 * groups - digits places are not printed
+    # 4 * groups - places are not printed
     return [(np.take(_DIGITS4, value, mode="wrap"),
-             np.take(_KEEP, (20 + 4 * (groups - j)) - digits, mode="wrap"))
+             np.take(_KEEP, (20 + 4 * (groups - j)) - places, mode="wrap"))
             for j, value in enumerate(reversed(values))]
 
 
-def _edge_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The bytes of "<src><TAB><dst><LF>" rows of two id columns, as a uint8
+def _id_words(x: np.ndarray) -> list[tuple]:
+    """(words, flags) pairs that print the ids ``x``, in [0, 2**64), as
+    str(int) does."""
+    if int(x.max(initial=0)) < 2**31:
+        x = x.astype(np.int32)  # narrower arithmetic is faster
+    return _digit_words(x, _digit_count(x))
+
+
+def _int_words(x: np.ndarray) -> list[tuple]:
+    """(words, flags) pairs that print the integers ``x`` as str(int) does."""
+    if x.dtype.kind == "u" or not (neg := x < 0).any():
+        return _id_words(x)
+    size = x.astype(np.uint64)
+    np.negative(size, out=size, where=neg)  # modulo 2**64, so INT64.min gives 2**63
+    return [(_MINUS, _FIRST * neg)] + _id_words(size)
+
+
+def _pow10_limbs() -> tuple[int, np.ndarray]:
+    """(lo, g): g[:, e - lo] holds, most significant first, the four 32-bit
+    limbs of floor(10**e / 2**r) + 1, where r puts it in [2**127, 2**128),
+    for every e that `_shortest` reads."""
+    lo, hi = -292, 324
+    limbs = []
+    for e in range(lo, hi + 1):
+        if e >= 0:
+            r = (10**e).bit_length() - 128
+            g = (10**e << -r) if r < 0 else (10**e >> r) + 1
+        else:
+            g = (1 << (10**-e).bit_length() + 127) // 10**-e + 1
+        limbs.append([(g >> shift) & 0xFFFFFFFF for shift in (96, 64, 32, 0)])
+    return lo, np.array(limbs, np.uint64).T.copy()
+
+
+_G_LO, _G = _pow10_limbs()
+_U32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _round_to_odd(g: list[np.ndarray], cp: np.ndarray) -> np.ndarray:
+    """floor(g * cp / 2**128), with its last bit set when the next 64 bits
+    of the product exceed 1, for g in four 32-bit limbs (most significant
+    first) and cp < 2**60.  Column i of the product sums the 64-bit products
+    of g's limb i with cp's low 32 bits and of limb i - 1 with its high ones;
+    each column carries into the next."""
+    g3, g2, g1, g0 = g
+    low, high = cp & _U32, cp >> _S32
+    t = g0 * low
+    t >>= _S32
+    bits = []  # bits 32i..32i+31 of the product, from column i = 1, 2, 3
+    for limb, below in [(g1, g0), (g2, g1), (g3, g2)]:
+        p = limb * low
+        t += p & _U32
+        t += below * high
+        bits.append(t & _U32)
+        t >>= _S32
+        p >>= _S32
+        t += p
+    t += g3 * high
+    return t | ((bits[2] << _S32 | bits[1]) > 1)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, exponent) of positive finite float64s: the fewest decimal
+    digits such that digits * 10**exponent reads back as x and, of those, the
+    nearest to x, as repr prints them; digits has no trailing zero.
+
+    Schubfach (Giulietti 2020, "The Schubfach way to render doubles"), in the
+    form of Bolz's C++ port.  x = c * 2**q reads back from every decimal
+    strictly inside (2c - 1) * 2**(q-1) .. (2c + 1) * 2**(q-1), whose lower
+    end is nearer, (4c - 1) * 2**(q-2), at a power of two; the ends too when
+    c is even.  With k = floor(log10(2**q)) (of 3/4 * 2**q at a power of
+    two), 4x and the ends times 10**-k are bounded by `_round_to_odd` from a
+    128-bit 10**-k.  A multiple of 40 in the scaled interval gives the
+    digits at exponent k + 1; else, of the integers s and s + 1 about
+    x * 10**-k, the one in it, or the nearer if both are (ties to even)."""
+    bits = x.view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.int64)
+    fraction = bits & np.uint64((1 << 52) - 1)
+    normal = biased > 0
+    c = fraction | normal.astype(np.uint64) << np.uint64(52)
+    q = np.where(normal, biased - 1075, -1074)
+    closer = (fraction == 0) & (biased > 1)  # the lower end of the interval is nearer
+    # k = floor(log10(2**q)), or of 3/4 * 2**q where the lower end is nearer
+    k = (q * 1262611 - closer * 524031) >> 22
+    h = (q + (-k * 1741647 >> 19) + 1).astype(np.uint64)  # in [1, 4]
+    row = -k - _G_LO
+    g = [limbs.take(row) for limbs in _G]
+    cb = c << np.uint64(2)
+    mid = _round_to_odd(g, cb << h)
+    odd = c & np.uint64(1)  # an even c reads back from either end
+    lower = _round_to_odd(g, (cb - np.uint64(2) + closer) << h) + odd
+    upper = _round_to_odd(g, (cb + np.uint64(2)) << h) - odd
+    s = mid >> np.uint64(2)
+    tens = s // np.uint64(10)
+    low_in = lower <= np.uint64(40) * tens
+    high_in = np.uint64(40) * tens + np.uint64(40) <= upper
+    by_ten = (s >= np.uint64(10)) & (low_in != high_in)
+    s4 = s << np.uint64(2)
+    up_in = s4 + np.uint64(4) <= upper
+    one_in = (lower <= s4) != up_in
+    up = np.where(one_in, up_in, (mid > s4 + np.uint64(2))
+                  | ((mid == s4 + np.uint64(2)) & (s & np.uint64(1)).astype(bool)))
+    digits = np.where(by_ten, tens + high_in, s + up)
+    exponent = k + by_ten
+    zeros = np.flatnonzero(digits % np.uint64(10) == 0)
+    while zeros.size:
+        digits[zeros] //= np.uint64(10)
+        exponent[zeros] += 1
+        zeros = zeros[digits[zeros] % np.uint64(10) == 0]
+    return digits, exponent
+
+
+def _float_words(x: np.ndarray) -> list[tuple]:
+    """(words, flags) pairs that print the float64s ``x`` as repr does.
+
+    A finite value's digits are split at its point into an integer part
+    and a fraction of a given width.  repr is positional for decimal
+    exponents -4 <= e < 16, with ".0" on an integral value, and else
+    "d.ddde±XX" (no point for one digit); inf and nan are words of their own."""
+    finite = np.isfinite(x)
+    regular = finite & (x != 0)
+    digits, exponent = _shortest(np.where(regular, np.abs(x), 1.0))
+    digits[~regular] = 0  # zero prints as 0.0; inf and nan print no digit
+    exponent[~regular] = 0
+    count = _digit_count(digits)
+    e = exponent + count - 1
+    positional = (e >= -4) & (e < 16)
+    split = np.where(positional, -exponent, count - 1)  # digits after the point
+    unit = _POW10[np.clip(split, 0, 19)]  # digits has at most 17 digits
+    whole = digits // unit
+    fraction = digits - whole * unit
+    whole *= _POW10[np.clip(-split, 0, 19)]
+    width = np.where(positional, np.maximum(split, 1), split) * finite
+    columns = _digit_words(whole, _digit_count(whole) * finite) + [
+        (_POINT, _FIRST * (width > 0))] + _digit_words(fraction, width)
+    negative = np.signbit(x) & ~np.isnan(x)
+    if negative.any():
+        columns.insert(0, (_MINUS, _FIRST * negative))
+    scientific = finite & ~positional
+    if scientific.any():
+        size = np.abs(e)
+        columns += [(np.where(e < 0, _E_MINUS, _E_PLUS), _FIRST2 * scientific),
+                    *_digit_words(size, (2 + (size >= 100)) * scientific)]
+    if not finite.all():
+        columns.append((np.where(np.isnan(x), _NAN, _INF), _FIRST3 * ~finite))
+    return columns
+
+
+def _cell_words(column: np.ndarray) -> list[tuple]:
+    """(words, flags) pairs that print a column of ints or floats as str does."""
+    if column.dtype.kind == "f":
+        return _float_words(column.astype(np.float64))
+    if column.dtype.kind in "iu":
+        return _int_words(column)
+    raise TypeError(f"columns must hold integers or floats, not {column.dtype}")
+
+
+def _rows(size: int, columns: list[tuple]) -> np.ndarray:
+    """The bytes of ``size`` rows given as (words, flags) pairs, as a uint8
     array.  Every row is laid out as the same run of words, and one compress
     keyed on the byte flags drops the bytes not printed."""
-    columns = _id_words(src) + [(_TAB, _FIRST)] + _id_words(dst) + [(_LF, _FIRST)]
-    data = np.empty((src.size, len(columns)), np.uint32)
-    keep = np.empty((src.size, len(columns)), np.uint32)
+    data = np.empty((size, len(columns)), np.uint32)
+    keep = np.empty((size, len(columns)), np.uint32)
     for j, (word, flags) in enumerate(columns):
         data[:, j] = word
         keep[:, j] = flags
@@ -622,25 +792,31 @@ def _edge_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def write_csv(dest, header: str, first, second) -> None:
     """Write a header row, then two equal-length columns as "<a>,<b>" rows, all
-    ending in CRLF; cells print as Python ints and floats (str is repr for both).
-    Each chunk of _CHUNK_ROWS rows is one %-format of the row template repeated."""
+    ending in CRLF; cells print as Python ints and floats do (str is repr
+    for both), float32 as the float64 it widens to.
+
+    Chunks of _CHUNK_ROWS rows are encoded with numpy (`_int_words`,
+    `_float_words`) on every CPU (`_map_ordered`) and written in order."""
+    first, second = np.asarray(first), np.asarray(second)
     if len(first) != len(second):
         raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
+
+    def encode(start):
+        a, b = first[start:start + _CHUNK_ROWS], second[start:start + _CHUNK_ROWS]
+        return _rows(a.size, _cell_words(a) + [(_COMMA, _FIRST)] + _cell_words(b)
+                     + [(_CRLF, _FIRST2)])
+
     with open_text(dest, "w") as stream:
         stream.write(header + "\r\n")
-        for start in range(0, len(first), _CHUNK_ROWS):
-            a = first[start:start + _CHUNK_ROWS].tolist()
-            cells = [None] * (2 * len(a))
-            cells[0::2] = a
-            cells[1::2] = second[start:start + _CHUNK_ROWS].tolist()
-            stream.write(("%s,%s\r\n" * len(a)) % tuple(cells))
+        for rows in _map_ordered(encode, range(0, len(first), _CHUNK_ROWS)):
+            stream.write(str(rows, "utf-8"))
 
 
 def write_edge_list(g: Graph, dest) -> None:
     """Write the graph as "src<TAB>dst" lines using original node ids.
 
     Chunks of _CHUNK_ROWS rows, their ids looked up one chunk at a time, are
-    encoded with numpy (`_edge_rows`) on every CPU (`_map_ordered`) and
+    encoded with numpy (`_id_words`) on every CPU (`_map_ordered`) and
     written in order; the pool threads call numpy only.  A chunk's
     destinations are the nodes whose in-lists it spans (`_segment_counts`),
     each repeated once per edge of its in-list in the chunk."""
@@ -648,7 +824,8 @@ def write_edge_list(g: Graph, dest) -> None:
         stop = min(start + _CHUNK_ROWS, g.m)
         lo, counts = _segment_counts(g.in_ptr[1:], start, stop)
         dst = np.repeat(g.orig_ids[lo:lo + counts.size], counts)
-        return _edge_rows(g.orig_ids[g.in_src[start:stop]], dst)
+        return _rows(stop - start, _id_words(g.orig_ids[g.in_src[start:stop]])
+                     + [(_TAB, _FIRST)] + _id_words(dst) + [(_LF, _FIRST)])
 
     with open_text(dest, "w") as stream:
         for rows in _map_ordered(encode, range(0, g.m, _CHUNK_ROWS)):

@@ -22,8 +22,9 @@ makes the per-iteration snapshots well defined.
 The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, cut
 between in-lists by `graph._segment_blocks`, so a block's gathered values
 are still in cache when they are reduced and no scratch array is larger
-than the largest block.  The blocks are mapped over every CPU the process
-may use by `graph._map_ordered`, as the edge-list loader and writer map
+than the largest block.  The blocks are grouped into one run of about
+m / CPUs edges per CPU the process may use, and the runs are mapped over
+those CPUs by `graph._map_ordered`, as the edge-list loader and writer map
 their chunks; numpy releases the interpreter lock in the gather and the
 reduce.  A row's sum is the same reduceat over the same block whichever
 thread does it, so scores, snapshots and residuals are bit-identical for
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import graph
 from .graph import Graph, _is_int, _map_ordered, _segment_blocks, write_csv
 
 _BLOCK_EDGES = 1 << 16
@@ -90,23 +92,29 @@ def _in_edge_kernel(g: Graph):
     _BLOCK_EDGES is a block of its own.  reduceat mishandles empty segments,
     so it runs over the non-empty rows only and their sums are scattered into
     ``out``.  Blocks write disjoint rows of ``out``, and each block's gathered
-    values and sums live only while it runs.
+    values and sums live only while it runs.  The blocks are grouped, by the
+    same cut, into runs of about m / CPUs edges, one `_map_ordered` item
+    each, so that no CPU waits on a window of small items behind a hub's
+    block; a block longer than that is a run of its own.
     """
     rows = np.flatnonzero(g.in_deg)
     offsets = g.in_ptr[rows]  # where each row starts, then where in its block
     blocks = _segment_blocks(g.in_ptr[rows + 1] - offsets, _BLOCK_EDGES)
     for e0, _, r0, r1 in blocks:
         offsets[r0:r1] -= e0
+    sizes = np.array([e1 - e0 for e0, e1, _, _ in blocks], np.int64)
+    runs = [blocks[b0:b1] for _, _, b0, b1 in
+            _segment_blocks(sizes, max(-(-g.m // graph._cpu_count()), 1))]
 
     def sums(w: np.ndarray, out: np.ndarray) -> None:
-        def block(cut):
-            e0, e1, r0, r1 = cut
-            # a Graph's ids lie in [0, n), and "clip" skips the bounds check
-            seg = np.take(w, g.in_src[e0:e1], mode="clip")
-            out[rows[r0:r1]] = np.add.reduceat(seg, offsets[r0:r1])
+        def run(cuts):
+            for e0, e1, r0, r1 in cuts:
+                # a Graph's ids lie in [0, n), and "clip" skips the bounds check
+                seg = np.take(w, g.in_src[e0:e1], mode="clip")
+                out[rows[r0:r1]] = np.add.reduceat(seg, offsets[r0:r1])
 
         out.fill(0.0)
-        for _ in _map_ordered(block, blocks):
+        for _ in _map_ordered(run, runs):
             pass
 
     return sums

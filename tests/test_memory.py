@@ -48,6 +48,21 @@ def test_from_edges_on_a_sorted_int32_list(sorted_columns):
     assert peak_bytes(lambda: Graph.from_edges(src, dst, n)) / M < 8.0
 
 
+def test_from_edges_on_a_shuffled_int32_list():
+    # dst in no order, as in a crawl file sorted by source: the edges are
+    # grouped by a counting sort of pieces of dst.  The graph keeps in_src
+    # (4 B/edge) and arrays of n entries; counting the ids copies a piece
+    # of 2**20 of them to intp (4 B/edge here).  Kept to 12 B/edge, which
+    # sorted pieces of 2**20 keys (about 44 B a key, 22 B/edge here) exceed.
+    rng = np.random.default_rng(4)
+    n = 1 << 16
+    src = rng.integers(0, n, M).astype(np.int32)
+    dst = rng.integers(0, n, M).astype(np.int32)
+    graphs = []
+    assert peak_bytes(lambda: graphs.append(Graph.from_edges(src, dst, n))) / M < 12.0
+    assert np.array_equal(graphs[0].in_src, src[np.argsort(dst, kind="stable")])
+
+
 def test_dense_ids_remaps_in_place(sorted_columns):
     # the presence table and ranks are of the id range; each column is
     # remapped a piece at a time.  Kept to 6 B/edge, which an intp copy of

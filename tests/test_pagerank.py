@@ -334,13 +334,38 @@ class TestInEdgeKernel:
 
     def test_no_edges(self):
         g = Graph.from_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
-        for workers in (1, 2):
+        for workers in (1, 2, 3, 8):
             assert (_kernel_sums(g, np.ones(3), workers) == 0).all()
+
+    def test_one_run_of_blocks_per_cpu(self, rng, monkeypatch):
+        # the blocks, in order, are grouped into runs of about m / CPUs
+        # edges, one mapped item each; the hub's block (100,000 edges) is
+        # longer than m / 2 and m / 3, so it is a run of its own
+        g = hub_graph(rng)
+        w = rng.random(g.n)
+        mapped = []
+
+        def spy(fn, items):
+            items = list(items)
+            mapped.append(items)
+            return graph_mod._map_ordered(fn, items)
+
+        monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
+        alone = _kernel_sums(g, w)
+        [[blocks]] = mapped
+        hub = [block for block in blocks if block[1] - block[0] == g.in_deg[3]]
+        assert len(hub) == 1
+        for workers in (2, 3):
+            mapped.clear()
+            assert np.array_equal(_kernel_sums(g, w, workers), alone)
+            [runs] = mapped
+            assert [block for run in runs for block in run] == blocks
+            assert hub in runs and len(runs) <= 2 * workers
 
     def test_no_empty_block_after_a_long_last_row(self, monkeypatch):
         # the last in-list starts before the last multiple of the block size
         # and is longer than a block: it is a block of its own, and no empty
-        # block follows it
+        # block follows it.  The mapped items are runs of blocks
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 4)
         g = Graph.from_edges(np.array([0, 1] + [0] * 10), np.array([0, 1] + [2] * 10), 3)
         mapped = []
@@ -352,7 +377,7 @@ class TestInEdgeKernel:
 
         monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
         assert _kernel_sums(g, np.array([1.0, 2.0, 0.5])).tolist() == [1.0, 2.0, 10.0]
-        assert mapped == [(0, 2, 0, 2), (2, 12, 2, 3)]
+        assert [block for run in mapped for block in run] == [(0, 2, 0, 2), (2, 12, 2, 3)]
 
 
 def test_export_scores_uses_original_ids(tmp_path):

@@ -238,3 +238,59 @@ def test_ccdf_capped_at_4096_points(rng):
     assert float(rows[0].split(",")[0]) == series.xs[0]
     assert written(write_ccdf_csv, series) == csv_reference(
         ["x", "ccdf"], [(repr(float(x)), repr(float(f))) for x, f in zip(thin.xs, thin.fractions)])
+
+
+# write_csv prints each float as repr does, from numpy alone: the shortest
+# digits that read back as the float, nearest to it, positional for decimal
+# exponents -4 <= e < 16 and else "d.ddde±XX"
+EDGE_FLOATS = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e+308, 1e16,
+               9999999999999998.0, 1e-05, 0.0001, 0.1, 2 / 3, -0.0, float("inf"),
+               float("-inf"), float("nan")]
+
+
+def float_cells(values):
+    """(write_csv's rows, the f-string rows) of an index column and values."""
+    x = np.asarray(values, dtype=np.float64)
+    i = np.arange(x.size)
+    return (written(lambda dest: write_csv(dest, "i,x", i, x)),
+            fstring_rows("i,x", i, x, ",", "\r\n"))
+
+
+def test_float_cells_at_the_edges():
+    got, expected = float_cells(EDGE_FLOATS)
+    assert got == expected
+    assert expected.split("\r\n")[1:-1] == [
+        "0,5e-324", "1,2.2250738585072014e-308", "2,1.7976931348623157e+308", "3,1e+16",
+        "4,9999999999999998.0", "5,1e-05", "6,0.0001", "7,0.1", "8,0.6666666666666666",
+        "9,-0.0", "10,inf", "11,-inf", "12,nan"]
+
+
+def test_float_cells_at_every_binary_exponent():
+    # each power of two, where the rounding interval is narrower below, and
+    # its neighbours, from the least subnormal to the largest power
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    got, expected = float_cells(np.concatenate([values, -values]))
+    assert got == expected
+
+
+@given(st.lists(st.floats(width=64), max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_float_cells_match_repr(values):
+    got, expected = float_cells(values)
+    assert got == expected
+
+
+def test_cells_of_another_kind_refused():
+    with pytest.raises(TypeError, match="integers or floats"):
+        write_csv(io.StringIO(), "a,b", np.array(["x"]), np.array([1.0]))
+
+
+@pytest.mark.slow
+def test_float_cells_match_repr_on_random_bit_patterns():
+    # 1e7 uniform 64-bit patterns: every exponent, both signs, subnormals,
+    # inf and nan, about 4,900 of each exponent
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        got, expected = float_cells(rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64))
+        assert got == expected
