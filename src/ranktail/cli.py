@@ -158,6 +158,10 @@ def cmd_predict(args) -> int:
     theory.validate_cumulative_alpha(alpha)
     # one table per damping: each must lie in (0, 1) and be distinct
     series_params(args.damping, PageRankParams.tol, PageRankParams.max_iters, ())
+    given = [f"--{key}" for key in ("d", "p0", "b") if getattr(args, key) is not None]
+    if args.profile and given:
+        raise ValueError("predict takes --profile or --d, --p0 and --b, not both: "
+                         f"got --profile with {', '.join(given)}")
     tables = {}
     lines = []
     profile = DegreeProfile.from_dict(read_json(args.profile)) if args.profile else None
@@ -167,7 +171,8 @@ def cmd_predict(args) -> int:
         else:
             if args.d is None or args.b is None:
                 raise ValueError("predict needs --profile, or --d, --p0 and --b")
-            params = theory.TheoryParams(c=c, alpha=alpha, d=args.d, p0=args.p0, b=args.b)
+            p0 = 0.0 if args.p0 is None else args.p0
+            params = theory.TheoryParams(c=c, alpha=alpha, d=args.d, p0=p0, b=args.b)
         table = tables[repr(float(c))] = theory.coefficient_table(params, k_max=args.k_max)
         if args.indegree_intercept is not None:
             fit = TailFit(alpha_hat=alpha, x_min=1.0,
@@ -283,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="coefficient table and predicted log-log lines")
     p.add_argument("--profile", type=str, help="degree-profile JSON from 'stats'")
     p.add_argument("--d", type=float, help="mean degree (when no profile)")
-    p.add_argument("--p0", type=float, default=0.0,
-                   help="dangling fraction (when no profile)")
+    p.add_argument("--p0", type=float, help="dangling fraction (when no profile; default 0)")
     p.add_argument("--b", type=float, help="out-degree tail factor (when no profile)")
     p.add_argument("--indegree-intercept", type=float,
                    help="in-degree log-log intercept; enables predicted lines")

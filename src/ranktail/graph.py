@@ -585,10 +585,10 @@ def _words(*texts: bytes) -> np.ndarray:
     return np.array([list(t.ljust(4, b"\0")) for t in texts], np.uint8).view(np.uint32).ravel()
 
 
-# single words, and the flags that keep their first one, two or three bytes
-_TAB, _LF, _COMMA, _CRLF, _MINUS, _POINT, _E_PLUS, _E_MINUS, _INF, _NAN = _words(
-    b"\t", b"\n", b",", b"\r\n", b"-", b".", b"e+", b"e-", b"inf", b"nan")
-_FIRST, _FIRST2, _FIRST3 = _words(b"\1", b"\1\1", b"\1\1\1")
+# single words, and the flags that keep their first one or two bytes
+_TAB, _LF, _COMMA, _CRLF, _POINT, _E_PLUS, _E_MINUS = _words(
+    b"\t", b"\n", b",", b"\r\n", b".", b"e+", b"e-")
+_FIRST, _FIRST2 = _words(b"\1", b"\1\1")
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 10**19 < 2**64
 
 
@@ -622,20 +622,11 @@ def _digit_words(x: np.ndarray, places: np.ndarray) -> list[tuple]:
 
 
 def _id_words(x: np.ndarray) -> list[tuple]:
-    """(words, flags) pairs that print the ids ``x``, in [0, 2**64), as
+    """(words, flags) pairs that print the non-negative integers ``x`` as
     str(int) does."""
     if int(x.max(initial=0)) < 2**31:
         x = x.astype(np.int32)  # narrower arithmetic is faster
     return _digit_words(x, _digit_count(x))
-
-
-def _int_words(x: np.ndarray) -> list[tuple]:
-    """(words, flags) pairs that print the integers ``x`` as str(int) does."""
-    if x.dtype.kind == "u" or not (neg := x < 0).any():
-        return _id_words(x)
-    size = x.astype(np.uint64)
-    np.negative(size, out=size, where=neg)  # modulo 2**64, so INT64.min gives 2**63
-    return [(_MINUS, _FIRST * neg)] + _id_words(size)
 
 
 def _pow10_limbs() -> tuple[int, np.ndarray]:
@@ -734,17 +725,14 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_words(x: np.ndarray) -> list[tuple]:
-    """(words, flags) pairs that print the float64s ``x`` as repr does.
+    """(words, flags) pairs that print the positive finite float64s ``x`` as
+    repr does.
 
-    A finite value's digits are split at its point into an integer part
-    and a fraction of a given width.  repr is positional for decimal
-    exponents -4 <= e < 16, with ".0" on an integral value, and else
-    "d.ddde±XX" (no point for one digit); inf and nan are words of their own."""
-    finite = np.isfinite(x)
-    regular = finite & (x != 0)
-    digits, exponent = _shortest(np.where(regular, np.abs(x), 1.0))
-    digits[~regular] = 0  # zero prints as 0.0; inf and nan print no digit
-    exponent[~regular] = 0
+    The digits are split at the point into an integer part and a fraction
+    of a given width.  repr is positional for decimal exponents
+    -4 <= e < 16, with ".0" on an integral value, and else "d.ddde±XX" (no
+    point for one digit)."""
+    digits, exponent = _shortest(x)
     count = _digit_count(digits)
     e = exponent + count - 1
     positional = (e >= -4) & (e < 16)
@@ -753,29 +741,21 @@ def _float_words(x: np.ndarray) -> list[tuple]:
     whole = digits // unit
     fraction = digits - whole * unit
     whole *= _POW10[np.clip(-split, 0, 19)]
-    width = np.where(positional, np.maximum(split, 1), split) * finite
-    columns = _digit_words(whole, _digit_count(whole) * finite) + [
+    width = np.where(positional, np.maximum(split, 1), split)
+    columns = _digit_words(whole, _digit_count(whole)) + [
         (_POINT, _FIRST * (width > 0))] + _digit_words(fraction, width)
-    negative = np.signbit(x) & ~np.isnan(x)
-    if negative.any():
-        columns.insert(0, (_MINUS, _FIRST * negative))
-    scientific = finite & ~positional
-    if scientific.any():
+    if not positional.all():
         size = np.abs(e)
-        columns += [(np.where(e < 0, _E_MINUS, _E_PLUS), _FIRST2 * scientific),
-                    *_digit_words(size, (2 + (size >= 100)) * scientific)]
-    if not finite.all():
-        columns.append((np.where(np.isnan(x), _NAN, _INF), _FIRST3 * ~finite))
+        columns += [(np.where(e < 0, _E_MINUS, _E_PLUS), _FIRST2 * ~positional),
+                    *_digit_words(size, (2 + (size >= 100)) * ~positional)]
     return columns
 
 
 def _cell_words(column: np.ndarray) -> list[tuple]:
-    """(words, flags) pairs that print a column of ints or floats as str does."""
+    """(words, flags) pairs that print a column `write_csv` accepts as str does."""
     if column.dtype.kind == "f":
         return _float_words(column.astype(np.float64))
-    if column.dtype.kind in "iu":
-        return _int_words(column)
-    raise TypeError(f"columns must hold integers or floats, not {column.dtype}")
+    return _id_words(column)
 
 
 def _rows(size: int, columns: list[tuple]) -> np.ndarray:
@@ -790,46 +770,64 @@ def _rows(size: int, columns: list[tuple]) -> np.ndarray:
     return data.view(np.uint8).ravel()[keep.view(bool).ravel()]
 
 
-def write_csv(dest, header: str, first, second) -> None:
-    """Write a header row, then two equal-length columns as "<a>,<b>" rows, all
-    ending in CRLF; cells print as Python ints and floats do (str is repr
-    for both), float32 as the float64 it widens to.
+def _write_table(dest, head: str, size: int, cells, sep: tuple, end: tuple) -> None:
+    """Write ``head``, then ``size`` rows "<a><sep><b><end>", where
+    cells(start, stop) gives the (words, flags) pairs of a and of b for rows
+    start..stop-1, and sep and end are (word, flags) pairs.
 
-    Chunks of _CHUNK_ROWS rows are encoded with numpy (`_int_words`,
-    `_float_words`) on every CPU (`_map_ordered`) and written in order."""
+    Chunks of _CHUNK_ROWS rows are encoded with numpy on every CPU
+    (`_map_ordered`) and written in order; the pool threads call numpy only."""
+    def encode(start):
+        stop = min(start + _CHUNK_ROWS, size)
+        a, b = cells(start, stop)
+        return _rows(stop - start, [*a, sep, *b, end])
+
+    with open_text(dest, "w") as stream:
+        stream.write(head)
+        for rows in _map_ordered(encode, range(0, size, _CHUNK_ROWS)):
+            stream.write(str(rows, "utf-8"))
+
+
+def write_csv(dest, header: str, first, second) -> None:
+    """Write the header row, which names the two columns ("<a>,<b>"), then two
+    equal-length columns as "<a>,<b>" rows, all ending in CRLF; cells print
+    as Python ints and floats do (str is repr for both), float32 as the
+    float64 it widens to.
+
+    Every cell must be an int >= 0 or a positive finite float, as node ids,
+    scores and CCDF points are.  A column of another dtype raises TypeError,
+    and a negative int or a float that is zero, negative, infinite or NaN
+    raises ValueError naming the column and the value; either is raised
+    before ``dest`` is opened, so a refused table leaves no file."""
     first, second = np.asarray(first), np.asarray(second)
     if len(first) != len(second):
         raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
+    for name, column in zip(header.split(","), (first, second), strict=True):
+        if column.dtype.kind not in "iuf":
+            raise TypeError(f"columns must hold integers or floats, not {column.dtype}")
+        ok = column >= 0 if column.dtype.kind != "f" else (column > 0) & (column < np.inf)
+        if not ok.all():
+            raise ValueError(f"column {name!r} holds {column[ok.argmin()].item()!r}; a "
+                             "cell is an int >= 0 or a positive finite float")
 
-    def encode(start):
-        a, b = first[start:start + _CHUNK_ROWS], second[start:start + _CHUNK_ROWS]
-        return _rows(a.size, _cell_words(a) + [(_COMMA, _FIRST)] + _cell_words(b)
-                     + [(_CRLF, _FIRST2)])
+    def cells(start, stop):
+        return _cell_words(first[start:stop]), _cell_words(second[start:stop])
 
-    with open_text(dest, "w") as stream:
-        stream.write(header + "\r\n")
-        for rows in _map_ordered(encode, range(0, len(first), _CHUNK_ROWS)):
-            stream.write(str(rows, "utf-8"))
+    _write_table(dest, header + "\r\n", len(first), cells, (_COMMA, _FIRST), (_CRLF, _FIRST2))
 
 
 def write_edge_list(g: Graph, dest) -> None:
     """Write the graph as "src<TAB>dst" lines using original node ids.
 
-    Chunks of _CHUNK_ROWS rows, their ids looked up one chunk at a time, are
-    encoded with numpy (`_id_words`) on every CPU (`_map_ordered`) and
-    written in order; the pool threads call numpy only.  A chunk's
+    The ids of each chunk of rows are looked up as it is encoded: its
     destinations are the nodes whose in-lists it spans (`_segment_counts`),
     each repeated once per edge of its in-list in the chunk."""
-    def encode(start):
-        stop = min(start + _CHUNK_ROWS, g.m)
+    def cells(start, stop):
         lo, counts = _segment_counts(g.in_ptr[1:], start, stop)
         dst = np.repeat(g.orig_ids[lo:lo + counts.size], counts)
-        return _rows(stop - start, _id_words(g.orig_ids[g.in_src[start:stop]])
-                     + [(_TAB, _FIRST)] + _id_words(dst) + [(_LF, _FIRST)])
+        return _id_words(g.orig_ids[g.in_src[start:stop]]), _id_words(dst)
 
-    with open_text(dest, "w") as stream:
-        for rows in _map_ordered(encode, range(0, g.m, _CHUNK_ROWS)):
-            stream.write(str(rows, "utf-8"))
+    _write_table(dest, "", g.m, cells, (_TAB, _FIRST), (_LF, _FIRST))
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -167,8 +167,9 @@ class ModelSpec:
         if not 0.0 <= self.c < 1.0:
             raise ValueError(f"damping factor must be in [0, 1), got {self.c}")
         object.__setattr__(self, "indegree", InDegreeLaw(self.alpha, self.d))
-        if self.pool_size < 10_000:
-            raise ValueError("pool_size must be at least 10_000")
+        if not _is_int(self.pool_size) or self.pool_size < 10_000:
+            raise ValueError("pool_size must be an integer of at least 10_000, "
+                             f"got {self.pool_size!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "effective_outdegree",
@@ -374,10 +375,10 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int,
     single sample, so no level holds more than max(_CHUNK, _NODE_BUDGET)
     nodes at once.
     """
-    if not 0 <= max_level <= 6:
-        raise ValueError("level must be between 0 and 6")
-    if n_samples > 10_000:
-        raise ValueError("at most 10_000 tree samples")
+    if not _is_int(max_level) or not 0 <= max_level <= 6:
+        raise ValueError(f"max_level must be an integer from 0 to 6, got {max_level!r}")
+    if not _is_int(n_samples) or not 0 <= n_samples <= 10_000:
+        raise ValueError(f"n_samples must be an integer from 0 to 10_000, got {n_samples!r}")
     rng = np.random.default_rng(spec.seed)
     values = np.full((n_samples, max_level + 1), np.nan)
     values[:, 0] = 1.0

@@ -36,8 +36,9 @@ class SynthSpec:
     indegree: InDegreeLaw = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1_000:
-            raise ValueError("need at least 1000 nodes for a meaningful degree law")
+        if not _is_int(self.n) or self.n < 1_000:
+            raise ValueError("n must be an integer of at least 1000 (a meaningful degree "
+                             f"law), got {self.n!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "indegree", InDegreeLaw(self.alpha, self.d))

@@ -358,6 +358,29 @@ class TestPredictCmd:
         assert out["coefficients"]["0.5"]["b"] == pytest.approx(0.8)
         assert len(out["coefficients"]["0.5"]["C_k"]) == 1
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--d", "50", "--b", "0.01", "--p0", "0.9"], "--d, --p0, --b"),
+        (["--p0", "0.0"], "--p0"),
+    ], ids=["all", "p0"])
+    def test_profile_excludes_the_parameter_flags(self, star_file, tmp_path, capsys, flags,
+                                                  named):
+        # with --profile the three flags would be read by nothing
+        prof = tmp_path / "profile.json"
+        assert main(["stats", str(star_file), "--output", str(prof)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--alpha", "1.5", "--profile", str(prof), "--k-max", "1",
+                     *flags]) == 2
+        assert capsys.readouterr() == ("", "error: predict takes --profile or --d, --p0 and "
+                                           f"--b, not both: got --profile with {named}\n")
+
+    def test_p0_reads_zero_when_not_given(self, capsys):
+        outputs = []
+        for flags in ([], ["--p0", "0"]):
+            assert main(["predict", "--alpha", "1.5", "--d", "8", "--b", "0.5",
+                         "--k-max", "2", *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_repeated_damping_is_usage_error(self, capsys):
         # a repeated damping printed every predicted line twice
         assert main(["predict", "--alpha", "1.5", "--d", "8", "--b", "0.5",

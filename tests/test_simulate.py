@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,13 @@ class TestModelSpec:
     def test_pool_size_floor(self):
         with pytest.raises(ValueError, match="pool_size"):
             calm_spec(pool_size=100)
+
+    @pytest.mark.parametrize("pool_size", [20_000.0, 1e6])
+    def test_pool_size_that_is_not_an_integer_is_named(self, pool_size):
+        # a float pool size would fail only inside numpy, when the pool is drawn
+        message = f"^pool_size must be an integer of at least 10_000, got {pool_size!r}$"
+        with pytest.raises(ValueError, match=message):
+            calm_spec(pool_size=pool_size)
 
     def test_histogram_mean_must_match_d(self):
         with pytest.raises(ValueError, match="mean"):
@@ -483,6 +491,17 @@ class TestTreeLevels:
         res = simulate_Y_levels(calm_spec(pool_size=10_000), 0, n_samples=50)
         assert res.values[:, 0] == pytest.approx(np.ones(50))
         assert res.aborted.mean() == 0.0
+
+    @pytest.mark.parametrize("max_level, n_samples, message", [
+        (2.5, 10, "max_level must be an integer from 0 to 6, got 2.5"),
+        (7, 10, "max_level must be an integer from 0 to 6, got 7"),
+        (2, 5.0, "n_samples must be an integer from 0 to 10_000, got 5.0"),
+        (2, -1, "n_samples must be an integer from 0 to 10_000, got -1"),
+        (2, 10_001, "n_samples must be an integer from 0 to 10_000, got 10001"),
+    ], ids=["level-float", "level-high", "samples-float", "samples-negative", "samples-high"])
+    def test_counts_that_are_not_in_range_are_named(self, max_level, n_samples, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_Y_levels(calm_spec(pool_size=10_000), max_level, n_samples=n_samples)
 
     def test_martingale_means(self):
         spec = calm_spec(pool_size=10_000, seed=13)

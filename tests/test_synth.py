@@ -24,6 +24,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="1000"):
             spec_for(n=10)
 
+    @pytest.mark.parametrize("n", [5000.0, 10])
+    def test_node_count_that_is_not_an_integer_of_1000_is_named(self, n):
+        # a float n would fail only inside numpy, when the in-degrees are drawn
+        message = f"n must be an integer of at least 1000 (a meaningful degree law), got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec_for(n=n)
+
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             SynthSpec(n=1000, alpha=1.5, d=1.0, outdeg_hist={1: 0.5}, seed=0)
