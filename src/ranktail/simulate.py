@@ -12,33 +12,38 @@ uniformly (with replacement) from the previous pool.  D is the effective
 one uniform each through a guide table (``EffectiveOutdegreeSampler``) that
 gives exactly the class a binary search of the cumulative sums gives.
 
-A generation draws all its random numbers on the calling thread, so the
-stream does not depend on the CPU count.  The work on those draws runs on
-every CPU the process may use (`graph._map_ordered`, as the edge-list loader
-and writer and the PageRank kernel), in blocks cut only between samples by
-`graph._segment_blocks`: a sample's children are then summed in one block,
-in order, and pools are byte-identical on one CPU and on many.  Each block's
-draws are made as the block is handed out, from the stream and from a PCG64
-copy of it jumped past the chunk's uniforms (``_after_doubles``), so a
-generation holds the pool and the blocks in flight, not a chunk of draws.
+A generation's random numbers come from streams keyed to the work they
+serve, not to the order of the calls: the PCG64 stream that ``spec.seed``
+spawns under the key (generation, kind, index) (`_keyed`).  The in-degrees
+are drawn in pieces of ``_PIECE`` owners, keyed (generation, 0, first
+owner).  The children are cut into blocks of whole owners by
+`graph._segment_blocks`, an owner of more than ``_BLOCK`` children into
+parts of its own, and each block draws its uniforms and pool indices from
+(generation, 1, first owner, part), where part is 0 for every block but the
+later parts of one owner.  `graph._map_ordered` maps the pieces and the
+blocks over every CPU the process may use (as the edge-list loader and
+writer and the PageRank kernel), so each draw is made on the worker that
+uses it.  The blocks depend on the in-degrees only, and the calling thread
+adds their sums into the pool in block order, so pools are byte-identical
+on one CPU and on many.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (_is_int, _map_ordered, _segment_blocks, _segment_counts, decode_fields,
-                    hist_to_json, parse_hist)
+from .graph import (_is_int, _map_ordered, _segment_blocks, decode_fields, hist_to_json,
+                    parse_hist)
 from .theory import validate_outdegree_hist
 
-# children per chunk of the stream: a chunk's uniforms come before its pool
-# indices, so this fixes the order of the draws; no array of this size is made
+# children one level of a block of Y-level tree samples may hold before the
+# block is split in halves
 _CHUNK = 1 << 22
-_BLOCK = 1 << 18  # children per block of a chunk, drawn as the block is handed out
+_PIECE = 1 << 16  # owners whose in-degrees one keyed stream draws
+_BLOCK = 1 << 18  # the most children whose draws one block of a generation holds
 _GUIDE_MAX = 1 << 16  # the most buckets of an out-degree guide table
 _W1_TOL = 1e-3
 _MAX_GENERATIONS = 200
@@ -211,84 +216,76 @@ def initial_pool(spec: ModelSpec) -> SamplePool:
     return SamplePool(values=np.ones(spec.pool_size), generation=0)
 
 
-def _after_doubles(rng: np.random.Generator, k: int) -> np.random.Generator:
-    """A generator whose draws are those ``rng`` makes after ``rng.random(k)``.
-
-    A double takes exactly one 64-bit step of PCG64 and leaves its cached
-    32-bit half alone, so the copy advances k steps (which empties the cache)
-    and then takes ``rng``'s cache back.  ``rng`` itself does not move."""
-    cache = {key: rng.bit_generator.state[key] for key in ("has_uint32", "uinteger")}
-    jumped = copy.deepcopy(rng.bit_generator).advance(k)
-    jumped.state = {**jumped.state, **cache}
-    return np.random.Generator(jumped)
+def _keyed(seed: int, *key: int) -> np.random.Generator:
+    """The generator of one unit of a run's work: the PCG64 stream that
+    ``seed`` spawns under ``key`` (NumPy's SeedSequence spawn keys)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def iterate_pool(pool: SamplePool, spec: ModelSpec, rng: np.random.Generator) -> SamplePool:
+def _pool_blocks(counts: np.ndarray) -> list[tuple[int, int, int, int, tuple[int, int]]]:
+    """(e0, e1, o0, o1, key): children e0..e1-1 belong to owners o0..o1-1,
+    owner i holding counts[i] children, and draw from the stream keyed
+    (generation, 1, *key), key being (o0, part).
+
+    Blocks of whole owners are cut at every ``_BLOCK // 2`` children
+    (`graph._segment_blocks`), so a block of several owners holds fewer
+    than ``_BLOCK`` and is part 0.  A block of one owner is cut into parts
+    of ``_BLOCK`` children, numbered from 0."""
+    return [(start, min(start + _BLOCK, e1), o0, o1, (o0, part))
+            for e0, e1, o0, o1 in _segment_blocks(counts, _BLOCK // 2)
+            for part, start in enumerate(range(e0, e1, _BLOCK))]
+
+
+def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:
     """Advance the pool one generation.
 
     Each of the M new samples draws its own in-degree N, then N pairs
     (D_j, R_j) with R_j resampled uniformly from the previous pool, and is
-    set to c * sum R_j/D_j + baseline.  Children are numbered owner by owner
-    and processed in chunks of at most ``_CHUNK``, so a single huge N cannot
-    exhaust memory.
+    set to c * sum R_j/D_j + baseline.
 
-    Every random number is drawn on the calling thread, in the same order
-    for every CPU count: the in-degrees, then per chunk the uniforms that
-    stand for D and the pool indices of R.  The rest of a chunk (the D
-    lookup, the gather of R, the divide, the owners and their sums) draws
-    none, and `graph._map_ordered` maps it over every CPU the process may
-    use, in blocks of about ``_BLOCK`` children (`graph._segment_blocks` of
-    the owners' counts in the chunk, `graph._segment_counts`).  Blocks are
-    cut only at owners, so each owner's children in a chunk are summed in
-    one block, in order from 0.0, whatever the blocks; the calling thread
-    adds the block sums into the pool in order, and an owner split across
-    chunks gets its chunks' sums in chunk order.  Pools are therefore
-    byte-identical for every CPU count.
-
-    A block's draws are made on the calling thread as `graph._map_ordered`
-    takes the block, in block order: its uniforms from ``rng`` and its pool
-    indices from ``_after_doubles(rng, chunk size)``, which draws what
-    ``rng`` would after the chunk's uniforms; at the chunk's end ``rng``
-    takes that copy's state.  So the stream is the one that drawing a whole
-    chunk at once gives, and a generation holds only the pool, its sums, the
-    in-degree bounds and the draws of at most two blocks per CPU, and never
-    of more than one chunk (16 B a child).  ``rng`` must be a PCG64 generator, as ``np.random.default_rng``
-    makes: a TypeError naming its bit generator is raised before any draw
-    otherwise.
+    Every draw of generation g = pool.generation + 1 comes from a stream of
+    ``spec.seed`` keyed to the work it serves (`_keyed`): the in-degrees of
+    owners lo.. in pieces of ``_PIECE``, keyed (g, 0, lo), and each block
+    of `_pool_blocks` its uniforms, which stand for D, then its pool
+    indices, keyed (g, 1, first owner, part).  `graph._map_ordered` maps the
+    pieces and then the blocks over every CPU the process may use; a block
+    draws, looks up D, gathers R, divides and sums each of its non-empty
+    owners with ``np.add.reduceat``, and the calling thread adds the sums
+    into the pool in block order, so an owner cut into parts gets their sums
+    in order.  The blocks depend on the in-degrees only, so pools are
+    byte-identical for every CPU count.  A generation holds the pool, the
+    in-degrees, the sums and the draws of at most two blocks per CPU, each
+    of at most ``_BLOCK`` children, whatever N a sample draws.
     """
     m = spec.pool_size
     if pool.values.size != m:
         raise ValueError("pool size does not match spec.pool_size")
-    if type(rng.bit_generator) is not np.random.PCG64:
-        raise TypeError("iterate_pool needs a PCG64 generator to jump over a chunk's "
-                        f"uniforms, got {type(rng.bit_generator).__name__}")
-    bounds = np.cumsum(spec.indegree.sample(rng, m))
-    total = int(bounds[-1])
+    gen = pool.generation + 1
+
+    def piece(lo):
+        return spec.indegree.sample(_keyed(spec.seed, gen, 0, lo), min(_PIECE, m - lo))
+
+    def block(cut):
+        e0, e1, o0, o1, key = cut
+        rng = _keyed(spec.seed, gen, 1, *key)
+        d = spec.effective_outdegree.lookup(rng.random(e1 - e0))
+        r = np.take(pool.values, rng.integers(0, m, size=e1 - e0), mode="clip")
+        r /= d
+        owned = counts[o0:o1]
+        nonempty = owned > 0
+        sums = np.zeros(o1 - o0)
+        # each non-empty owner's first child in the block; 0 in a part of one owner
+        sums[nonempty] = np.add.reduceat(r, (np.cumsum(owned) - owned)[nonempty])
+        return sums
+
+    counts = np.concatenate(list(_map_ordered(piece, range(0, m, _PIECE))))
+    blocks = _pool_blocks(counts)
     acc = np.zeros(m)
-    prev = pool.values
-    lookup = spec.effective_outdegree.lookup
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        picker = _after_doubles(rng, stop - start)
-        lo, counts = _segment_counts(bounds, start, stop)
-        blocks = _segment_blocks(counts, _BLOCK)
-
-        def drawn():
-            for cut in blocks:
-                size = cut[1] - cut[0]
-                yield cut, rng.random(size), picker.integers(0, m, size=size)
-
-        def block(item):
-            (_, _, o0, o1), u, picks = item
-            r = np.take(prev, picks, mode="clip")
-            np.divide(r, lookup(u), out=r)
-            return np.bincount(np.repeat(np.arange(o1 - o0), counts[o0:o1]),
-                               weights=r, minlength=o1 - o0)
-
-        for (_, _, o0, o1), sums in zip(blocks, _map_ordered(block, drawn())):
-            acc[lo + o0:lo + o1] += sums
-        rng.bit_generator.state = picker.bit_generator.state
-    return SamplePool(values=spec.baseline + spec.c * acc, generation=pool.generation + 1)
+    for (_, _, o0, o1, _), sums in zip(blocks, _map_ordered(block, blocks)):
+        acc[o0:o1] += sums
+    acc *= spec.c
+    acc += spec.baseline
+    return SamplePool(values=acc, generation=gen)
 
 
 def simulate_R(spec: ModelSpec, k) -> SamplePool:
@@ -306,8 +303,8 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
 
     Near alpha = 1 the pool does not resolve the tail in CCDF [1e-5, 1e-3]:
     at alpha = 1.1 and M = 1e6, the 46-generation pools of seeds 5-8 put
-    the ratio to C * P(T > x) between 0.13 and 0.22, with pool means from
-    0.42 to 0.49 where E[R] = 1.
+    the ratio to C * P(T > x) between 0.13 and 0.44, with pool means from
+    0.44 to 0.71 where E[R] = 1.
     """
     if k == "converged":
         rate = 1.0 - spec.baseline
@@ -316,10 +313,9 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
             raise SimulationConvergenceError(k, rate)
     elif not _is_int(k) or k < 1:
         raise ValueError(f"k must be a positive integer or 'converged', got {k!r}")
-    rng = np.random.default_rng(spec.seed)
     pool = initial_pool(spec)
     for _ in range(k):
-        pool = iterate_pool(pool, spec, rng)
+        pool = iterate_pool(pool, spec)
     return pool
 
 

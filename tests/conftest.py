@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,14 +32,23 @@ def rng():
 
 @pytest.fixture
 def drawn_indegrees(monkeypatch):
-    """The in-degree array of the latest ``InDegreeLaw.sample`` call, as the
-    list's one element; the draws themselves are unchanged."""
-    drawn = []
+    """The in-degrees of the latest pool generation, as the list's one
+    element: the generation's ``InDegreeLaw.sample`` calls, which run on
+    worker threads, joined in order of their stream's spawn key
+    (generation, 0, first owner).  The draws themselves are unchanged."""
+    drawn, pieces, lock = [], {}, threading.Lock()
     draw = simulate.InDegreeLaw.sample
 
     def spy(law, rng, size):
-        drawn[:] = [draw(law, rng, size)]
-        return drawn[0]
+        n = draw(law, rng, size)
+        key = rng.bit_generator.seed_seq.spawn_key
+        if key:  # a piece of a pool generation
+            with lock:
+                pieces[key] = n
+                latest = max(pieces)[0]
+                drawn[:] = [np.concatenate([pieces[k] for k in sorted(pieces)
+                                            if k[0] == latest])]
+        return n
 
     monkeypatch.setattr(simulate.InDegreeLaw, "sample", spy)
     return drawn

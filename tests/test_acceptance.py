@@ -133,8 +133,8 @@ def test_crit3_simulator_tail_law(k):
                       for r in rows)
     note = ("\nAt alpha=1.1 the pool does not resolve the law in this window: after "
             "the 46 generations that bound the W1 distance to the fixed point by "
-            "1e-3, seeds 5-8 at M=1e6 give ratios from 0.13 to 0.22 and pool means "
-            "from 0.42 to 0.49, so the pool loses mass over the generations."
+            "1e-3, seeds 5-8 at M=1e6 give ratios from 0.13 to 0.44 and pool means "
+            "from 0.44 to 0.71, so the pool loses mass over the generations."
             if k == "converged" else "")
     assert not bad, (
         f"k={k}: {len(bad)}/{len(rows)} probes outside [0.8, 1.25] after "
@@ -148,11 +148,10 @@ def test_crit4_mean_field_conditional_means(drawn_indegrees):
     hist = {0: 0.006, 4: 0.642, 16: 0.352}
     spec = ModelSpec(c=0.85, alpha=2.5, d=8.2, outdeg_hist=hist,
                      pool_size=1_000_000, seed=31)
-    rng = np.random.default_rng(spec.seed)
     pool = initial_pool(spec)
     for _ in range(12):
-        pool = iterate_pool(pool, spec, rng)
-    paired = iterate_pool(pool, spec, rng)
+        pool = iterate_pool(pool, spec)
+    paired = iterate_pool(pool, spec)
     (n_in,) = drawn_indegrees  # the in-degrees of the last generation
 
     counts = np.bincount(n_in)

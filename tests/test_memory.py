@@ -87,15 +87,14 @@ def test_generate_holds_no_edge_sized_temporary():
 
 
 def test_pool_generation_holds_blocks_not_a_chunk_of_draws(monkeypatch):
-    # crit3 at M = 1e6 draws about 6.1M children, two chunks.  A generation
-    # holds the in-degree bounds, the sums, the new pool and, on two CPUs, the
-    # draws and work of at most four blocks of 2**18 children.  Kept to
-    # 64 B/sample, which one chunk of draws (2**22 uniforms and pool
-    # indices, 67 B/sample) exceeds alone.
+    # crit3 at M = 1e6 draws about 5.3M children.  A generation holds the
+    # in-degrees, the sums and, on two CPUs, the draws and work of at most
+    # four blocks of at most 2**18 children.  Kept to 64 B/sample, which
+    # 2**22 children's draws held at once (uniforms and pool indices,
+    # 67 B/sample) would exceed alone.
     monkeypatch.setattr(graph, "_cpu_count", lambda: 2)
     spec = ModelSpec(c=0.85, alpha=1.1, d=8.2,
                      outdeg_hist=solved_histogram(1.1, 8.2, 0.006, 0.8558),
                      pool_size=1_000_000, seed=5)
     pool = initial_pool(spec)
-    rng = np.random.default_rng(spec.seed)
-    assert peak_bytes(lambda: iterate_pool(pool, spec, rng)) / spec.pool_size < 64.0
+    assert peak_bytes(lambda: iterate_pool(pool, spec)) / spec.pool_size < 64.0

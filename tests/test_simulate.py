@@ -15,9 +15,9 @@ from ranktail.simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec
                                simulate_R, simulate_Y_levels, tail_ratio_table)
 from ranktail.theory import TheoryParams, coefficient_Ck
 
-# the seeded in-degrees of the chunk-boundary tests: runs of zeros around
-# the chunk edges of sizes 1, 7 and 64, and one sample whose 150 children
-# span three 64-child chunks
+# the seeded in-degrees of the piece- and block-boundary tests: runs of
+# zeros around the edges of in-degree pieces of 1, 7 and 64 owners, and one
+# sample whose 150 children are cut into parts of 5 or 16
 EDGE_ZEROS_IN = {2: 3, 5: 4, 8: 150, 10: 1, 12: 57, 15: 7, 400: 2, 9_997: 5}
 
 # moderate-tail spec (finite variance) used wherever sample means must settle
@@ -215,27 +215,26 @@ class TestEffectiveOutdegreeSampler:
 
 
 class TestIteratePool:
-    def test_zero_damping_collapses_to_ones(self, rng):
+    def test_zero_damping_collapses_to_ones(self):
         spec = calm_spec(c=0.0, pool_size=10_000)
-        pool = iterate_pool(initial_pool(spec), spec, rng)
+        pool = iterate_pool(initial_pool(spec), spec)
         assert (pool.values == 1.0).all()
         assert pool.generation == 1
 
-    def test_lower_bound_and_generation(self, rng):
+    def test_lower_bound_and_generation(self):
         spec = calm_spec(pool_size=10_000)
         pool = initial_pool(spec)
         for gen in range(1, 4):
-            pool = iterate_pool(pool, spec, rng)
+            pool = iterate_pool(pool, spec)
             assert pool.generation == gen
             assert pool.values.min() >= spec.baseline - 1e-12
 
     def test_mean_stays_one_for_twenty_generations(self):
         spec = calm_spec()
-        rng = np.random.default_rng(spec.seed)
         pool = initial_pool(spec)
         band = 5.0 / np.sqrt(spec.pool_size)
         for _ in range(20):
-            pool = iterate_pool(pool, spec, rng)
+            pool = iterate_pool(pool, spec)
             assert abs(pool.values.mean() - 1.0) <= band
 
     def test_first_generation_matches_direct_sampler(self):
@@ -257,120 +256,173 @@ class TestIteratePool:
                     - np.searchsorted(b, grid, side="right") / b.size).max()
         assert ks < 0.01
 
-    def test_paired_indegrees_returned(self, rng, drawn_indegrees):
+    def test_paired_indegrees_returned(self, drawn_indegrees):
         spec = calm_spec(pool_size=10_000)
-        pool = iterate_pool(initial_pool(spec), spec, rng)
+        pool = iterate_pool(initial_pool(spec), spec)
         (n,) = drawn_indegrees
         assert n.shape == (10_000,)
         # samples that drew no children sit exactly at the baseline
         assert np.allclose(pool.values[n == 0], spec.baseline)
 
 
-def searchsorted_generation(pool, spec, rng, n_in, chunk):
+def keyed(spec, *key):
+    """The stream of ``spec.seed`` keyed to one unit of a generation's work."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed,
+                                                                      spawn_key=key)))
+
+
+def keyed_indegrees(spec, generation, piece):
+    """The in-degrees of a generation, drawn in pieces of ``piece`` owners
+    from streams keyed (generation, 0, first owner)."""
+    m = spec.pool_size
+    return np.concatenate([spec.indegree.sample(keyed(spec, generation, 0, lo),
+                                                min(piece, m - lo))
+                           for lo in range(0, m, piece)])
+
+
+def searchsorted_generation(pool, spec, n_in):
     """One generation with a binary search per child for its owner and for
-    its D, and the same draws, in the same order, as ``iterate_pool``."""
+    its D, and the same draws as ``iterate_pool``: each block of
+    ``simulate._pool_blocks`` draws its uniforms, then its pool indices,
+    from its keyed stream, and each owner's run of children in a block is
+    summed with ``np.add.reduceat``."""
     values, cum = outdegree_table(spec.outdeg_hist, spec.d)
     bounds = np.cumsum(n_in)
     acc = np.zeros(spec.pool_size)
     prev = pool.values
-    for start in range(0, int(bounds[-1]), chunk):
-        stop = min(start + chunk, int(bounds[-1]))
-        d_draw = values[np.searchsorted(cum, rng.random(stop - start), side="right")]
-        r_draw = prev[rng.integers(0, prev.size, size=stop - start)]
-        owners = np.searchsorted(bounds, np.arange(start, stop), side="right")
-        acc += np.bincount(owners, weights=r_draw / d_draw, minlength=spec.pool_size)
+    for e0, e1, _, _, key in simulate._pool_blocks(n_in):
+        rng = keyed(spec, pool.generation + 1, 1, *key)
+        d_draw = values[np.searchsorted(cum, rng.random(e1 - e0), side="right")]
+        r_draw = prev[rng.integers(0, prev.size, size=e1 - e0)]
+        owners = np.searchsorted(bounds, np.arange(e0, e1), side="right")
+        firsts = np.flatnonzero(np.diff(owners, prepend=-1))
+        acc[owners[firsts]] += np.add.reduceat(r_draw / d_draw, firsts)
     return spec.baseline + spec.c * acc
 
 
 class TestChunkBoundaries:
+    # ``piece`` is the number of owners whose in-degrees one keyed stream draws
     @staticmethod
-    def edge_zeros_pools(monkeypatch, chunk):
+    def edge_zeros_pools(monkeypatch, piece):
         """``iterate_pool`` and ``searchsorted_generation`` from the same
-        pool and seed, with the in-degrees of ``EDGE_ZEROS_IN``."""
+        pool and seed, with the in-degrees of ``EDGE_ZEROS_IN`` handed out
+        piece by piece to the keyed streams that ask for them."""
         spec = calm_spec(pool_size=10_000)
         n_in = np.zeros(spec.pool_size, dtype=np.int64)
         n_in[list(EDGE_ZEROS_IN)] = list(EDGE_ZEROS_IN.values())
         pool = simulate.SamplePool(
             values=np.random.default_rng(4).random(spec.pool_size) + 0.5, generation=0)
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        monkeypatch.setattr(simulate.InDegreeLaw, "sample",
-                            lambda law, rng, size: n_in.copy())
-        new = iterate_pool(pool, spec, np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        return new.values, searchsorted_generation(pool, spec, rng, n_in, chunk)
+        monkeypatch.setattr(simulate, "_PIECE", piece)
+
+        def handed_out(law, rng, size):
+            generation, kind, lo = rng.bit_generator.seed_seq.spawn_key
+            assert (generation, kind) == (1, 0) and size == min(piece, spec.pool_size - lo)
+            return n_in[lo:lo + size].copy()
+
+        monkeypatch.setattr(simulate.InDegreeLaw, "sample", handed_out)
+        new = iterate_pool(pool, spec)
+        return new.values, searchsorted_generation(pool, spec, n_in)
 
     @staticmethod
-    def drawn_pools(monkeypatch, chunk):
+    def drawn_pools(monkeypatch, piece):
         """The same pair of pools, with in-degrees drawn as ``iterate_pool``
         draws them."""
         spec = calm_spec(pool_size=10_000)
         pool = simulate_R(spec, 1)
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        new = iterate_pool(pool, spec, np.random.default_rng(9))
-        rng = np.random.default_rng(9)
-        n_in = spec.indegree.sample(rng, spec.pool_size)
-        return new.values, searchsorted_generation(pool, spec, rng, n_in, chunk)
+        monkeypatch.setattr(simulate, "_PIECE", piece)
+        new = iterate_pool(pool, spec)
+        n_in = keyed_indegrees(spec, 2, piece)
+        return new.values, searchsorted_generation(pool, spec, n_in)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_pool_bytes_match_searchsorted_owners(self, monkeypatch, chunk):
-        new, expected = self.edge_zeros_pools(monkeypatch, chunk)
+    @pytest.mark.parametrize("piece", [1, 7, 64])
+    def test_pool_bytes_match_searchsorted_owners(self, monkeypatch, piece):
+        new, expected = self.edge_zeros_pools(monkeypatch, piece)
         assert new.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("chunk", [7, 64])
-    def test_drawn_indegrees_match_searchsorted_owners(self, monkeypatch, chunk):
-        new, expected = self.drawn_pools(monkeypatch, chunk)
+    @pytest.mark.parametrize("piece", [7, 64])
+    def test_drawn_indegrees_match_searchsorted_owners(self, monkeypatch, piece):
+        new, expected = self.drawn_pools(monkeypatch, piece)
         assert new.tobytes() == expected.tobytes()
 
-    # blocks of 5 and 16 children hold the 150-child owner alone, in each
-    # 64-child chunk it spans
+    # blocks of 5 and 16 children cut the 150-child owner into parts
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [5, 16])
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_small_blocks_match_on_every_worker_count(self, monkeypatch, spy_pool, chunk,
+    @pytest.mark.parametrize("piece", [1, 7, 64])
+    def test_small_blocks_match_on_every_worker_count(self, monkeypatch, spy_pool, piece,
                                                       block, workers):
         monkeypatch.setattr(simulate, "_BLOCK", block)
         monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
-        new, expected = self.edge_zeros_pools(monkeypatch, chunk)
+        new, expected = self.edge_zeros_pools(monkeypatch, piece)
         assert new.tobytes() == expected.tobytes()
-        if workers > 1 and chunk == 64:  # a chunk of several blocks ran on the pool
+        if workers > 1:  # the pieces and the blocks ran on the pool
             assert sum(p.submits for p in spy_pool.made) > 0
         assert all(p.shut_down for p in spy_pool.made)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("piece", [7, 64])
     def test_drawn_indegrees_in_small_blocks_on_every_worker_count(self, monkeypatch,
-                                                                   chunk, workers):
+                                                                   piece, workers):
         monkeypatch.setattr(simulate, "_BLOCK", 16)
         monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
-        new, expected = self.drawn_pools(monkeypatch, chunk)
+        new, expected = self.drawn_pools(monkeypatch, piece)
         assert new.tobytes() == expected.tobytes()
 
-
-class TestStreamJump:
-    # a full-range uint32 draw takes one 32-bit half of a 64-bit step, so
-    # 3 of them leave the other half of the third step in the cache
-    @pytest.mark.parametrize("halves", [0, 3])
-    @pytest.mark.parametrize("k", [0, 1, 7, 1 << 22])
-    def test_after_doubles_draws_what_follows_the_doubles(self, k, halves):
-        rng = np.random.default_rng(11)
-        rng.integers(0, 1 << 32, size=halves, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == halves % 2
-        before = rng.bit_generator.state
-        jumped = simulate._after_doubles(rng, k)
-        assert rng.bit_generator.state == before
-        rng.random(k)
-        assert jumped.bit_generator.state == rng.bit_generator.state
-        assert np.array_equal(jumped.integers(0, 1_000_000, size=1_001),
-                              rng.integers(0, 1_000_000, size=1_001))
-
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
-    def test_generator_that_cannot_jump_refused_before_any_draw(self, bit_generator):
+    def test_owner_larger_than_a_block_drawn_in_parts(self, monkeypatch):
+        # the 150-child owner of a drawn generation, in blocks of at most 16
+        # children's draws and pieces of 7 in-degrees, on 1, 2 and 3 workers
+        monkeypatch.setattr(simulate, "_BLOCK", 16)
+        monkeypatch.setattr(simulate, "_PIECE", 7)
         spec = calm_spec(pool_size=10_000)
-        rng = np.random.Generator(bit_generator(3))
-        with pytest.raises(TypeError, match=bit_generator.__name__):
-            iterate_pool(initial_pool(spec), spec, rng)
-        fresh = np.random.Generator(bit_generator(3))
-        assert rng.random(8).tobytes() == fresh.random(8).tobytes()
+        pool = simulate_R(spec, 1)
+        n_in = keyed_indegrees(spec, 2, 7)
+        n_in[8] = 150
+        drawn = simulate.InDegreeLaw.sample
+        sizes = []
+
+        class Spied(np.random.Generator):
+            def random(self, size=None, *args, **kwargs):
+                sizes.append(size)
+                return super().random(size, *args, **kwargs)
+
+            def integers(self, low, high=None, size=None, *args, **kwargs):
+                sizes.append(size)
+                return super().integers(low, high, size, *args, **kwargs)
+
+        def with_owner(law, rng, size):
+            lo = rng.bit_generator.seed_seq.spawn_key[2]
+            n = drawn(law, rng, size)
+            if lo <= 8 < lo + size:
+                n[8 - lo] = 150
+            return n
+
+        keyed_stream = simulate._keyed
+        monkeypatch.setattr(simulate, "_keyed",
+                            lambda *key: Spied(keyed_stream(*key).bit_generator))
+        monkeypatch.setattr(simulate.InDegreeLaw, "sample", with_owner)
+        pools = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+            pools.append(iterate_pool(pool, spec).values.tobytes())
+        assert pools[0] == pools[1] == pools[2]
+        assert pools[0] == searchsorted_generation(pool, spec, n_in).tobytes()
+        assert [key for *_, key in simulate._pool_blocks(n_in) if key[0] == 8] == [
+            (8, part) for part in range(10)]  # 150 children in parts of 16
+        assert sizes and max(sizes) <= 16
+
+    def test_blocks_tile_the_children_with_distinct_keys(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK", 16)
+        counts = np.zeros(10_000, dtype=np.int64)
+        counts[list(EDGE_ZEROS_IN)] = list(EDGE_ZEROS_IN.values())
+        blocks = simulate._pool_blocks(counts)
+        ends = np.cumsum(counts)
+        assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
+        assert blocks[-1][1] == ends[-1]
+        assert len({key for *_, key in blocks}) == len(blocks)
+        for e0, e1, o0, o1, (first, part) in blocks:
+            # whole owners, or part `part` of one owner's children in 16s
+            assert first == o0 and (o1 - o0 == 1 or part == 0)
+            assert e0 == ends[o0] - counts[o0] + 16 * part
+            assert e1 == min(e0 + 16, ends[o1 - 1])
 
 
 class TestSimulateR:
@@ -408,7 +460,7 @@ class TestSimulateR:
         pool = simulate_R(spec, "converged")
         probes = np.geomspace(pool.values.min(),
                               np.quantile(pool.values, 0.999), 20)
-        after = iterate_pool(pool, spec, np.random.default_rng(777))
+        after = iterate_pool(pool, spec)
 
         def ccdf_at(values):  # the fraction of the samples above each probe
             above = values.size - np.searchsorted(np.sort(values), probes, side="right")
@@ -615,20 +667,22 @@ def sha256(*arrays):
 
 
 class TestDeterminism:
-    # digests of draws at fixed seeds, taken before the in-degree law moved
-    # into InDegreeLaw; they pin the rng calls and float operations of the
-    # draws (on numpy 2.4, x86-64), not only their law
+    # digests of draws at fixed seeds; they pin the keyed streams, the rng
+    # calls and float operations of the draws (on numpy 2.4, x86-64), not
+    # only their law.  The Y-level digest was taken before the in-degree law
+    # moved into InDegreeLaw, the pool digests once the pool's draws came
+    # from keyed streams
     def test_pool_digest_pinned(self):
         pool = simulate_R(heavy_spec(pool_size=10_000, seed=5), 3)  # the crit3 spec
         assert sha256(pool.values) == (
-            "05ef7b010e2ec0d01d383e5964ae7bf6e6baca37c1a3e0f97a3281de5cc9fef7")
+            "61a05e4900bd12fe6d09c90e93fa687af26c5839f2be375a7a2d7235e3cadf5c")
 
-    def test_two_chunk_generation_digest_pinned(self):
-        # crit3 at M = 1e6 draws 6,102,046 children in its first generation,
-        # so the stream is handed from one chunk's draws to the next
+    def test_million_sample_generation_digest_pinned(self):
+        # crit3 at M = 1e6 draws its in-degrees in 16 pieces and its first
+        # generation's children in many keyed blocks
         pool = simulate_R(heavy_spec(pool_size=1_000_000, seed=5), 1)
         assert sha256(pool.values) == (
-            "b0b687724d0017475ba04066745d64c888d772fe9c1ba71a39c17ef1557dd5df")
+            "f073f3b56da0e13c9d30d2e35dc2ed6c5d3dd0886e84dd231685f1834f0b69ef")
 
     def test_y_levels_digest_pinned(self):
         res = simulate_Y_levels(calm_spec(pool_size=10_000, seed=13), 4, 1_000)  # crit5
