@@ -14,7 +14,11 @@ gives exactly the class a binary search of the cumulative sums gives.
 
 A generation's random numbers come from streams keyed to the work they
 serve, not to the order of the calls: the PCG64 stream that ``spec.seed``
-spawns under the key (generation, kind, index) (`_keyed`).  The in-degrees
+spawns under the key (generation, kind, index) (`_keyed`).  The rates T
+of the M owners are stratified: the law of T is cut into M strata of equal
+probability, a permutation keyed (generation, 2) deals one to each owner,
+and each rate is drawn within its stratum, so the top of T is in every
+generation at its share (`InDegreeLaw.sample_strata`).  The in-degrees
 are drawn in pieces of ``_PIECE`` owners, keyed (generation, 0, first
 owner).  The children are cut into blocks of whole owners by
 `graph._segment_blocks`, an owner of more than ``_BLOCK`` children into
@@ -86,6 +90,16 @@ class InDegreeLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws of N; each Pareto rate T comes from one uniform by inverse CDF."""
         u = 1.0 - rng.random(size)  # in (0, 1], keeps T finite
+        return rng.poisson(self.t_min * u ** (-1.0 / self.alpha))
+
+    def sample_strata(self, rng: np.random.Generator, strata: np.ndarray,
+                      count: int) -> np.ndarray:
+        """Draws of N whose rates T come one from each stratum in ``strata``:
+        stratum s of ``count`` equal ones holds the uniforms in
+        (s/count, (s+1)/count] that stand for T, s = 0 the top of the law.
+        Given every stratum once, the ``count`` rates hold the top of T at
+        its share rather than at the luck of independent draws."""
+        u = (strata + (1.0 - rng.random(strata.size))) / count  # in (0, 1]
         return rng.poisson(self.t_min * u ** (-1.0 / self.alpha))
 
     def tail(self, x):
@@ -236,6 +250,21 @@ def _pool_blocks(counts: np.ndarray) -> list[tuple[int, int, int, int, tuple[int
             for part, start in enumerate(range(e0, e1, _BLOCK))]
 
 
+def _pool_indegrees(spec: ModelSpec, gen: int) -> np.ndarray:
+    """The in-degrees of pool generation ``gen``: owner i's rate T comes
+    from stratum strata[i] of M, strata being the permutation of range(M)
+    keyed (gen, 2), so every stratum of T is drawn once; the owners lo..
+    draw in pieces of ``_PIECE``, keyed (gen, 0, lo), mapped over the CPUs."""
+    m = spec.pool_size
+    strata = _keyed(spec.seed, gen, 2).permutation(m)
+
+    def piece(lo):
+        return spec.indegree.sample_strata(_keyed(spec.seed, gen, 0, lo),
+                                           strata[lo:lo + _PIECE], m)
+
+    return np.concatenate(list(_map_ordered(piece, range(0, m, _PIECE))))
+
+
 def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:
     """Advance the pool one generation.
 
@@ -244,7 +273,8 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:
     set to c * sum R_j/D_j + baseline.
 
     Every draw of generation g = pool.generation + 1 comes from a stream of
-    ``spec.seed`` keyed to the work it serves (`_keyed`): the in-degrees of
+    ``spec.seed`` keyed to the work it serves (`_keyed`): the permutation
+    that deals the strata of the rates, keyed (g, 2), the in-degrees of
     owners lo.. in pieces of ``_PIECE``, keyed (g, 0, lo), and each block
     of `_pool_blocks` its uniforms, which stand for D, then its pool
     indices, keyed (g, 1, first owner, part).  `graph._map_ordered` maps the
@@ -254,16 +284,14 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:
     into the pool in block order, so an owner cut into parts gets their sums
     in order.  The blocks depend on the in-degrees only, so pools are
     byte-identical for every CPU count.  A generation holds the pool, the
-    in-degrees, the sums and the draws of at most two blocks per CPU, each
-    of at most ``_BLOCK`` children, whatever N a sample draws.
+    strata while the in-degrees are drawn, the in-degrees, the sums and the
+    draws of at most two blocks per CPU, each of at most ``_BLOCK``
+    children, whatever N a sample draws.
     """
     m = spec.pool_size
     if pool.values.size != m:
         raise ValueError("pool size does not match spec.pool_size")
     gen = pool.generation + 1
-
-    def piece(lo):
-        return spec.indegree.sample(_keyed(spec.seed, gen, 0, lo), min(_PIECE, m - lo))
 
     def block(cut):
         e0, e1, o0, o1, key = cut
@@ -278,7 +306,7 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:
         sums[nonempty] = np.add.reduceat(r, (np.cumsum(owned) - owned)[nonempty])
         return sums
 
-    counts = np.concatenate(list(_map_ordered(piece, range(0, m, _PIECE))))
+    counts = _pool_indegrees(spec, gen)
     blocks = _pool_blocks(counts)
     acc = np.zeros(m)
     for (_, _, o0, o1, _), sums in zip(blocks, _map_ordered(block, blocks)):
@@ -303,8 +331,8 @@ def simulate_R(spec: ModelSpec, k) -> SamplePool:
 
     Near alpha = 1 the pool does not resolve the tail in CCDF [1e-5, 1e-3]:
     at alpha = 1.1 and M = 1e6, the 46-generation pools of seeds 5-8 put
-    the ratio to C * P(T > x) between 0.13 and 0.44, with pool means from
-    0.44 to 0.71 where E[R] = 1.
+    the ratio to C * P(T > x) between 0.15 and 0.34, with pool means from
+    0.44 to 0.59 where E[R] = 1.
     """
     if k == "converged":
         rate = 1.0 - spec.baseline

@@ -33,14 +33,14 @@ def rng():
 @pytest.fixture
 def drawn_indegrees(monkeypatch):
     """The in-degrees of the latest pool generation, as the list's one
-    element: the generation's ``InDegreeLaw.sample`` calls, which run on
-    worker threads, joined in order of their stream's spawn key
+    element: the generation's ``InDegreeLaw.sample_strata`` calls, which run
+    on worker threads, joined in order of their stream's spawn key
     (generation, 0, first owner).  The draws themselves are unchanged."""
     drawn, pieces, lock = [], {}, threading.Lock()
-    draw = simulate.InDegreeLaw.sample
+    draw = simulate.InDegreeLaw.sample_strata
 
-    def spy(law, rng, size):
-        n = draw(law, rng, size)
+    def spy(law, rng, strata, count):
+        n = draw(law, rng, strata, count)
         key = rng.bit_generator.seed_seq.spawn_key
         if key:  # a piece of a pool generation
             with lock:
@@ -50,7 +50,7 @@ def drawn_indegrees(monkeypatch):
                                             if k[0] == latest])]
         return n
 
-    monkeypatch.setattr(simulate.InDegreeLaw, "sample", spy)
+    monkeypatch.setattr(simulate.InDegreeLaw, "sample_strata", spy)
     return drawn
 
 

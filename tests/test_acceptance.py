@@ -133,8 +133,8 @@ def test_crit3_simulator_tail_law(k):
                       for r in rows)
     note = ("\nAt alpha=1.1 the pool does not resolve the law in this window: after "
             "the 46 generations that bound the W1 distance to the fixed point by "
-            "1e-3, seeds 5-8 at M=1e6 give ratios from 0.13 to 0.44 and pool means "
-            "from 0.44 to 0.71, so the pool loses mass over the generations."
+            "1e-3, seeds 5-8 at M=1e6 give ratios from 0.15 to 0.34 and pool means "
+            "from 0.44 to 0.59, so the pool loses mass over the generations."
             if k == "converged" else "")
     assert not bad, (
         f"k={k}: {len(bad)}/{len(rows)} probes outside [0.8, 1.25] after "

@@ -128,6 +128,19 @@ class TestInDegreeSampler:
         se_freq = np.sqrt(freq * (1 - freq) / n.size)
         assert abs(freq - expected) <= 3 * np.hypot(se_expected, se_freq)
 
+    def test_each_stratified_rate_lies_in_its_stratum(self):
+        class Rates(np.random.Generator):  # reads poisson(T) as T
+            def poisson(self, lam=1.0, size=None):
+                return lam
+
+        law = InDegreeLaw(alpha=1.1, d=8.2)
+        strata = np.random.default_rng(3).permutation(1000)
+        t = law.sample_strata(Rates(np.random.PCG64(5)), strata, 1000)
+        u = (t / law.t_min) ** -law.alpha  # the uniform that stands for T
+        assert np.isfinite(t).all()
+        assert (u > strata / 1000 * (1 - 1e-12)).all()
+        assert (u <= (strata + 1) / 1000 * (1 + 1e-12)).all()
+
     @pytest.mark.parametrize("alpha, d", [(1.1, 8.2), (1.5, 30.0), (2.5, 2.5)])
     def test_tail_matches_oracle_ccdf(self, alpha, d):
         # the oracle states P(T > t) on its own, 1 below t_min included
@@ -273,10 +286,12 @@ def keyed(spec, *key):
 
 def keyed_indegrees(spec, generation, piece):
     """The in-degrees of a generation, drawn in pieces of ``piece`` owners
-    from streams keyed (generation, 0, first owner)."""
+    from streams keyed (generation, 0, first owner), each owner's rate from
+    its stratum of the permutation keyed (generation, 2)."""
     m = spec.pool_size
-    return np.concatenate([spec.indegree.sample(keyed(spec, generation, 0, lo),
-                                                min(piece, m - lo))
+    strata = keyed(spec, generation, 2).permutation(m)
+    return np.concatenate([spec.indegree.sample_strata(keyed(spec, generation, 0, lo),
+                                                       strata[lo:lo + piece], m)
                            for lo in range(0, m, piece)])
 
 
@@ -314,12 +329,14 @@ class TestChunkBoundaries:
             values=np.random.default_rng(4).random(spec.pool_size) + 0.5, generation=0)
         monkeypatch.setattr(simulate, "_PIECE", piece)
 
-        def handed_out(law, rng, size):
+        def handed_out(law, rng, strata, count):
             generation, kind, lo = rng.bit_generator.seed_seq.spawn_key
+            size = strata.size
             assert (generation, kind) == (1, 0) and size == min(piece, spec.pool_size - lo)
+            assert count == spec.pool_size
             return n_in[lo:lo + size].copy()
 
-        monkeypatch.setattr(simulate.InDegreeLaw, "sample", handed_out)
+        monkeypatch.setattr(simulate.InDegreeLaw, "sample_strata", handed_out)
         new = iterate_pool(pool, spec)
         return new.values, searchsorted_generation(pool, spec, n_in)
 
@@ -376,7 +393,7 @@ class TestChunkBoundaries:
         pool = simulate_R(spec, 1)
         n_in = keyed_indegrees(spec, 2, 7)
         n_in[8] = 150
-        drawn = simulate.InDegreeLaw.sample
+        drawn = simulate.InDegreeLaw.sample_strata
         sizes = []
 
         class Spied(np.random.Generator):
@@ -388,17 +405,17 @@ class TestChunkBoundaries:
                 sizes.append(size)
                 return super().integers(low, high, size, *args, **kwargs)
 
-        def with_owner(law, rng, size):
+        def with_owner(law, rng, strata, count):
             lo = rng.bit_generator.seed_seq.spawn_key[2]
-            n = drawn(law, rng, size)
-            if lo <= 8 < lo + size:
+            n = drawn(law, rng, strata, count)
+            if lo <= 8 < lo + strata.size:
                 n[8 - lo] = 150
             return n
 
         keyed_stream = simulate._keyed
         monkeypatch.setattr(simulate, "_keyed",
                             lambda *key: Spied(keyed_stream(*key).bit_generator))
-        monkeypatch.setattr(simulate.InDegreeLaw, "sample", with_owner)
+        monkeypatch.setattr(simulate.InDegreeLaw, "sample_strata", with_owner)
         pools = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
@@ -423,6 +440,24 @@ class TestChunkBoundaries:
             assert first == o0 and (o1 - o0 == 1 or part == 0)
             assert e0 == ends[o0] - counts[o0] + 16 * part
             assert e1 == min(e0 + 16, ends[o1 - 1])
+
+    def test_generation_deals_every_stratum_once(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_PIECE", 7)
+        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 2)
+        dealt, draw = [], simulate.InDegreeLaw.sample_strata
+
+        def spy(law, rng, strata, count):
+            dealt.append((rng.bit_generator.seed_seq.spawn_key, strata.copy(), count))
+            return draw(law, rng, strata, count)
+
+        monkeypatch.setattr(simulate.InDegreeLaw, "sample_strata", spy)
+        spec = calm_spec(pool_size=10_000)
+        iterate_pool(initial_pool(spec), spec)
+        dealt.sort(key=lambda call: call[0])
+        assert [key for key, *_ in dealt] == [(1, 0, lo) for lo in range(0, 10_000, 7)]
+        assert {count for *_, count in dealt} == {10_000}
+        assert np.array_equal(np.sort(np.concatenate([strata for _, strata, _ in dealt])),
+                              np.arange(10_000))
 
 
 class TestSimulateR:
@@ -671,18 +706,18 @@ class TestDeterminism:
     # calls and float operations of the draws (on numpy 2.4, x86-64), not
     # only their law.  The Y-level digest was taken before the in-degree law
     # moved into InDegreeLaw, the pool digests once the pool's draws came
-    # from keyed streams
+    # from keyed streams and its rates from strata
     def test_pool_digest_pinned(self):
         pool = simulate_R(heavy_spec(pool_size=10_000, seed=5), 3)  # the crit3 spec
         assert sha256(pool.values) == (
-            "61a05e4900bd12fe6d09c90e93fa687af26c5839f2be375a7a2d7235e3cadf5c")
+            "e7e8373b4a901a478578bbf8c94bed6752aed3319a23b621200cdff780c94225")
 
     def test_million_sample_generation_digest_pinned(self):
         # crit3 at M = 1e6 draws its in-degrees in 16 pieces and its first
         # generation's children in many keyed blocks
         pool = simulate_R(heavy_spec(pool_size=1_000_000, seed=5), 1)
         assert sha256(pool.values) == (
-            "f073f3b56da0e13c9d30d2e35dc2ed6c5d3dd0886e84dd231685f1834f0b69ef")
+            "b7f4ebb177202d4ee0f7e14912a57bc91897722a16305a04cb6dd53bcd6fffa9")
 
     def test_y_levels_digest_pinned(self):
         res = simulate_Y_levels(calm_spec(pool_size=10_000, seed=13), 4, 1_000)  # crit5
