@@ -22,7 +22,7 @@ from . import theory
 from .graph import (DegreeProfile, EdgeListParseError, as_number, degree_profile,
                     load_edge_list, hist_to_json, parse_hist, read_json, write_edge_list,
                     write_json)
-from .pagerank import PageRankParams, export_scores, pagerank_series, series_params
+from .pagerank import PageRankParams, _series, export_scores, series_params
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
 from .tails import TailFit, ccdf, write_ccdf_csv
@@ -126,17 +126,23 @@ def cmd_stats(args) -> int:
 
 def cmd_pagerank(args) -> int:
     # the PageRank options are checked before the graph is read
-    series_params(args.damping, args.tol, args.max_iters, args.snapshots)
+    params = series_params(args.damping, args.tol, args.max_iters, args.snapshots)
     g = _load_graph(args)
-    results = pagerank_series(g, args.damping, args.tol, args.max_iters, args.snapshots)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for c, result in zip(args.damping, results):
-        key = repr(float(c))
-        for _, suffix, scores in report_mod.damping_vectors(key, result):
-            export_scores(g, scores, outdir / f"scores_{suffix}.csv")
-        _print_warnings(report_mod.damping_warnings(key, result, args.snapshots))
-    return 0 if all(r.converged for r in results) else 4
+    keys = [repr(float(c)) for c in args.damping]
+    stops = [None] * len(params)  # per damping: (its warnings, converged)
+    # each vector is written when the series takes it, then dropped
+    for d, k, taken in _series(g, params):
+        if k is None:
+            stops[d] = (report_mod.damping_warnings(keys[d], taken, args.snapshots),
+                        taken.converged)
+            taken = taken.scores
+        export_scores(g, taken, outdir / f"scores_{report_mod.vector_suffix(keys[d], k)}.csv")
+        del taken  # not held while the series makes the next vector
+    for lines, _ in stops:
+        _print_warnings(lines)
+    return 0 if all(converged for _, converged in stops) else 4
 
 
 def cmd_analyze(args) -> int:

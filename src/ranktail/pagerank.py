@@ -15,9 +15,17 @@ and the x_i do not depend on c, so every damping shares one sequence of
 sparse products (Boldi, Santini & Vigna 2005, "PageRank as a function of the
 damping factor").  Each step is R_k - R_{k-1} = c^k (x_k - x_{k-1}), so a
 damping's residual (1/n) ||R_k - R_{k-1}||_1 is c^k times the shared
-(1/n) ||x_k - x_{k-1}||_1.  Each damping stops, keeps its snapshots and
-reports on its own; iteration k is a pure function of iteration k-1, which
-makes the per-iteration snapshots well defined.
+(1/n) ||x_k - x_{k-1}||_1.  Each damping stops and reports on its own;
+iteration k is a pure function of iteration k-1, which makes the
+per-iteration snapshots well defined.
+
+The series is one generator, `_series`, a stream of events: each snapshot
+R_k and each damping's final result is yielded when it is taken.
+`pagerank_series` collects the stream into one result per damping;
+`report.analyze_graph` and ``ranktail pagerank`` use each vector when it
+comes and drop it, so beside the series' own vectors (x_k, x_{k+1}, a
+scratch vector and one accumulator per damping still running) they hold
+one score vector at a time, not every snapshot and final vector at once.
 
 The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, cut
 between in-lists by `graph._segment_blocks`, so a block's gathered values
@@ -98,10 +106,15 @@ def _in_edge_kernel(g: Graph):
     block; a block longer than that is a run of its own.
     """
     rows = np.flatnonzero(g.in_deg)
-    offsets = g.in_ptr[rows]  # where each row starts, then where in its block
-    blocks = _segment_blocks(g.in_ptr[rows + 1] - offsets, _BLOCK_EDGES)
+    starts = g.in_ptr[rows]
+    blocks = _segment_blocks(g.in_ptr[rows + 1] - starts, _BLOCK_EDGES)
     for e0, _, r0, r1 in blocks:
-        offsets[r0:r1] -= e0
+        starts[r0:r1] -= e0
+    # kept at the id width, which also holds every offset: a block's rows
+    # start less than _BLOCK_EDGES after it does
+    width = graph._id_dtype(g.n)
+    rows, offsets = rows.astype(width), starts.astype(width)
+    del starts
     sizes = np.array([e1 - e0 for e0, e1, _, _ in blocks], np.int64)
     runs = [blocks[b0:b1] for _, _, b0, b1 in
             _segment_blocks(sizes, max(-(-g.m // graph._cpu_count()), 1))]
@@ -139,11 +152,31 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     which must be distinct.  The in-edge sums run on every CPU the process
     may use."""
     params = series_params(dampings, tol, max_iters, snapshot_iters)
+    results: list[PageRankResult | None] = [None] * len(params)
+    snapshots: list[dict[int, np.ndarray]] = [{} for _ in params]
+    for d, k, taken in _series(g, params):
+        if k is None:
+            results[d] = replace(taken, snapshots=snapshots[d])
+        else:
+            snapshots[d][k] = taken
+    return results
+
+
+def _series(g: Graph, params: list[PageRankParams]):
+    """Run the series of ``params`` (`series_params`), yielding each vector
+    when it is taken.
+
+    Damping params[d]'s snapshot R_k is yielded as (d, k, R_k); when the
+    damping stops, (d, None, result) follows, with ``result.snapshots``
+    empty.  Nothing yielded is written to again, and the series keeps no
+    reference to a damping's scores once it has stopped, so a consumer that
+    drops each vector when done with it holds one at a time.
+    """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
     if not params:
-        return []
-    snapshot_iters = params[0].snapshot_iters
+        return
+    tol, max_iters, snapshot_iters = params[0].tol, params[0].max_iters, params[0].snapshot_iters
     n = g.n
     inv_out = np.zeros(n)
     linked = g.out_deg > 0
@@ -151,11 +184,10 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     dangling = np.flatnonzero(~linked)
 
     x, x_next, scratch = np.ones(n), np.empty(n), np.empty(n)
-    # per damping: (1 - c) * sum_{i<k} c^i x_i, which becomes R_k when it stops
-    accs = [np.zeros(n) for _ in params]
+    # per damping: (1 - c) * sum_{i<k} c^i x_i, which becomes R_k when it
+    # stops, and None after that
+    accs: list[np.ndarray | None] = [np.zeros(n) for _ in params]
     residuals: list[list[float]] = [[] for _ in params]
-    snapshots: list[dict[int, np.ndarray]] = [{} for _ in params]
-    results: list[PageRankResult | None] = [None] * len(params)
     live = list(range(len(params)))
     in_edge_sums = _in_edge_kernel(g)
     for k in range(1, max_iters + 1):
@@ -165,9 +197,9 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
         np.subtract(x_next, x, out=scratch)
         step = float(np.abs(scratch, out=scratch).sum()) / n
         for d in live:
-            c, acc = params[d].c, accs[d]
+            c = params[d].c
             np.multiply(x, (1.0 - c) * c ** (k - 1), out=scratch)
-            acc += scratch
+            accs[d] += scratch
             resid = c ** k * step
             residuals[d].append(resid)
             done = resid <= tol or k == max_iters
@@ -175,17 +207,17 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
                 continue
             np.multiply(x_next, c ** k, out=scratch)
             if k in snapshot_iters:
-                snapshots[d][k] = acc + scratch
+                yield d, k, accs[d] + scratch
             if done:
-                acc += scratch
-                results[d] = PageRankResult(scores=acc, iters_run=k,
-                                            residuals=np.asarray(residuals[d]),
-                                            snapshots=snapshots[d], converged=resid <= tol)
-        live = [d for d in live if results[d] is None]
+                accs[d] += scratch
+                yield d, None, PageRankResult(scores=accs[d], iters_run=k,
+                                              residuals=np.asarray(residuals[d]),
+                                              snapshots={}, converged=resid <= tol)
+                accs[d] = None
+        live = [d for d in live if accs[d] is not None]
         if not live:
             break
         x, x_next = x_next, x
-    return results
 
 
 def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:

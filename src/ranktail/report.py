@@ -10,8 +10,8 @@ import numpy as np
 
 from . import tails, theory
 from .graph import Graph, degree_profile, write_json
-from .pagerank import PageRankParams, pagerank_series, series_params
-from .tails import TailFit, ccdf, choose_xmin, fit_exponent_mle
+from .pagerank import PageRankParams, _series, series_params
+from .tails import TailFit, _tail_fit, ccdf, choose_xmin
 
 SCHEMA_VERSION = 1
 
@@ -33,19 +33,19 @@ class AnalysisOptions:
             raise ValueError(f"xmin must be a positive finite number, got {self.xmin}")
 
 
-def _analyze_vector(values, xmin: float | None, warnings_out: list[str],
-                    label: str) -> tuple[tails.CcdfSeries, TailFit | None]:
-    """Sort ``values`` into one CCDF; return its written (decimated) points and
-    the tail fit, with x_min read off that CCDF unless ``xmin`` is given."""
+def _analyze_vector(values: np.ndarray, xmin: float | None,
+                    label: str) -> tuple[tails.CcdfSeries, TailFit | None, list[str]]:
+    """Sort float ``values`` into one CCDF; return its written (decimated)
+    points, the tail fit read off that CCDF, with x_min read off it too
+    unless ``xmin`` is given, and the warning of a skipped fit."""
     series = ccdf(values)
     try:
         if series.xs.size == 0:  # every fit of it would raise
             raise ValueError("degenerate CCDF: every positive value is equal")
-        fit = fit_exponent_mle(values, xmin if xmin is not None else choose_xmin(series))
+        fit = _tail_fit(values, xmin if xmin is not None else choose_xmin(series), series)
     except ValueError as exc:
-        warnings_out.append(f"{label}: tail fit skipped ({exc})")
-        fit = None
-    return tails.decimate_ccdf(series), fit
+        return tails.decimate_ccdf(series), None, [f"{label}: tail fit skipped ({exc})"]
+    return tails.decimate_ccdf(series), fit, []
 
 
 def damping_warnings(key: str, result, snapshot_iters) -> list[str]:
@@ -62,28 +62,39 @@ def damping_warnings(key: str, result, snapshot_iters) -> list[str]:
     return lines
 
 
-def damping_vectors(key: str, result):
-    """(label, file-stem suffix, scores) of the final vector, then each snapshot."""
-    yield "final", f"c{key}", result.scores
-    for k in sorted(result.snapshots):
-        yield str(k), f"c{key}_iter{k}", result.snapshots[k]
+def vector_suffix(key: str, k: int | None) -> str:
+    """The file-stem suffix of damping ``key``'s snapshot at iteration k, or
+    of its final scores when k is None."""
+    return f"c{key}" if k is None else f"c{key}_iter{k}"
 
 
 def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
     """Run the full pipeline.
+
+    The in-degrees are analysed first.  Then the PageRank series runs
+    (`pagerank._series`), and each score vector, a snapshot R_k or a
+    damping's final scores, is analysed when the series takes it and then
+    dropped: one CCDF, its decimated points and the tail fit read off it.
+    So no more than one score vector is held beside the series' own.  The
+    report is assembled in damping order once the series ends, with the
+    warnings in the order of a damping's stop, then its final vector and
+    snapshots, then its coefficients.
 
     Returns (report dict, distributions dict); the distributions map CSV
     stem names to the decimated CcdfSeries that ``write_analysis`` writes.
     """
     if options is None:
         options = AnalysisOptions()
+    params = series_params(options.dampings, options.tol, options.max_iters,
+                           options.snapshot_iters)
     warnings_out: list[str] = []
     profile = degree_profile(g)
-    indeg = np.asarray(g.in_deg, dtype=float)
 
     distributions = {}
-    distributions["ccdf_indegree"], indegree_fit = _analyze_vector(
-        indeg, options.xmin, warnings_out, "in-degree")
+    # the float copy of the in-degrees lives only while it is analysed
+    distributions["ccdf_indegree"], indegree_fit, skipped = _analyze_vector(
+        np.asarray(g.in_deg, dtype=float), options.xmin, "in-degree")
+    warnings_out += skipped
 
     alpha_used = options.alpha if options.alpha is not None else (
         indegree_fit.alpha_hat if indegree_fit else None)
@@ -100,20 +111,35 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
         "warnings": warnings_out,
     }
 
-    results = pagerank_series(g, options.dampings, options.tol, options.max_iters,
-                              options.snapshot_iters)
-    for c, result in zip(options.dampings, results):
-        key = repr(float(c))
-        warnings_out.extend(damping_warnings(key, result, options.snapshot_iters))
+    keys = [repr(float(c)) for c in options.dampings]
+    # per damping: its stop's warnings and report entry, then the analysis of
+    # each vector, keyed by its snapshot iteration or None for the final one
+    stops: list[tuple[list[str], dict] | None] = [None] * len(params)
+    analysed: list[dict] = [{} for _ in params]
+    for d, k, taken in _series(g, params):
+        key = keys[d]
+        if k is None:  # the damping stopped; only its scores are kept below
+            stops[d] = (damping_warnings(key, taken, options.snapshot_iters),
+                        {"iters_run": taken.iters_run, "converged": taken.converged,
+                         "final_residual": float(taken.residuals[-1])})
+            taken = taken.scores
+        analysed[d][k] = _analyze_vector(
+            taken, None, f"pagerank c={key} {'final' if k is None else k}")
+        del taken  # not held while the series makes the next vector
+
+    for c, key, (stop_warnings, entry), vectors in zip(options.dampings, keys, stops,
+                                                        analysed):
+        warnings_out.extend(stop_warnings)
+        snapshots = sorted(k for k in vectors if k is not None)
         fits = {}
-        for label, suffix, scores in damping_vectors(key, result):
-            distributions[f"ccdf_pagerank_{suffix}"], fits[label] = _analyze_vector(
-                scores, None, warnings_out, f"pagerank c={key} {label}")
+        for k in [None, *snapshots]:
+            label = "final" if k is None else str(k)
+            distributions[f"ccdf_pagerank_{vector_suffix(key, k)}"], fits[label], skipped = \
+                vectors[k]
+            warnings_out += skipped
 
         report["pagerank"][key] = {
-            "iters_run": result.iters_run,
-            "converged": result.converged,
-            "final_residual": float(result.residuals[-1]),
+            **entry,
             "fit": fits["final"].to_dict() if fits["final"] else None,
             "snapshot_fits": {lab: (f.to_dict() if f else None)
                               for lab, f in fits.items() if lab != "final"},
@@ -136,14 +162,14 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
                   "C_limit": theory.coefficient_C(tparams),
                   "C_lower_bound": lower,
                   "C_k": {str(k): theory.coefficient_Ck(tparams, k)
-                          for k in sorted(result.snapshots)}}
+                          for k in snapshots}}
         report["coefficients"][key] = coeffs
 
         if indegree_fit is None:
             continue
         line_specs = [("limit", coeffs["C_limit"], "final")]
         line_specs += [(str(k), coeffs["C_k"][str(k)], str(k))
-                       for k in sorted(result.snapshots)]
+                       for k in snapshots]
         for k_label, c_value, fit_label in line_specs:
             slope, intercept = theory.predict_line(indegree_fit, c_value)
             report["predicted_lines"].append(

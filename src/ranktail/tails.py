@@ -52,6 +52,8 @@ def ccdf(values) -> CcdfSeries:
     Zeros count in the denominator but produce no point (log-log plots);
     the trailing zero-fraction point at the maximum is omitted, so a
     vector whose positive values are all equal gives the empty series.
+    Beside ``values`` it holds a sorted copy of the positive values, the
+    run-end indices and ``xs``; the fractions are written over the indices.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
@@ -64,8 +66,15 @@ def ccdf(values) -> CcdfSeries:
     pos.sort()
     # one point at the end of each run of equal values; the largest value
     # closes no run, so its zero-fraction point drops out
-    last = np.flatnonzero(pos[1:] != pos[:-1])
-    return CcdfSeries(xs=pos[last], fractions=(pos.size - 1 - last) / v.size)
+    last = np.flatnonzero(pos[1:] != pos[:-1]).astype(np.int64, copy=False)
+    xs = pos[last]
+    np.subtract(pos.size - 1, last, out=last)  # the samples above each point
+    # an assignment over the same elements casts in place, where a ufunc
+    # with a differently typed out= would copy its input first
+    fractions = last.view(np.float64)
+    fractions[...] = last
+    fractions /= v.size
+    return CcdfSeries(xs=xs, fractions=fractions)
 
 
 def decimate_ccdf(series: CcdfSeries) -> CcdfSeries:
@@ -95,20 +104,28 @@ def fit_exponent_mle(values, x_min: float) -> TailFit:
     v = np.asarray(values, dtype=float).ravel()
     if (v < 0).any():
         raise ValueError("values must be non-negative")
-    in_tail = v >= x_min
-    tail = v[in_tail]
+    return _tail_fit(v, x_min)
+
+
+def _tail_fit(v: np.ndarray, x_min: float, series: CcdfSeries | None = None) -> TailFit:
+    """`fit_exponent_mle` of non-negative float samples ``v`` and a positive
+    ``x_min``, with its CCDF points read off ``series``, v's CCDF, which is
+    made here when it is not given.  Its points at x >= x_min are those of
+    the tail alone, with every sample in the denominator."""
+    tail = v[v >= x_min]
     if tail.size < _MIN_TAIL:
         raise ValueError(f"only {tail.size} tail samples (need >= {_MIN_TAIL})")
     log_sum = np.log(tail / x_min).sum()
     if log_sum <= 0:
         raise ValueError("tail has no spread above x_min; exponent undefined")
     alpha_hat = tail.size / log_sum  # = (density exponent) - 1
-    # samples below x_min stay in the denominator as zeros, so only the tail is sorted
-    series = ccdf(np.where(in_tail, v, 0.0))
-    if series.xs.size == 0:
+    if series is None:
+        series = ccdf(v)
+    start = np.searchsorted(series.xs, x_min)  # the first point at or above x_min
+    xs, fractions = series.xs[start:], series.fractions[start:]
+    if xs.size == 0:
         raise ValueError("no CCDF points at or above x_min")
-    intercept = float(np.mean(np.log10(series.fractions)
-                              + alpha_hat * np.log10(series.xs)))
+    intercept = float(np.mean(np.log10(fractions) + alpha_hat * np.log10(xs)))
     return TailFit(alpha_hat=float(alpha_hat), x_min=float(x_min),
                    intercept=intercept, tail_count=int(tail.size))
 

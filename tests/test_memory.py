@@ -1,8 +1,10 @@
-"""Peak memory of the graph builders and of a pool generation, counted by
-tracemalloc, which sees numpy's allocations (not RSS, which moves with the
-allocator).  Each builder's bound is in bytes per edge above its inputs, at
-about 2M edges; an int64 copy of one id column alone is 8 B/edge.  The
-generation's bound is in bytes per pool sample above the previous pool."""
+"""Peak memory of the graph builders, of a pool generation and of the
+analysis, counted by tracemalloc, which sees numpy's allocations (not RSS,
+which moves with the allocator).  Each builder's bound is in bytes per edge
+above its inputs, at about 2M edges; an int64 copy of one id column alone
+is 8 B/edge.  The generation's bound is in bytes per pool sample above the
+previous pool, and the analysis' bounds are in bytes per node or value
+above the graph or the input."""
 
 import tracemalloc
 
@@ -12,8 +14,10 @@ import pytest
 from oracles import solved_histogram
 from ranktail import graph
 from ranktail.graph import Graph, _dense_ids
+from ranktail.report import AnalysisOptions, analyze_graph
 from ranktail.simulate import ModelSpec, initial_pool, iterate_pool
 from ranktail.synth import SynthSpec, generate
+from ranktail.tails import ccdf
 
 M = 1 << 21
 
@@ -98,3 +102,34 @@ def test_pool_generation_holds_blocks_not_a_chunk_of_draws(monkeypatch):
                      pool_size=1_000_000, seed=5)
     pool = initial_pool(spec)
     assert peak_bytes(lambda: iterate_pool(pool, spec)) / spec.pool_size < 64.0
+
+
+def test_ccdf_writes_its_fractions_over_the_run_ends():
+    # 2**20 values, a tenth of them zero and the rest distinct: the ccdf holds
+    # the positive-value mask (1 B/value), their sorted copy, the run-end
+    # indices and xs (7.2 B/value each).  Kept to 28 B/value, which an int64
+    # count array made beside the indices and the fractions (another 14.4
+    # B/value) exceeds.
+    x = np.random.default_rng(1).random(1 << 20) + 0.5
+    x[::10] = 0.0
+    assert peak_bytes(lambda: ccdf(x)) / x.size < 28.0
+
+
+def test_analyze_graph_holds_one_score_vector_at_a_time(monkeypatch):
+    # 3 dampings x (final + 2 snapshots) on a generated graph of n = 2**18
+    # nodes, on two CPUs.  The series holds x_k, x_{k+1}, a scratch vector,
+    # 1/out-degree and one accumulator per damping (56 B/node) and the
+    # kernel's row tables at the id width (at most 8 B/node); the vector in
+    # analysis (8 B/node) and its CCDF's sorted copy, run ends and points
+    # (about 25 B/node) come on top: about 100 B/node.  Kept to 115 B/node,
+    # which the nine score vectors held until the series ends (72 B/node)
+    # exceed: that reads about 147 B/node here.
+    monkeypatch.setattr(graph, "_cpu_count", lambda: 2)
+    spec = SynthSpec(n=1 << 18, alpha=1.5, d=8.0, outdeg_hist={0: 0.1, 4: 0.68, 24: 0.22},
+                     seed=3)
+    g = generate(spec)
+    options = AnalysisOptions(dampings=[0.2, 0.5, 0.85], snapshot_iters=[1, 2], tol=1e-9)
+    reports = []
+    peak = peak_bytes(lambda: reports.append(analyze_graph(g, options)))
+    assert len(reports[0][1]) == 10  # the in-degree CCDF and nine score CCDFs
+    assert peak / g.n < 115.0

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collected import masked_fit
 from oracles import brute_force_ccdf, pareto_samples
 from ranktail import tails
 from ranktail.tails import ccdf, choose_xmin, decimate_ccdf, fit_exponent_mle
@@ -117,8 +119,10 @@ class TestMleFit:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("x_min", [1.0, 3.0, 4.5, 17.0])
     def test_matches_full_ccdf_formula(self, seed, x_min):
-        # the fit's tail-only CCDF gives the same intercept, bit for bit, as
-        # the full-vector CCDF masked to xs >= x_min; ties and zeros included
+        # the fit's intercept is, bit for bit, that of the full-vector CCDF
+        # masked to xs >= x_min, ties and zeros included; so is the fit off a
+        # CCDF given to it, and that of the tail-only CCDF of a copy with the
+        # samples below x_min set to zero
         rng = np.random.default_rng(seed)
         x = np.floor(pareto_samples(rng, 1.3, 1.0, 3_000)) - (rng.random(3_000) < 0.2)
         fit = fit_exponent_mle(x, x_min)
@@ -130,6 +134,21 @@ class TestMleFit:
                                   + alpha_hat * np.log10(series.xs[mask])))
         assert fit.alpha_hat == float(alpha_hat)
         assert fit.intercept == intercept
+        assert tails._tail_fit(x, x_min, series) == fit
+        assert masked_fit(x, x_min) == fit
+
+    @pytest.mark.parametrize("values, x_min, message", [
+        (np.linspace(1, 10, 50), 9.9, "only 1 tail samples (need >= 10)"),
+        (np.concatenate([np.zeros(5), np.ones(50)]), 1.0,
+         "tail has no spread above x_min; exponent undefined"),
+        # the tail is 20 fives: spread above x_min, but 5 is the largest value
+        (np.array([0.0] * 3 + [1.0] * 40 + [5.0] * 20), 3.0, "no CCDF points at or above x_min"),
+    ], ids=["few", "no_spread", "no_point"])
+    def test_each_fit_raises_the_same_message(self, values, x_min, message):
+        for fit in (fit_exponent_mle, masked_fit,
+                    lambda v, x: tails._tail_fit(v, x, ccdf(v))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                fit(values, x_min)
 
     def test_standard_error_band_over_seeds(self):
         # MLE standard error ~ alpha_hat / sqrt(n_tail)
