@@ -19,18 +19,18 @@ from pathlib import Path
 from . import report as report_mod
 from . import simulate as sim
 from . import theory
-from .graph import (DegreeProfile, EdgeListParseError, as_number, degree_profile,
-                    load_edge_list, hist_to_json, parse_hist, read_json, write_edge_list,
-                    write_json)
+from .formats import (EdgeListParseError, as_number, hist_to_json, parse_hist, read_json,
+                      write_edge_list, write_json)
+from .graph import DegreeProfile, degree_profile, load_edge_list
 from .pagerank import PageRankParams, _series, export_scores, series_params
 from .simulate import ModelSpec, SimulationConvergenceError
 from .synth import SynthSpec, generate
-from .tails import TailFit, ccdf, write_ccdf_csv
+from .tails import ccdf, write_ccdf_csv
 
 def _generations(value):
     """simulate's generation count: "converged", or a positive integer.  Text
     (a flag's, or a --config string) is read as int() reads it, and a
-    --config number as `graph.as_number` reads an int, so true and 2.5 are
+    --config number as `formats.as_number` reads an int, so true and 2.5 are
     refused and 2.0 reads 2."""
     if value == "converged":
         return value
@@ -70,7 +70,7 @@ _OPTIONS = {
 def _convert(value, flag):
     """A --config value in its flag's JSON type: a list for a repeated or
     multi-valued flag, a bool for a switch, else the flag's type.  Numbers
-    must arrive as JSON numbers (`graph.as_number`); anything goes through
+    must arrive as JSON numbers (`formats.as_number`); anything goes through
     str, and an option with a parser of its own takes the value as it is."""
     kind = flag.get("type", bool)  # a store_true switch has no type
     if "nargs" in flag or flag.get("action") == "append":
@@ -181,10 +181,8 @@ def cmd_predict(args) -> int:
             params = theory.TheoryParams(c=c, alpha=alpha, d=args.d, p0=p0, b=args.b)
         table = tables[repr(float(c))] = theory.coefficient_table(params, k_max=args.k_max)
         if args.indegree_intercept is not None:
-            fit = TailFit(alpha_hat=alpha, x_min=1.0,
-                          intercept=args.indegree_intercept, tail_count=0)
             for k, ck in [("limit", table["C_limit"]), *enumerate(table["C_k"], 1)]:
-                slope, intercept = theory.predict_line(fit, ck)
+                slope, intercept = theory.predict_line(alpha, args.indegree_intercept, ck)
                 lines.append({"c": c, "k": k, "slope": slope, "intercept": intercept})
     out = {"coefficients": tables}
     if lines:

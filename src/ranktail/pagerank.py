@@ -28,11 +28,11 @@ scratch vector and one accumulator per damping still running) they hold
 one score vector at a time, not every snapshot and final vector at once.
 
 The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, cut
-between in-lists by `graph._segment_blocks`, so a block's gathered values
+between in-lists by `blocks._segment_blocks`, so a block's gathered values
 are still in cache when they are reduced and no scratch array is larger
 than the largest block.  The blocks are grouped into one run of about
 m / CPUs edges per CPU the process may use, and the runs are mapped over
-those CPUs by `graph._map_ordered`, as the edge-list loader and writer map
+those CPUs by `blocks._map_ordered`, as the edge-list loader and writer map
 their chunks; numpy releases the interpreter lock in the gather and the
 reduce.  A row's sum is the same reduceat over the same block whichever
 thread does it, so scores, snapshots and residuals are bit-identical for
@@ -46,8 +46,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blocks as blocks_mod
 from . import graph
-from .graph import Graph, _is_int, _map_ordered, _segment_blocks, write_csv
+from .blocks import _map_ordered, _segment_blocks
+from .formats import _is_int, write_csv
+from .graph import Graph
 
 _BLOCK_EDGES = 1 << 16
 
@@ -95,7 +98,7 @@ def _in_edge_kernel(g: Graph):
     """A function ``sums(w, out)`` that sets out[i] to the sum of w over the
     in-edges of i.
 
-    The table of non-empty rows and their blocks (`graph._segment_blocks`)
+    The table of non-empty rows and their blocks (`blocks._segment_blocks`)
     are built once, here.  A block holds whole rows, and a row longer than
     _BLOCK_EDGES is a block of its own.  reduceat mishandles empty segments,
     so it runs over the non-empty rows only and their sums are scattered into
@@ -117,7 +120,7 @@ def _in_edge_kernel(g: Graph):
     del starts
     sizes = np.array([e1 - e0 for e0, e1, _, _ in blocks], np.int64)
     runs = [blocks[b0:b1] for _, _, b0, b1 in
-            _segment_blocks(sizes, max(-(-g.m // graph._cpu_count()), 1))]
+            _segment_blocks(sizes, max(-(-g.m // blocks_mod._cpu_count()), 1))]
 
     def sums(w: np.ndarray, out: np.ndarray) -> None:
         def run(cuts):

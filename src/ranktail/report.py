@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tails, theory
-from .graph import Graph, degree_profile, write_json
+from .formats import write_json
+from .graph import Graph, degree_profile
 from .pagerank import PageRankParams, _series, series_params
 from .tails import TailFit, _tail_fit, ccdf, choose_xmin
 
@@ -171,7 +172,8 @@ def analyze_graph(g: Graph, options: AnalysisOptions | None = None):
         line_specs += [(str(k), coeffs["C_k"][str(k)], str(k))
                        for k in snapshots]
         for k_label, c_value, fit_label in line_specs:
-            slope, intercept = theory.predict_line(indegree_fit, c_value)
+            slope, intercept = theory.predict_line(indegree_fit.alpha_hat,
+                                                   indegree_fit.intercept, c_value)
             report["predicted_lines"].append(
                 {"c": float(c), "k": k_label, "slope": slope, "intercept": intercept})
             observed = fits.get(fit_label)

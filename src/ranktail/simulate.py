@@ -21,10 +21,10 @@ and each rate is drawn within its stratum, so the top of T is in every
 generation at its share (`InDegreeLaw.sample_strata`).  The in-degrees
 are drawn in pieces of ``_PIECE`` owners, keyed (generation, 0, first
 owner).  The children are cut into blocks of whole owners by
-`graph._segment_blocks`, an owner of more than ``_BLOCK`` children into
+`blocks._segment_blocks`, an owner of more than ``_BLOCK`` children into
 parts of its own, and each block draws its uniforms and pool indices from
 (generation, 1, first owner, part), where part is 0 for every block but the
-later parts of one owner.  `graph._map_ordered` maps the pieces and the
+later parts of one owner.  `blocks._map_ordered` maps the pieces and the
 blocks over every CPU the process may use (as the edge-list loader and
 writer and the PageRank kernel), so each draw is made on the worker that
 uses it.  The blocks depend on the in-degrees only, and the calling thread
@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (_is_int, _map_ordered, _segment_blocks, decode_fields, hist_to_json,
-                    parse_hist)
+from .blocks import _map_ordered, _segment_blocks
+from .formats import _is_int, decode_fields, hist_to_json, parse_hist
 from .theory import validate_outdegree_hist
 
 # children one level of a block of Y-level tree samples may hold before the
@@ -242,7 +242,7 @@ def _pool_blocks(counts: np.ndarray) -> list[tuple[int, int, int, int, tuple[int
     (generation, 1, *key), key being (o0, part).
 
     Blocks of whole owners are cut at every ``_BLOCK // 2`` children
-    (`graph._segment_blocks`), so a block of several owners holds fewer
+    (`blocks._segment_blocks`), so a block of several owners holds fewer
     than ``_BLOCK`` and is part 0.  A block of one owner is cut into parts
     of ``_BLOCK`` children, numbered from 0."""
     return [(start, min(start + _BLOCK, e1), o0, o1, (o0, part))
@@ -277,7 +277,7 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:
     that deals the strata of the rates, keyed (g, 2), the in-degrees of
     owners lo.. in pieces of ``_PIECE``, keyed (g, 0, lo), and each block
     of `_pool_blocks` its uniforms, which stand for D, then its pool
-    indices, keyed (g, 1, first owner, part).  `graph._map_ordered` maps the
+    indices, keyed (g, 1, first owner, part).  `blocks._map_ordered` maps the
     pieces and then the blocks over every CPU the process may use; a block
     draws, looks up D, gathers R, divides and sums each of its non-empty
     owners with ``np.add.reduceat``, and the calling thread adds the sums

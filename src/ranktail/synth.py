@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import _ID_CHUNK, Graph, _id_dtype, _is_int, _segment_counts
+from .blocks import _segment_counts
+from .formats import _is_int
+from .graph import _ID_CHUNK, Graph, _id_dtype
 from .simulate import InDegreeLaw
 from .theory import validate_outdegree_hist
 

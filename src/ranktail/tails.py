@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import write_csv
+from .formats import write_csv
 
 _MIN_TAIL = 10  # samples at or above x_min that a fit needs
 _MAX_CCDF_POINTS = 4096  # x positions a written CCDF keeps

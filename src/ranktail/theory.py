@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreeProfile, _is_int
-from .tails import TailFit
+from .formats import _is_int
+from .graph import DegreeProfile
 
 _HIST_SUM_TOL = 1e-12
 _HIST_MEAN_RTOL = 1e-9
@@ -179,11 +179,12 @@ def coefficient_table(params: TheoryParams, k_max: int | None = None) -> dict:
             "C_limit": coefficient_C(params), "C_lower_bound": coefficient_lower_bound(params)}
 
 
-def predict_line(indegree_fit: TailFit, c_value: float) -> tuple[float, float]:
-    """Predicted log-log line for the score CCDF: same slope as the in-degree
-    fit, intercept shifted up by log10 of the tail coefficient."""
+def predict_line(alpha: float, intercept: float, c_value: float) -> tuple[float, float]:
+    """Predicted log-log line for the score CCDF from the in-degree tail's
+    exponent alpha and log10 intercept: the same slope, -alpha, and the
+    intercept shifted up by log10 of the tail coefficient."""
     if c_value <= 0:
         raise ValueError("coefficient must be positive")
-    if not math.isfinite(indegree_fit.intercept):
-        raise ValueError(f"in-degree intercept must be finite, got {indegree_fit.intercept}")
-    return (-indegree_fit.alpha_hat, indegree_fit.intercept + math.log10(c_value))
+    if not math.isfinite(intercept):
+        raise ValueError(f"in-degree intercept must be finite, got {intercept}")
+    return (-alpha, intercept + math.log10(c_value))

@@ -120,7 +120,8 @@ def collected_analysis(g, options):
         line_specs += [(str(k), coeffs["C_k"][str(k)], str(k))
                        for k in sorted(result.snapshots)]
         for k_label, c_value, fit_label in line_specs:
-            slope, intercept = theory.predict_line(indegree_fit, c_value)
+            slope, intercept = theory.predict_line(indegree_fit.alpha_hat,
+                                                   indegree_fit.intercept, c_value)
             report["predicted_lines"].append(
                 {"c": float(c), "k": k_label, "slope": slope, "intercept": intercept})
             observed = fits.get(fit_label)

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ranktail import graph, simulate
+from ranktail import blocks, simulate
 
 _acceptance_outcomes = {}
 
@@ -59,8 +59,9 @@ class SpyPool(ThreadPoolExecutor):
 
     made: list["SpyPool"] = []
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, max_workers=None, *args, **kwargs):
+        super().__init__(max_workers, *args, **kwargs)
+        self.max_workers = max_workers
         self.submits = 0
         self.shut_down = False
         SpyPool.made.append(self)
@@ -76,8 +77,8 @@ class SpyPool(ThreadPoolExecutor):
 
 @pytest.fixture
 def spy_pool(monkeypatch):
-    """SpyPool in place of the thread pool of `graph._map_ordered`, the one
+    """SpyPool in place of the thread pool of `blocks._map_ordered`, the one
     place ranktail makes threads; ``spy_pool.made`` lists the pools made."""
     monkeypatch.setattr(SpyPool, "made", [])
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(blocks, "ThreadPoolExecutor", SpyPool)
     return SpyPool

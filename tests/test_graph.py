@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ranktail import blocks as blocks_mod
+from ranktail import formats as formats_mod
 from ranktail import graph as graph_mod
+from ranktail.blocks import _map_ordered, _segment_blocks, _segment_counts
+from ranktail.formats import _parse_fast, _parse_lines, parse_hist, read_json, write_json
 from ranktail.graph import (DegreeProfile, EdgeListParseError, Graph, _id_dtype,
-                            _map_ordered, _parse_fast, _parse_lines, _segment_blocks,
-                            _segment_counts, degree_profile, load_edge_list, parse_hist,
-                            read_json, write_edge_list, write_json)
+                            degree_profile, load_edge_list, write_edge_list)
 from ranktail.pagerank import pagerank_series
 from ranktail.simulate import EffectiveOutdegreeSampler
 
@@ -178,7 +180,7 @@ class TestLoadEdgeList:
                                                                    first, drop):
         # 5-byte chunks: "0 1\n" alone takes the fast path, "+5 6\n" the per-line
         # parser, and the loop line is a chunk of its own after either
-        monkeypatch.setattr(graph_mod, "_CHUNK_BYTES", 5)
+        monkeypatch.setattr(formats_mod, "_CHUNK_BYTES", 5)
         loop = f"{2**63} {2**63}"
         assert (_parse_fast(f"{first}\n".encode()) is None) == first.startswith("+")
         with pytest.raises(EdgeListParseError,
@@ -618,8 +620,8 @@ def edge_bytes(draw):
 def test_chunked_loader_matches_per_line_parser(raw, chunk, workers, drop):
     # chunks of a few bytes, so cuts land on every kind of line
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_mod, "_CHUNK_BYTES", chunk)
-        mp.setattr(graph_mod, "_cpu_count", lambda: workers)
+        mp.setattr(formats_mod, "_CHUNK_BYTES", chunk)
+        mp.setattr(blocks_mod, "_cpu_count", lambda: workers)
         assert load_outcome(io.BytesIO(raw), drop) == reference_outcome(raw, drop)
 
 
@@ -633,7 +635,7 @@ def test_malformed_line_chunks_in_reports_its_line(tmp_path, eol):
     lines[250_000 - 1] = "250 oops" + eol
     path = tmp_path / "edges.txt"
     path.write_bytes("".join(lines).encode())
-    assert path.stat().st_size > 3 * graph_mod._CHUNK_BYTES
+    assert path.stat().st_size > 3 * formats_mod._CHUNK_BYTES
     with pytest.raises(EdgeListParseError, match="^line 250000: non-integer node id"):
         load_edge_list(path)
 
@@ -655,7 +657,7 @@ def test_first_fault_in_file_order_wins(tmp_path, first):
             load_edge_list(path)
 
 
-def test_loaded_arrays_equal_for_every_worker_count(monkeypatch, tmp_path, rng):
+def test_loaded_arrays_equal_for_every_worker_count(monkeypatch, spy_pool, tmp_path, rng):
     # several chunks: one of 9-digit ids, one of 12-digit ids, one the per-line
     # parser takes (a '+' sign), and the rest small ids
     rows = 150_000
@@ -668,8 +670,10 @@ def test_loaded_arrays_equal_for_every_worker_count(monkeypatch, tmp_path, rng):
     path.write_text("".join(lines))
     loaded = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
+        spy_pool.made.clear()
         g = load_edge_list(path)
+        assert [pool.max_workers for pool in spy_pool.made] == [max(workers - 1, 1)]
         loaded.append([g.in_ptr, g.in_src, g.out_deg, g.orig_ids])
     expected = per_line_graph(path.read_text())
     for arrays in loaded:
@@ -682,7 +686,7 @@ def test_loaded_arrays_equal_for_every_worker_count(monkeypatch, tmp_path, rng):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_ordered_order_and_caller_share(monkeypatch, workers):
-    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
     caller = threading.get_ident()
 
     def fn(i):
@@ -696,7 +700,7 @@ def test_map_ordered_order_and_caller_share(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_ordered_draws_at_most_two_items_per_cpu_ahead(monkeypatch, workers):
-    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
     drawn = 0
 
     def items():
@@ -722,7 +726,7 @@ def fail_at(index):
 @pytest.mark.parametrize("how", ["return", "pool thread raises", "caller raises",
                                  "consumer stops"])
 def test_map_ordered_shuts_every_pool_down(monkeypatch, spy_pool, how):
-    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 3)
     before = set(threading.enumerate())
     if how == "return":
         assert list(_map_ordered(lambda i: i, range(20))) == list(range(20))

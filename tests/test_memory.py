@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import solved_histogram
-from ranktail import graph
+from ranktail import blocks
 from ranktail.graph import Graph, _dense_ids
 from ranktail.report import AnalysisOptions, analyze_graph
 from ranktail.simulate import ModelSpec, initial_pool, iterate_pool
@@ -96,7 +96,7 @@ def test_pool_generation_holds_blocks_not_a_chunk_of_draws(monkeypatch):
     # four blocks of at most 2**18 children.  Kept to 64 B/sample, which
     # 2**22 children's draws held at once (uniforms and pool indices,
     # 67 B/sample) would exceed alone.
-    monkeypatch.setattr(graph, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 2)
     spec = ModelSpec(c=0.85, alpha=1.1, d=8.2,
                      outdeg_hist=solved_histogram(1.1, 8.2, 0.006, 0.8558),
                      pool_size=1_000_000, seed=5)
@@ -124,7 +124,7 @@ def test_analyze_graph_holds_one_score_vector_at_a_time(monkeypatch):
     # (about 25 B/node) come on top: about 100 B/node.  Kept to 115 B/node,
     # which the nine score vectors held until the series ends (72 B/node)
     # exceed: that reads about 147 B/node here.
-    monkeypatch.setattr(graph, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(blocks, "_cpu_count", lambda: 2)
     spec = SynthSpec(n=1 << 18, alpha=1.5, d=8.0, outdeg_hist={0: 0.1, 4: 0.68, 24: 0.22},
                      seed=3)
     g = generate(spec)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_pagerank, random_small_graph
-from ranktail import graph as graph_mod
+from ranktail import blocks as blocks_mod
 from ranktail.graph import Graph, load_edge_list
 from ranktail.pagerank import PageRankParams, export_scores, pagerank, pagerank_series
 
@@ -220,28 +220,30 @@ class TestSeries:
             pagerank_series(path_graph(), [0.85, 0.5, 0.85])
 
     @pytest.mark.parametrize("block", [1, 3, 64])
-    def test_results_equal_for_every_worker_count(self, rng, monkeypatch, block):
+    def test_results_equal_for_every_worker_count(self, rng, monkeypatch, spy_pool, block):
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", block)
         for _ in range(5):
             g = random_small_graph(rng, n_max=12)
             runs = []
             for workers in (1, 2, 3, g.m + 2):  # the last exceeds the block count
-                monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+                monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
+                spy_pool.made.clear()
                 runs.append(pagerank_series(g, self.DAMPINGS, tol=1e-12, max_iters=500,
                                             snapshot_iters={1, 2}))
+                assert {pool.max_workers for pool in spy_pool.made} == {max(workers - 1, 1)}
             assert all(same_results(runs[0], other) for other in runs[1:])
 
     def test_hub_graph_results_equal_for_every_worker_count(self, rng, monkeypatch):
         g = hub_graph(rng)
         runs = []
         for workers in (1, 2, 3, 8):  # 8 exceeds the block count
-            monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
             runs.append(pagerank_series(g, self.DAMPINGS, tol=1e-9, snapshot_iters={1, 2}))
         assert all(same_results(runs[0], other) for other in runs[1:])
 
     def test_pool_shut_down_after_return(self, monkeypatch, spy_pool):
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 1)
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 3)
         before = set(threading.enumerate())
         pagerank_series(graph_from_text("0 1\n1 2\n2 0\n3 1\n"), self.DAMPINGS)
         assert sum(pool.submits for pool in spy_pool.made) > 0
@@ -251,7 +253,7 @@ class TestSeries:
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_pool_shut_down_after_exception(self, monkeypatch, spy_pool, where):
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 1)
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 3)
 
         def fail(*args, **kwargs):
             raise RuntimeError("boom")
@@ -273,14 +275,14 @@ class TestSeries:
 def _kernel_sums(g, w, workers=1):
     out = np.full(g.n, np.nan)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_mod, "_cpu_count", lambda: workers)
+        mp.setattr(blocks_mod, "_cpu_count", lambda: workers)
         pagerank_mod._in_edge_kernel(g)(w, out)
     return out
 
 
 class TestInEdgeKernel:
     def test_blocks_against_bincount(self, rng, monkeypatch):
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 2)
         g = hub_graph(rng)
         src, dst = g.in_src, np.repeat(np.arange(g.n), g.in_deg)
         kernel = pagerank_mod._in_edge_kernel(g)
@@ -348,7 +350,7 @@ class TestInEdgeKernel:
         def spy(fn, items):
             items = list(items)
             mapped.append(items)
-            return graph_mod._map_ordered(fn, items)
+            return blocks_mod._map_ordered(fn, items)
 
         monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
         alone = _kernel_sums(g, w)
@@ -373,7 +375,7 @@ class TestInEdgeKernel:
         def spy(fn, items):
             items = list(items)
             mapped.extend(items)
-            return graph_mod._map_ordered(fn, items)
+            return blocks_mod._map_ordered(fn, items)
 
         monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
         assert _kernel_sums(g, np.array([1.0, 2.0, 0.5])).tolist() == [1.0, 2.0, 10.0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SecondGeneration, solved_histogram
-from ranktail import graph as graph_mod
+from ranktail import blocks as blocks_mod
 from ranktail import simulate
 from ranktail.simulate import (EffectiveOutdegreeSampler, InDegreeLaw, ModelSpec, SamplePool,
                                SimulationConvergenceError, initial_pool, iterate_pool,
@@ -368,9 +368,10 @@ class TestChunkBoundaries:
     def test_small_blocks_match_on_every_worker_count(self, monkeypatch, spy_pool, piece,
                                                       block, workers):
         monkeypatch.setattr(simulate, "_BLOCK", block)
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
         new, expected = self.edge_zeros_pools(monkeypatch, piece)
         assert new.tobytes() == expected.tobytes()
+        assert {p.max_workers for p in spy_pool.made} == {max(workers - 1, 1)}
         if workers > 1:  # the pieces and the blocks ran on the pool
             assert sum(p.submits for p in spy_pool.made) > 0
         assert all(p.shut_down for p in spy_pool.made)
@@ -380,7 +381,7 @@ class TestChunkBoundaries:
     def test_drawn_indegrees_in_small_blocks_on_every_worker_count(self, monkeypatch,
                                                                    piece, workers):
         monkeypatch.setattr(simulate, "_BLOCK", 16)
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
         new, expected = self.drawn_pools(monkeypatch, piece)
         assert new.tobytes() == expected.tobytes()
 
@@ -418,7 +419,7 @@ class TestChunkBoundaries:
         monkeypatch.setattr(simulate.InDegreeLaw, "sample_strata", with_owner)
         pools = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
             pools.append(iterate_pool(pool, spec).values.tobytes())
         assert pools[0] == pools[1] == pools[2]
         assert pools[0] == searchsorted_generation(pool, spec, n_in).tobytes()
@@ -443,7 +444,7 @@ class TestChunkBoundaries:
 
     def test_generation_deals_every_stratum_once(self, monkeypatch):
         monkeypatch.setattr(simulate, "_PIECE", 7)
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 2)
         dealt, draw = [], simulate.InDegreeLaw.sample_strata
 
         def spy(law, rng, strata, count):

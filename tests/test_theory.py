@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranktail.tails import TailFit
 from ranktail.theory import (TheoryParams, b_coefficient, coefficient_C, coefficient_Ck,
                              coefficient_lower_bound, coefficient_table, predict_line,
                              validate_outdegree_hist)
@@ -261,27 +260,23 @@ class TestLowerBound:
 
 class TestPredictLine:
     def test_heavy_graph_mid_damping(self):
-        fit = TailFit(alpha_hat=1.17, x_min=10.0, intercept=0.80, tail_count=1000)
         params = TheoryParams(c=0.5, **INDOCHINA)
-        slope, intercept = predict_line(fit, coefficient_C(params))
+        slope, intercept = predict_line(1.17, 0.80, coefficient_C(params))
         assert slope == -1.17
         assert intercept == pytest.approx(-1.16, abs=0.01)
 
     def test_unit_coefficient_keeps_intercept(self):
-        fit = TailFit(alpha_hat=1.1, x_min=1.0, intercept=0.42, tail_count=50)
-        assert predict_line(fit, 1.0) == (-1.1, pytest.approx(0.42))
+        assert predict_line(1.1, 0.42, 1.0) == (-1.1, pytest.approx(0.42))
 
     def test_small_graph_limit_line(self):
-        fit = TailFit(alpha_hat=1.1, x_min=10.0, intercept=0.08, tail_count=1000)
         params = TheoryParams(c=0.85, **STANFORD)
-        _, intercept = predict_line(fit, coefficient_C(params))
+        _, intercept = predict_line(1.1, 0.08, coefficient_C(params))
         assert intercept == pytest.approx(-0.46, abs=0.01)
 
     @pytest.mark.parametrize("intercept", [math.nan, math.inf, -math.inf])
     def test_non_finite_intercept_refused(self, intercept):
-        fit = TailFit(alpha_hat=1.5, x_min=1.0, intercept=intercept, tail_count=0)
         with pytest.raises(ValueError, match=f"in-degree intercept must be finite, got {intercept}"):
-            predict_line(fit, 0.5)
+            predict_line(1.5, intercept, 0.5)
 
     def test_table_export(self):
         params = TheoryParams(c=0.85, **STANFORD)

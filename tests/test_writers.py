@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranktail import graph as graph_mod
-from ranktail.graph import Graph, load_edge_list, write_csv, write_edge_list
+from ranktail import blocks as blocks_mod
+from ranktail import formats as formats_mod
+from ranktail.formats import write_csv
+from ranktail.graph import Graph, load_edge_list, write_edge_list
 from ranktail.pagerank import export_scores
 from ranktail.tails import ccdf, decimate_ccdf, write_ccdf_csv
 
@@ -150,7 +152,7 @@ def test_edge_ids_match_fstring_rows(rows):
     assert written(write_edge_list, id_pairs_graph(first, second)) == expected
 
 
-def test_int_rows_equal_for_every_worker_count(rng, monkeypatch, tmp_path):
+def test_int_rows_equal_for_every_worker_count(rng, monkeypatch, spy_pool, tmp_path):
     # edge-list rows: the encoder's chunks split across 1, 2 and 3 CPUs
     size = 5 * 65_536 + 17
     # every digit count from 1 to 19; the first chunk's sources below 2**31
@@ -160,8 +162,10 @@ def test_int_rows_equal_for_every_worker_count(rng, monkeypatch, tmp_path):
     g = id_pairs_graph(first, second)
     expected = fstring_rows(None, first, second, "\t", "\n").encode()
     for workers in (1, 2, 3):
-        monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
+        spy_pool.made.clear()
         write_edge_list(g, tmp_path / f"{workers}.txt")
+        assert [pool.max_workers for pool in spy_pool.made] == [max(workers - 1, 1)]
         write_edge_list(g, tmp_path / f"{workers}.txt.gz")
         assert (tmp_path / f"{workers}.txt").read_bytes() == expected
         with gzip.open(tmp_path / f"{workers}.txt.gz", "rb") as fh:
@@ -178,8 +182,8 @@ def test_edge_list_chunks_cut_inside_and_between_in_lists(monkeypatch, chunk, wo
     n = in_deg.size
     g = Graph.from_edges(np.arange(in_deg.sum()) * 5 % n, np.repeat(np.arange(n), in_deg),
                          n=n, orig_ids=np.arange(n) * 7_919_113 + 10**11)
-    monkeypatch.setattr(graph_mod, "_CHUNK_ROWS", chunk)
-    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(formats_mod, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
     expected = fstring_rows(None, g.orig_ids[g.in_src],
                             g.orig_ids[np.repeat(np.arange(n), g.in_deg)], "\t", "\n")
     assert expected.count("\n") == g.m == 26
@@ -196,7 +200,7 @@ class FailingStream(io.StringIO):
 
 
 def test_pool_shut_down_when_write_raises(monkeypatch, spy_pool):
-    monkeypatch.setattr(graph_mod, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 3)
     column = np.arange(10 * 65_536)
     g = id_pairs_graph(column, column)
     before = set(threading.enumerate())
