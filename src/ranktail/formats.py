@@ -103,11 +103,18 @@ def hist_to_json(hist: dict[int, float]) -> dict[str, float]:
 @contextmanager
 def open_text(target, mode: str = "r"):
     """UTF-8 text stream on a path (through gzip when it ends in ".gz"), or an
-    already-open stream passed through and left open.  Mode "rb" gives the
-    path's bytes instead.  Writes use newline="" so rows keep exactly the line
-    endings the caller wrote, and a gzip header's mtime is 0, so equal rows
-    give equal bytes."""
-    if hasattr(target, "write" if mode == "w" else "read"):
+    already-open stream passed through and left open.  Modes "rb" and "wb"
+    give the path's bytes instead, and a stream passed for "wb" must take
+    bytes: a text stream is refused with a TypeError.  Text writes use
+    newline="" so rows keep exactly the line endings the caller wrote, and a
+    gzip header's mtime is 0, so equal rows give equal bytes."""
+    if hasattr(target, "write" if mode[0] == "w" else "read"):
+        if mode == "wb":
+            try:
+                target.write(b"")
+            except TypeError:
+                raise TypeError("tables are written to a path, a .gz path or a binary "
+                                f"stream, not {type(target).__name__}") from None
         yield target
         return
     path = os.fspath(target)
@@ -115,7 +122,7 @@ def open_text(target, mode: str = "r"):
         raw = gzip.GzipFile(path, mode[0] + "b", mtime=0)
     else:
         raw = open(path, mode[0] + "b")
-    if mode == "rb":
+    if mode.endswith("b"):
         with raw:
             yield raw
         return
@@ -479,17 +486,19 @@ def _write_table(dest, head: str, size: int, cells, sep: tuple, end: tuple) -> N
     cells(start, stop) gives the (words, flags) pairs of a and of b for rows
     start..stop-1, and sep and end are (word, flags) pairs.
 
-    Chunks of _CHUNK_ROWS rows are encoded with numpy on every CPU
-    (`_map_ordered`) and written in order; the pool threads call numpy only."""
+    ``dest`` is a path, written through gzip when it ends in ".gz", or a
+    binary stream; a text stream raises TypeError.  Chunks of _CHUNK_ROWS
+    rows are encoded with numpy on every CPU (`_map_ordered`) and their
+    bytes written in order; the pool threads call numpy only."""
     def encode(start):
         stop = min(start + _CHUNK_ROWS, size)
         a, b = cells(start, stop)
         return _rows(stop - start, [*a, sep, *b, end])
 
-    with open_text(dest, "w") as stream:
-        stream.write(head)
+    with open_text(dest, "wb") as stream:
+        stream.write(head.encode("utf-8"))
         for rows in _map_ordered(encode, range(0, size, _CHUNK_ROWS)):
-            stream.write(str(rows, "utf-8"))
+            stream.write(rows)
 
 
 def write_csv(dest, header: str, first, second) -> None:
@@ -498,11 +507,13 @@ def write_csv(dest, header: str, first, second) -> None:
     as Python ints and floats do (str is repr for both), float32 as the
     float64 it widens to.
 
-    Every cell must be an int >= 0 or a positive finite float, as node ids,
-    scores and CCDF points are.  A column of another dtype raises TypeError,
-    and a negative int or a float that is zero, negative, infinite or NaN
-    raises ValueError naming the column and the value; either is raised
-    before ``dest`` is opened, so a refused table leaves no file."""
+    ``dest`` is a path (gzipped when it ends in ".gz") or a binary stream;
+    a text stream raises TypeError.  Every cell must be an int >= 0 or a
+    positive finite float, as node ids, scores and CCDF points are.  A
+    column of another dtype raises TypeError, and a negative int or a float
+    that is zero, negative, infinite or NaN raises ValueError naming the
+    column and the value; either is raised before ``dest`` is opened, so a
+    refused table leaves no file."""
     first, second = np.asarray(first), np.asarray(second)
     if len(first) != len(second):
         raise ValueError(f"columns differ in length: {len(first)} != {len(second)}")
@@ -521,7 +532,9 @@ def write_csv(dest, header: str, first, second) -> None:
 
 
 def write_edge_list(g: Graph, dest) -> None:
-    """Write the graph as "src<TAB>dst" lines using original node ids.
+    """Write the graph as "src<TAB>dst" lines using original node ids, to a
+    path (gzipped when it ends in ".gz") or a binary stream; a text stream
+    raises TypeError.
 
     The ids of each chunk of rows are looked up as it is encoded: its
     destinations are the nodes whose in-lists it spans (`_segment_counts`),

@@ -19,7 +19,7 @@ import numpy as np
 from .formats import (EdgeListParseError, _read_edges, decode_fields, hist_to_json,
                       parse_hist, write_edge_list)
 
-_ID_CHUNK = 1 << 20  # ids a builder copies or draws at a time
+_ID_CHUNK = 1 << 20  # ids copied at a time while a graph is built
 _SORT_CHUNK = 1 << 16  # keys `_stable_group` sorts at a time
 
 

@@ -20,12 +20,15 @@ iteration k is a pure function of iteration k-1, which makes the
 per-iteration snapshots well defined.
 
 The series is one generator, `_series`, a stream of events: each snapshot
-R_k and each damping's final result is yielded when it is taken.
-`pagerank_series` collects the stream into one result per damping;
-`report.analyze_graph` and ``ranktail pagerank`` use each vector when it
-comes and drop it, so beside the series' own vectors (x_k, x_{k+1}, a
-scratch vector and one accumulator per damping still running) they hold
-one score vector at a time, not every snapshot and final vector at once.
+R_k and each damping's final result is yielded when it is taken.  The
+series holds x_k, x_{k+1}, w = x_k / out_deg and one accumulator per
+damping still running.  A snapshot is lent: it is built in the series' own
+x_k once the residual has been read off it, and is written over when the
+series resumes.  `pagerank_series` copies each snapshot it keeps into one
+result per damping; `report.analyze_graph` and ``ranktail pagerank`` use
+each vector when it comes and drop it, so beside the series' own vectors
+they hold at most one score vector, a damping's final one, and no snapshot
+of their own.
 
 The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, cut
 between in-lists by `blocks._segment_blocks`, so a block's gathered values
@@ -34,9 +37,13 @@ than the largest block.  The blocks are grouped into one run of about
 m / CPUs edges per CPU the process may use, and the runs are mapped over
 those CPUs by `blocks._map_ordered`, as the edge-list loader and writer map
 their chunks; numpy releases the interpreter lock in the gather and the
-reduce.  A row's sum is the same reduceat over the same block whichever
-thread does it, so scores, snapshots and residuals are bit-identical for
-every CPU count.
+reduce.  Each product is two such passes: pass A sums each run's rows into
+x_{k+1}; pass B, once every sum is in, finishes each run's node range a
+piece of _PIECE_NODES nodes at a time (the dangling mass, the accumulators,
+|x_{k+1} - x_k| over x_k and the next w).  A row's sum is the same reduceat
+over the same block whichever thread does it, and every other value is the
+same elementwise operation on the same operands as over whole vectors, so
+scores, snapshots and residuals are bit-identical for every CPU count.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .formats import _is_int, write_csv
 from .graph import Graph
 
 _BLOCK_EDGES = 1 << 16
+_PIECE_NODES = 1 << 15  # pass B's piece: its slices of the series' vectors stay in cache
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,9 @@ class PageRankResult:
 
 
 def _in_edge_kernel(g: Graph):
-    """A function ``sums(w, out)`` that sets out[i] to the sum of w over the
-    in-edges of i.
+    """A function ``sums(w, out, finish=None)`` that sets out[i] to the sum of
+    w over the in-edges of i, then, when ``finish`` is given, calls
+    finish(lo, hi) for the node range [lo, hi) of each run of blocks.
 
     The table of non-empty rows and their blocks (`blocks._segment_blocks`)
     are built once, here.  A block holds whole rows, and a row longer than
@@ -107,6 +116,13 @@ def _in_edge_kernel(g: Graph):
     same cut, into runs of about m / CPUs edges, one `_map_ordered` item
     each, so that no CPU waits on a window of small items behind a hub's
     block; a block longer than that is a run of its own.
+
+    Each run owns the contiguous node range its blocks cover, and the empty
+    rows between two runs go to the later run: run 0 starts at node 0 and
+    the last run ends at n.  A graph of no edge has one run of no block,
+    owning every node.  A run zeroes its range of ``out`` before it
+    scatters, and ``finish`` runs over the ranges in a second pass, once
+    every sum is in, since a run's gather reads w over all nodes.
     """
     rows = np.flatnonzero(g.in_deg)
     starts = g.in_ptr[rows]
@@ -119,19 +135,26 @@ def _in_edge_kernel(g: Graph):
     rows, offsets = rows.astype(width), starts.astype(width)
     del starts
     sizes = np.array([e1 - e0 for e0, e1, _, _ in blocks], np.int64)
-    runs = [blocks[b0:b1] for _, _, b0, b1 in
-            _segment_blocks(sizes, max(-(-g.m // blocks_mod._cpu_count()), 1))]
+    groups = _segment_blocks(sizes, max(-(-g.m // blocks_mod._cpu_count()), 1))
+    # a run ends after the last row of its last block, the last run at n
+    ends = [int(rows[blocks[b1 - 1][3] - 1]) + 1 for _, _, _, b1 in groups[:-1]] + [g.n]
+    runs = [(lo, hi, blocks[b0:b1])
+            for lo, hi, (_, _, b0, b1) in zip([0, *ends], ends, groups)] or [(0, g.n, [])]
 
-    def sums(w: np.ndarray, out: np.ndarray) -> None:
-        def run(cuts):
+    def sums(w: np.ndarray, out: np.ndarray, finish=None) -> None:
+        def run(item):
+            lo, hi, cuts = item
+            out[lo:hi] = 0.0
             for e0, e1, r0, r1 in cuts:
                 # a Graph's ids lie in [0, n), and "clip" skips the bounds check
                 seg = np.take(w, g.in_src[e0:e1], mode="clip")
                 out[rows[r0:r1]] = np.add.reduceat(seg, offsets[r0:r1])
 
-        out.fill(0.0)
         for _ in _map_ordered(run, runs):
             pass
+        if finish is not None:
+            for _ in _map_ordered(lambda item: finish(item[0], item[1]), runs):
+                pass
 
     return sums
 
@@ -160,8 +183,8 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     for d, k, taken in _series(g, params):
         if k is None:
             results[d] = replace(taken, snapshots=snapshots[d])
-        else:
-            snapshots[d][k] = taken
+        else:  # a snapshot is lent until the series resumes
+            snapshots[d][k] = taken.copy()
     return results
 
 
@@ -171,9 +194,22 @@ def _series(g: Graph, params: list[PageRankParams]):
 
     Damping params[d]'s snapshot R_k is yielded as (d, k, R_k); when the
     damping stops, (d, None, result) follows, with ``result.snapshots``
-    empty.  Nothing yielded is written to again, and the series keeps no
-    reference to a damping's scores once it has stopped, so a consumer that
-    drops each vector when done with it holds one at a time.
+    empty.  A snapshot is lent: it is the series' own vector, valid until
+    the series resumes, when it is written over; a consumer that keeps it
+    copies it.  A result's scores are its damping's accumulator, which the
+    series writes to no more and drops before its next product, so a
+    consumer that drops each vector when done with it holds at most one.
+
+    The series holds x = x_k, x_next, w = x / out_deg (0 at dangling nodes)
+    and one accumulator per damping still running; the kernel's row tables
+    are built before them.  Each product is the kernel's gather into x_next
+    (pass A), then pass B over each run's node range, a piece of
+    _PIECE_NODES nodes at a time: x_next gets the dangling mass, each
+    accumulator (1 - c) c^(k-1) x, x becomes |x_next - x| and w becomes
+    x_next / out_deg, with the reciprocals taken from out_deg per piece.
+    The L1 step is then one sum of x, after which x is free: a snapshot is
+    built in it.  Every value is the one the elementwise passes over whole
+    vectors give, on any CPU count.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")
@@ -181,38 +217,57 @@ def _series(g: Graph, params: list[PageRankParams]):
         return
     tol, max_iters, snapshot_iters = params[0].tol, params[0].max_iters, params[0].snapshot_iters
     n = g.n
-    inv_out = np.zeros(n)
-    linked = g.out_deg > 0
-    inv_out[linked] = 1.0 / g.out_deg[linked]
-    dangling = np.flatnonzero(~linked)
+    in_edge_sums = _in_edge_kernel(g)
+    dangling = np.flatnonzero(g.out_deg == 0).astype(graph._id_dtype(n))
 
-    x, x_next, scratch = np.ones(n), np.empty(n), np.empty(n)
+    def divide_out(v, lo, hi):  # w[lo:hi] = v * (1 / out_deg), 0 where out_deg is 0
+        deg, out = g.out_deg[lo:hi], w[lo:hi]
+        out[:] = deg
+        np.maximum(out, 1.0, out=out)  # no division by zero
+        np.divide(1.0, out, out=out)
+        out *= deg > 0
+        out *= v
+
+    x, x_next, w = np.ones(n), np.empty(n), np.empty(n)
+    for lo in range(0, n, _PIECE_NODES):
+        hi = min(lo + _PIECE_NODES, n)
+        divide_out(x[lo:hi], lo, hi)
     # per damping: (1 - c) * sum_{i<k} c^i x_i, which becomes R_k when it
     # stops, and None after that
     accs: list[np.ndarray | None] = [np.zeros(n) for _ in params]
     residuals: list[list[float]] = [[] for _ in params]
     live = list(range(len(params)))
-    in_edge_sums = _in_edge_kernel(g)
     for k in range(1, max_iters + 1):
-        np.multiply(x, inv_out, out=scratch)
-        in_edge_sums(scratch, x_next)
-        x_next += x[dangling].sum() / n
-        np.subtract(x_next, x, out=scratch)
-        step = float(np.abs(scratch, out=scratch).sum()) / n
+        dm = x[dangling].sum() / n
+        terms = [(accs[d], (1.0 - params[d].c) * params[d].c ** (k - 1)) for d in live]
+
+        def finish(lo, hi):  # pass B over one run's nodes
+            term = np.empty(_PIECE_NODES)
+            for a in range(lo, hi, _PIECE_NODES):
+                b = min(a + _PIECE_NODES, hi)
+                xa, nexta, terma = x[a:b], x_next[a:b], term[:b - a]
+                nexta += dm
+                for acc, weight in terms:
+                    np.multiply(xa, weight, out=terma)
+                    acc[a:b] += terma
+                np.subtract(nexta, xa, out=xa)
+                np.abs(xa, out=xa)
+                divide_out(nexta, a, b)
+
+        in_edge_sums(w, x_next, finish)
+        step = float(x.sum()) / n
         for d in live:
             c = params[d].c
-            np.multiply(x, (1.0 - c) * c ** (k - 1), out=scratch)
-            accs[d] += scratch
             resid = c ** k * step
             residuals[d].append(resid)
             done = resid <= tol or k == max_iters
-            if not (done or k in snapshot_iters):
-                continue
-            np.multiply(x_next, c ** k, out=scratch)
             if k in snapshot_iters:
-                yield d, k, accs[d] + scratch
+                np.multiply(x_next, c ** k, out=x)
+                x += accs[d]
+                yield d, k, x  # lent until the series resumes
             if done:
-                accs[d] += scratch
+                np.multiply(x_next, c ** k, out=x)
+                accs[d] += x
                 yield d, None, PageRankResult(scores=accs[d], iters_run=k,
                                               residuals=np.asarray(residuals[d]),
                                               snapshots={}, converged=resid <= tol)
@@ -233,5 +288,7 @@ def pagerank(g: Graph, params: PageRankParams | None = None) -> PageRankResult:
 
 
 def export_scores(g: Graph, scores: np.ndarray, dest) -> None:
-    """Write "node_id,score" CSV using original node ids, one row per node."""
+    """Write "node_id,score" CSV using original node ids, one row per node, to
+    a path (gzipped when it ends in ".gz") or a binary stream; a text stream
+    raises TypeError."""
     write_csv(dest, "node_id,score", g.orig_ids, np.asarray(scores, dtype=float))

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import _segment_counts
+from .blocks import _map_ordered, _segment_counts
 from .formats import _is_int
-from .graph import _ID_CHUNK, Graph, _id_dtype
+from .graph import Graph, _id_dtype
 from .simulate import InDegreeLaw
 from .theory import validate_outdegree_hist
 
@@ -48,6 +48,7 @@ class SynthSpec:
 
 
 _SELF_LOOP_REDRAWS = 100
+_DRAW_PIECE = 1 << 18  # uniforms handed out at a time, 2 MB of draws
 
 
 def generate(spec: SynthSpec) -> Graph:
@@ -57,9 +58,12 @@ def generate(spec: SynthSpec) -> Graph:
     the assigned classes leave no out-capacity but in-stubs exist.
 
     The ids are at the width of `graph._id_dtype` (int32 up to 2**31
-    nodes).  Sources are drawn _ID_CHUNK at a time, which draws the same
-    numbers as one call, and no array of one entry per edge is made but the
-    out-stub table and in_src: each chunk's destinations are found from the
+    nodes).  Every draw is made on the calling thread, in the same order
+    whatever the CPU count: the sources' uniforms in pieces of _DRAW_PIECE,
+    which draw the same numbers as one call, then the redraws.  Each piece's
+    stub lookup, destinations and self-loop check are mapped over every CPU
+    (`blocks._map_ordered`).  No array of one entry per edge is made but the
+    out-stub table and in_src: each piece's destinations are found from the
     in-degrees (`_segment_counts`), and only redrawn edges are checked again.
     """
     rng = np.random.default_rng(spec.seed)
@@ -79,25 +83,30 @@ def generate(spec: SynthSpec) -> Graph:
     if m and capacity == 0:
         raise ValueError("no out-capacity assigned but in-stubs exist")
 
-    def draw(out):  # out[:] = owners of uniform out-stubs
-        picks = rng.random(out.size)
+    def owners(picks, out):  # out[:] = owners of the out-stubs at uniforms picks
         picks *= capacity
         np.take(stubs, picks.astype(np.intp), out=out, mode="clip")  # picks < capacity
 
     src = np.empty(m, dtype=width)
-    loops = [np.empty(0, np.intp)]
-    for start in range(0, m, _ID_CHUNK):
-        chunk = src[start:start + _ID_CHUNK]
-        draw(chunk)
+
+    def pieces():  # (first edge, its piece's uniforms), drawn in edge order
+        for start in range(0, m, _DRAW_PIECE):
+            yield start, rng.random(min(_DRAW_PIECE, m - start))
+
+    def place(piece):  # sets the piece's sources; gives its self-loops' edges
+        start, picks = piece
+        chunk = src[start:start + picks.size]
+        owners(picks, chunk)
         lo, counts = _segment_counts(ends, start, start + chunk.size)
         dst = np.repeat(np.arange(lo, lo + counts.size, dtype=width), counts)
-        loops.append(np.flatnonzero(chunk == dst) + start)
-    loops = np.concatenate(loops)
+        return np.flatnonzero(chunk == dst) + start
+
+    loops = np.concatenate([np.empty(0, np.intp), *_map_ordered(place, pieces())])
     for _ in range(_SELF_LOOP_REDRAWS):
         if loops.size == 0:
             break
         redrawn = np.empty(loops.size, dtype=width)
-        draw(redrawn)
+        owners(rng.random(loops.size), redrawn)
         src[loops] = redrawn
         loops = loops[redrawn == np.searchsorted(ends, loops, side="right")]
     del stubs  # the out-stub table is as large as src; free it before the build

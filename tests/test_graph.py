@@ -378,7 +378,7 @@ class TestIdWidth:
                    {k: v.tobytes() for k, v in b.snapshots.items()}
         written = []
         for g in (g32, g64):
-            out = io.StringIO()
+            out = io.BytesIO()
             write_edge_list(g, out)
             written.append(out.getvalue())
         assert written[0] == written[1]
@@ -406,9 +406,9 @@ class TestIdWidth:
         g = graph_from_text(text)
         assert g.in_src.dtype == np.int32
         assert g.orig_ids.tolist() == [5, 2**31, 2**40]
-        out = io.StringIO()
+        out = io.BytesIO()
         write_edge_list(g, out)
-        assert out.getvalue() == f"{2**40}\t5\n5\t{2**31}\n{2**31}\t{2**40}\n"
+        assert out.getvalue() == f"{2**40}\t5\n5\t{2**31}\n{2**31}\t{2**40}\n".encode()
 
 
 class TestDegreeProfile:
@@ -507,9 +507,9 @@ def test_mass_consistency_and_round_trip(edges):
     p = degree_profile(g)
     assert sum(p.p_hist.values()) == pytest.approx(1.0, abs=1e-12)
     assert sum(j * q for j, q in p.p_hist.items()) == pytest.approx(p.d, rel=1e-9)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_edge_list(g, buf)
-    assert degree_profile(graph_from_text(buf.getvalue())) == p
+    assert degree_profile(graph_from_text(buf.getvalue().decode())) == p
 
 
 @given(weights=st.dictionaries(st.integers(0, 40),

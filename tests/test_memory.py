@@ -117,13 +117,15 @@ def test_ccdf_writes_its_fractions_over_the_run_ends():
 
 def test_analyze_graph_holds_one_score_vector_at_a_time(monkeypatch):
     # 3 dampings x (final + 2 snapshots) on a generated graph of n = 2**18
-    # nodes, on two CPUs.  The series holds x_k, x_{k+1}, a scratch vector,
-    # 1/out-degree and one accumulator per damping (56 B/node) and the
-    # kernel's row tables at the id width (at most 8 B/node); the vector in
-    # analysis (8 B/node) and its CCDF's sorted copy, run ends and points
-    # (about 25 B/node) come on top: about 100 B/node.  Kept to 115 B/node,
-    # which the nine score vectors held until the series ends (72 B/node)
-    # exceed: that reads about 147 B/node here.
+    # nodes, on two CPUs.  The series holds x_k, x_{k+1}, w = x_k/out-degree
+    # and one accumulator per damping (48 B/node), the kernel's row tables
+    # at the id width (at most 8 B/node) and the dangling ids (0.4 B/node
+    # here).  A snapshot is analysed in the series' own x_k and a final
+    # vector is its accumulator, so only the CCDF's sorted copy, run ends
+    # and points (about 25 B/node) come on top: about 85 B/node.  Kept to
+    # 92 B/node, which a series that also holds a temporary vector and
+    # 1/out-degree and hands out a fresh copy of each snapshot exceeds: that
+    # reads about 102 B/node here.
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 2)
     spec = SynthSpec(n=1 << 18, alpha=1.5, d=8.0, outdeg_hist={0: 0.1, 4: 0.68, 24: 0.22},
                      seed=3)
@@ -132,4 +134,4 @@ def test_analyze_graph_holds_one_score_vector_at_a_time(monkeypatch):
     reports = []
     peak = peak_bytes(lambda: reports.append(analyze_graph(g, options)))
     assert len(reports[0][1]) == 10  # the in-degree CCDF and nine score CCDFs
-    assert peak / g.n < 115.0
+    assert peak / g.n < 92.0

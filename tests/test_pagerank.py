@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import sys
@@ -49,6 +50,56 @@ def same_results(a, b):
         and sorted(x.snapshots) == sorted(y.snapshots)
         and all(np.array_equal(x.snapshots[k], y.snapshots[k]) for k in x.snapshots)
         for x, y in zip(a, b, strict=True))
+
+
+def rows_graph(rng, deg, n_src=None):
+    """A graph whose row i holds deg[i] in-edges from uniform sources among
+    the first n_src nodes (all of them by default); the others dangle."""
+    n = deg.size
+    dst = np.repeat(np.arange(n), deg)
+    return Graph.from_edges(rng.integers(0, n_src or n, dst.size), dst, n)
+
+
+def pinned_graph(case):
+    """The graphs of `PINNED`, for kernel blocks of 256 edges."""
+    rng = np.random.default_rng(11)
+    if case == "dangling":  # a third of the nodes have no out-edge
+        return rows_graph(rng, rng.integers(0, 8, 3_000), n_src=2_000)
+    if case == "run boundaries":
+        # 32 blocks of 32 rows of 8 edges, each followed by 3 empty rows: every
+        # run starts after empty rows, at any CPU count, as does the graph
+        block = np.concatenate([np.full(32, 8), np.zeros(3, np.int64)])
+        return rows_graph(rng, np.concatenate([np.zeros(5, np.int64), np.tile(block, 32)]))
+    if case == "hub":  # row 10 is longer than a block
+        deg = rng.integers(0, 6, 3_000)
+        deg[10] = 1_000
+        return rows_graph(rng, deg)
+    if case == "pieces":  # n is not a multiple of any power of two
+        return rows_graph(rng, rng.integers(0, 6, 100_003))
+    assert case == "no edge"
+    return Graph.from_edges(np.array([], np.int64), np.array([], np.int64), 5)
+
+
+def series_digest(results):
+    """SHA-256 of pagerank_series results: stops, scores, residuals, snapshots."""
+    digest = hashlib.sha256()
+    for res in results:
+        digest.update(repr((res.iters_run, res.converged, sorted(res.snapshots))).encode())
+        for vector in (res.scores, res.residuals, *(res.snapshots[k] for k in sorted(res.snapshots))):
+            digest.update(np.ascontiguousarray(vector, np.float64).tobytes())
+    return digest.hexdigest()
+
+
+# series_digest of pagerank_series(pinned_graph(case), [0.85, 0.2, 0.5], tol=1e-9,
+# snapshot_iters={1, 2, 5}) with blocks of 256 edges, as the series computed
+# it with whole-vector elementwise passes on the calling thread
+PINNED = {
+    "dangling": "a24f44fa555472e722215b0dc89f81099fe3f71b090b166db6855b45f6e0f691",
+    "run boundaries": "d8519e6c0039cdb8a7ab195909508172f3da64afa7077a5f0162dacdd4b03209",
+    "hub": "0670df12eb0fde02754d91b3a93e5cb82583b52ae7f85ba160e9bb781df0386d",
+    "pieces": "01e647a175e1d10da792facd7a6282d6a24c34641d9d30c3bd2ad77db082c5ef",
+    "no edge": "9d85ceb6882eb06ab66c3a2c2ef2f3a20c380672f2df860534ded1081196105f",
+}
 
 
 class TestParams:
@@ -241,6 +292,39 @@ class TestSeries:
             runs.append(pagerank_series(g, self.DAMPINGS, tol=1e-9, snapshot_iters={1, 2}))
         assert all(same_results(runs[0], other) for other in runs[1:])
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_results_for_every_cpu_count(self, monkeypatch, case, workers):
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 256)
+        monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: workers)
+        g = pinned_graph(case)
+        pieces = pagerank_mod._PIECE_NODES
+        shaped = {"dangling": (g.out_deg == 0).sum() > 900,
+                  "run boundaries": g.in_deg[-3:].sum() == 0,
+                  "hub": g.in_deg.max() > 256,
+                  "pieces": g.n > 2 * pieces and g.n % pieces > 0,
+                  "no edge": g.m == 0}
+        assert shaped[case]
+        results = pagerank_series(g, self.DAMPINGS, tol=1e-9, snapshot_iters={1, 2, 5})
+        assert series_digest(results) == PINNED[case]
+
+    def test_kept_snapshots_are_not_written_over(self):
+        # the series lends each snapshot; pagerank_series keeps a copy, equal
+        # to the final scores of a run capped at its iteration, also when it
+        # is taken at its damping's stopping iteration
+        g = pinned_graph("dangling")
+        stops = [res.iters_run for res in pagerank_series(g, self.DAMPINGS, tol=1e-9)]
+        taken = {1, 2, *stops}
+        results = pagerank_series(g, self.DAMPINGS, tol=1e-9, snapshot_iters=taken)
+        for c, res, stop in zip(self.DAMPINGS, results, stops, strict=True):
+            assert sorted(res.snapshots) == sorted(k for k in taken if k <= stop)
+            for k, snapshot in res.snapshots.items():
+                capped = pagerank_series(g, [c], tol=1e-9, max_iters=k)[0]
+                assert np.array_equal(snapshot, capped.scores)
+            assert np.array_equal(res.snapshots[stop], res.scores)
+        vectors = [v for res in results for v in (res.scores, *res.snapshots.values())]
+        assert len({id(v) for v in vectors}) == len(vectors)
+
     def test_pool_shut_down_after_return(self, monkeypatch, spy_pool):
         monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 1)
         monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 3)
@@ -354,15 +438,20 @@ class TestInEdgeKernel:
 
         monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
         alone = _kernel_sums(g, w)
-        [[blocks]] = mapped
+        [[(lo, hi, blocks)]] = mapped
+        assert (lo, hi) == (0, g.n)
         hub = [block for block in blocks if block[1] - block[0] == g.in_deg[3]]
         assert len(hub) == 1
         for workers in (2, 3):
             mapped.clear()
             assert np.array_equal(_kernel_sums(g, w, workers), alone)
             [runs] = mapped
-            assert [block for run in runs for block in run] == blocks
-            assert hub in runs and len(runs) <= 2 * workers
+            assert [block for _, _, run in runs for block in run] == blocks
+            assert hub in [run for _, _, run in runs] and len(runs) <= 2 * workers
+            # the runs' node ranges tile [0, n) in order
+            bounds = [0] + [hi for _, hi, _ in runs]
+            assert [(lo, hi) for lo, hi, _ in runs] == list(zip(bounds, bounds[1:]))
+            assert bounds[-1] == g.n
 
     def test_no_empty_block_after_a_long_last_row(self, monkeypatch):
         # the last in-list starts before the last multiple of the block size
@@ -379,7 +468,7 @@ class TestInEdgeKernel:
 
         monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
         assert _kernel_sums(g, np.array([1.0, 2.0, 0.5])).tolist() == [1.0, 2.0, 10.0]
-        assert [block for run in mapped for block in run] == [(0, 2, 0, 2), (2, 12, 2, 3)]
+        assert mapped == [(0, 3, [(0, 2, 0, 2), (2, 12, 2, 3)])]
 
 
 def test_export_scores_uses_original_ids(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from oracles import solved_histogram
 from ranktail.graph import Graph, degree_profile
 from ranktail.simulate import EffectiveOutdegreeSampler
+from ranktail import blocks
 from ranktail import synth as synth_mod
 from ranktail.synth import SynthSpec, generate
 from ranktail.tails import fit_exponent_mle
@@ -186,16 +187,19 @@ def test_same_graph_as_searchsorted_wiring(make_spec, redraws):
 
 @pytest.mark.parametrize("chunk", [1_000, 4_097])
 def test_sources_drawn_in_chunks_give_the_same_graph(monkeypatch, chunk):
-    # sources are drawn and checked for self-loops _ID_CHUNK edges at a
-    # time; chunks that cut in-lists give the graph of one whole-array draw
-    monkeypatch.setattr(synth_mod, "_ID_CHUNK", chunk)
+    # sources are drawn _DRAW_PIECE edges at a time and placed and checked
+    # for self-loops on every CPU; pieces that cut in-lists give the graph of
+    # one whole-array draw, on any CPU count
+    monkeypatch.setattr(synth_mod, "_DRAW_PIECE", chunk)
     for spec in (spec_for(n=20_000, seed=1),
                  unit_indegree_spec(n=3_000, alpha=1.5, d=1.0,
                                     outdeg_hist={0: 0.999, 1_000: 0.001}, seed=1)):
         expected, _ = searchsorted_reference(spec)
-        g = generate(spec)
-        for name in ("in_ptr", "in_src", "out_deg"):
-            assert np.array_equal(getattr(g, name), getattr(expected, name)), name
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(blocks, "_cpu_count", lambda: workers)
+            g = generate(spec)
+            for name in ("in_ptr", "in_src", "out_deg"):
+                assert np.array_equal(getattr(g, name), getattr(expected, name)), name
 
 
 @pytest.mark.slow

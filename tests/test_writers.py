@@ -41,10 +41,10 @@ def test_writer_bytes(tmp_path, writer, target):
     write, expected = WRITERS[writer]
     g = three_edge_graph()
     if target == "stream":
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write(g, buf)
         assert not buf.closed
-        assert buf.getvalue() == expected
+        assert buf.getvalue() == expected.encode("utf-8")
     elif target == "gz":
         path = tmp_path / "out.gz"
         write(g, path)
@@ -54,6 +54,16 @@ def test_writer_bytes(tmp_path, writer, target):
         path = tmp_path / "out.txt"
         write(g, path)
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("stream", [io.StringIO, lambda: io.TextIOWrapper(io.BytesIO())],
+                         ids=["StringIO", "TextIOWrapper"])
+def test_text_stream_refused(writer, stream):
+    # rows are written as bytes, to a path or a binary stream
+    write, _ = WRITERS[writer]
+    with stream() as dest, pytest.raises(TypeError, match="binary stream, not"):
+        write(three_edge_graph(), dest)
 
 
 def csv_reference(header, rows, **dialect):
@@ -68,9 +78,9 @@ def csv_reference(header, rows, **dialect):
 
 
 def written(write, *args):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write(*args, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode("utf-8")
 
 
 def test_edge_list_over_one_chunk(rng):
@@ -190,13 +200,13 @@ def test_edge_list_chunks_cut_inside_and_between_in_lists(monkeypatch, chunk, wo
     assert written(write_edge_list, g) == expected
 
 
-class FailingStream(io.StringIO):
-    """A text stream whose second write raises."""
+class FailingStream(io.BytesIO):
+    """A binary stream whose writes raise once it holds a byte."""
 
-    def write(self, text):
+    def write(self, data):
         if self.tell():
             raise OSError("disk full")
-        return super().write(text)
+        return super().write(data)
 
 
 def test_pool_shut_down_when_write_raises(monkeypatch, spy_pool):
