@@ -69,8 +69,10 @@ def _segment_counts(ends: np.ndarray, start: int, stop: int) -> tuple[int, np.nd
     """(lo, counts): elements start..stop-1 (start < stop <= ends[-1]) fall in
     segments lo..lo+counts.size-1, counts[k] of them in segment lo+k, where
     segment i holds the elements below ends[i] and at or above ends[i - 1]
-    (0 for i = 0); ends is non-decreasing."""
-    lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+    (0 for i = 0); ends is non-decreasing.  The bounds are searched at ends'
+    width, so that a narrow ends is not copied to a wider one."""
+    bounds = np.array([start, stop - 1], ends.dtype)
+    lo, hi = np.searchsorted(ends, bounds, side="right").tolist()
     counts = np.empty(hi + 1 - lo, ends.dtype)
     np.subtract(ends[lo + 1:hi + 1], ends[lo:hi], out=counts[1:])
     counts[0] = ends[lo] - start  # the end segments hold only the part in range

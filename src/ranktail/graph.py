@@ -29,12 +29,12 @@ def _id_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n <= 2**31 else np.int64)
 
 
-def _id_counts(ids: np.ndarray, n: int) -> np.ndarray:
-    """np.bincount(ids, minlength=n) as int64, for ids in [0, n).  bincount
-    copies ids narrower than intp, so they are counted in pieces of
-    max(_ID_CHUNK, n): no copy is larger than a piece, and the adds stay
-    O(ids.size + n)."""
-    counts = np.zeros(n, np.int64)
+def _id_counts(ids: np.ndarray, n: int, dtype) -> np.ndarray:
+    """np.bincount(ids, minlength=n) as ``dtype``, which must hold ids.size,
+    for ids in [0, n).  bincount copies ids narrower than intp, so they are
+    counted in pieces of max(_ID_CHUNK, n): no copy is larger than a piece,
+    and the adds stay O(ids.size + n)."""
+    counts = np.zeros(n, dtype)
     step = max(_ID_CHUNK, n)
     for start in range(0, ids.size, step):
         counts += np.bincount(ids[start:start + step], minlength=n)
@@ -84,9 +84,12 @@ class Graph:
     ``orig_ids`` maps dense ids back to the ids found in the input.
 
     The graphs that ``from_edges``, ``load_edge_list`` and ``synth.generate``
-    build hold in_src at the id width (`_id_dtype`): int32 when n <= 2**31,
-    else int64.  in_ptr, out_deg and orig_ids are int64.  An in_src of
-    another signed integer type is taken as it is.
+    build hold each array at the id width (`_id_dtype`) of the values it
+    holds: in_src of n, in_ptr and out_deg, whose values lie in [0, m], of
+    m + 1, and orig_ids of its largest id + 1.  So each is int32 below 2**31
+    nodes, edges or ids, and the graph holds 4m + 12n bytes.  An out_deg or
+    orig_ids left out is made at that width; an array of another signed
+    integer type passed in is taken as it is.
     """
 
     n: int
@@ -113,13 +116,13 @@ class Graph:
             raise ValueError("in_ptr must hold n + 1 offsets rising from 0 to m")
         if src.size != m or (m and (src.min() < 0 or src.max() >= n)):
             raise ValueError("in_src must hold m node ids in [0, n)")
-        counts = _id_counts(src, n)
+        counts = _id_counts(src, n, _id_dtype(m + 1))
         if self.out_deg is None:
             object.__setattr__(self, "out_deg", counts)
         elif not np.array_equal(self.out_deg, counts):
             raise ValueError("out_deg must count each node's appearances in in_src")
         if self.orig_ids is None:
-            object.__setattr__(self, "orig_ids", np.arange(n, dtype=np.int64))
+            object.__setattr__(self, "orig_ids", np.arange(n, dtype=_id_dtype(n)))
         elif self.orig_ids.size != n or (self.orig_ids < 0).any():
             raise ValueError("orig_ids must hold n non-negative ids")
         for arr in (self.in_ptr, self.in_src, self.out_deg, self.orig_ids):
@@ -129,15 +132,16 @@ class Graph:
     def from_edges(cls, src, dst, n: int, orig_ids=None) -> "Graph":
         """Build a graph from parallel source/destination arrays of dense ids.
 
-        in_src holds the ids at the id width (`_id_dtype`), whatever the
-        input's integer type.  When dst is already non-decreasing, as in
+        Each array is at the id width (`_id_dtype`) of its values, whatever
+        the input's integer type.  When dst is already non-decreasing, as in
         every edge list ranktail writes, the edges are in in-adjacency order
         and no sort is made: a src of the id width is in_src as it stands,
-        frozen in place, as an int64 orig_ids is.  Otherwise the edges are
-        grouped by a stable counting sort on dst (`_stable_group`).  No array
-        of one entry per edge is made that the graph does not keep.  Ids of
-        a dtype that is not an integer one, float or bool, are refused, not
-        cast; an empty list, which numpy reads as float, holds no id."""
+        frozen in place, as an orig_ids of its width is.  Otherwise the
+        edges are grouped by a stable counting sort on dst (`_stable_group`).
+        No array of one entry per edge is made that the graph does not keep.
+        Ids of a dtype that is not an integer one, float or bool, are
+        refused, not cast; an empty list, which numpy reads as float, holds
+        no id."""
         src, dst = np.asarray(src), np.asarray(dst)
         orig_ids = None if orig_ids is None else np.asarray(orig_ids)
         if any(a.dtype.kind not in "iu" and a.size for a in (src, dst, orig_ids)
@@ -152,18 +156,20 @@ class Graph:
         width = _id_dtype(n)
         if dst.dtype.kind != "i":  # bincount takes no uint64
             dst = dst.astype(width)
-        in_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(_id_counts(dst, n), out=in_ptr[1:])
+        in_ptr = np.zeros(n + 1, dtype=_id_dtype(m + 1))
+        np.cumsum(_id_counts(dst, n, in_ptr.dtype), out=in_ptr[1:])
         if _is_sorted(dst):
             in_src = np.ascontiguousarray(src, dtype=width)
         else:  # group in-edges by destination
             in_src = _stable_group(dst, src, in_ptr[:-1], width)
         if orig_ids is not None:
-            orig_ids = np.asarray(orig_ids, dtype=np.int64)
+            top = int(orig_ids.max(initial=0))
+            orig_ids = orig_ids.astype(_id_dtype(top + 1), copy=False)
         return cls(n=n, m=m, in_ptr=in_ptr, in_src=in_src, orig_ids=orig_ids)
 
     @property
     def in_deg(self) -> np.ndarray:
+        """Each node's in-edge count, at in_ptr's width."""
         return np.diff(self.in_ptr)
 
 

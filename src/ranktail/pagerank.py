@@ -107,48 +107,50 @@ def _in_edge_kernel(g: Graph):
     w over the in-edges of i, then, when ``finish`` is given, calls
     finish(lo, hi) for the node range [lo, hi) of each run of blocks.
 
-    The table of non-empty rows and their blocks (`blocks._segment_blocks`)
-    are built once, here.  A block holds whole rows, and a row longer than
-    _BLOCK_EDGES is a block of its own.  reduceat mishandles empty segments,
-    so it runs over the non-empty rows only and their sums are scattered into
-    ``out``.  Blocks write disjoint rows of ``out``, and each block's gathered
-    values and sums live only while it runs.  The blocks are grouped, by the
-    same cut, into runs of about m / CPUs edges, one `_map_ordered` item
-    each, so that no CPU waits on a window of small items behind a hub's
-    block; a block longer than that is a run of its own.
+    The blocks (`blocks._segment_blocks` over every row's in-degree) are cut
+    once, here.  A block holds whole rows, a row longer than _BLOCK_EDGES is
+    a block of its own, and each block ends at its last non-empty row.  A
+    block's sums are one reduceat of its gathered values at its rows'
+    offsets, read off in_ptr, and assigned to its rows of ``out``; no table
+    of rows or offsets is kept.  reduceat gives an empty row the value at
+    its offset, so every empty row of a run, inside a block or between two,
+    is then zeroed from one sorted list of the empty rows, at the id width.
+    Blocks write disjoint rows of ``out``, and each block's gathered values
+    and sums live only while it runs.  The blocks are grouped, by the same
+    cut, into runs of about m / CPUs edges, one `_map_ordered` item each,
+    so that no CPU waits on a window of small items behind a hub's block; a
+    block longer than that is a run of its own.
 
     Each run owns the contiguous node range its blocks cover, and the empty
     rows between two runs go to the later run: run 0 starts at node 0 and
     the last run ends at n.  A graph of no edge has one run of no block,
-    owning every node.  A run zeroes its range of ``out`` before it
-    scatters, and ``finish`` runs over the ranges in a second pass, once
-    every sum is in, since a run's gather reads w over all nodes.
+    owning every node.  ``finish`` runs over the ranges in a second pass,
+    once every sum is in, since a run's gather reads w over all nodes.
     """
-    rows = np.flatnonzero(g.in_deg)
-    starts = g.in_ptr[rows]
-    blocks = _segment_blocks(g.in_ptr[rows + 1] - starts, _BLOCK_EDGES)
-    for e0, _, r0, r1 in blocks:
-        starts[r0:r1] -= e0
-    # kept at the id width, which also holds every offset: a block's rows
-    # start less than _BLOCK_EDGES after it does
-    width = graph._id_dtype(g.n)
-    rows, offsets = rows.astype(width), starts.astype(width)
-    del starts
+    in_ptr, in_deg = g.in_ptr, g.in_deg
+    blocks = _segment_blocks(in_deg, _BLOCK_EDGES)
+    # a block ending at edge e1 ends after its last row that starts before
+    # e1; searched at in_ptr's width, so that in_ptr is not copied
+    stops = np.searchsorted(in_ptr, np.array([e1 for _, e1, _, _ in blocks], in_ptr.dtype))
+    blocks = [(e0, e1, r0, r1) for (e0, e1, r0, _), r1 in zip(blocks, stops.tolist())]
+    # at the width that holds a run's bound n, so the bounds search copies nothing
+    empty = np.flatnonzero(in_deg == 0).astype(graph._id_dtype(g.n + 1))
     sizes = np.array([e1 - e0 for e0, e1, _, _ in blocks], np.int64)
     groups = _segment_blocks(sizes, max(-(-g.m // blocks_mod._cpu_count()), 1))
     # a run ends after the last row of its last block, the last run at n
-    ends = [int(rows[blocks[b1 - 1][3] - 1]) + 1 for _, _, _, b1 in groups[:-1]] + [g.n]
+    ends = [blocks[b1 - 1][3] for _, _, _, b1 in groups[:-1]] + [g.n]
     runs = [(lo, hi, blocks[b0:b1])
             for lo, hi, (_, _, b0, b1) in zip([0, *ends], ends, groups)] or [(0, g.n, [])]
 
     def sums(w: np.ndarray, out: np.ndarray, finish=None) -> None:
         def run(item):
             lo, hi, cuts = item
-            out[lo:hi] = 0.0
             for e0, e1, r0, r1 in cuts:
                 # a Graph's ids lie in [0, n), and "clip" skips the bounds check
                 seg = np.take(w, g.in_src[e0:e1], mode="clip")
-                out[rows[r0:r1]] = np.add.reduceat(seg, offsets[r0:r1])
+                out[r0:r1] = np.add.reduceat(seg, in_ptr[r0:r1] - e0)
+            z0, z1 = np.searchsorted(empty, np.array([lo, hi], empty.dtype)).tolist()
+            out[empty[z0:z1]] = 0.0
 
         for _ in _map_ordered(run, runs):
             pass
@@ -201,12 +203,13 @@ def _series(g: Graph, params: list[PageRankParams]):
     consumer that drops each vector when done with it holds at most one.
 
     The series holds x = x_k, x_next, w = x / out_deg (0 at dangling nodes)
-    and one accumulator per damping still running; the kernel's row tables
-    are built before them.  Each product is the kernel's gather into x_next
-    (pass A), then pass B over each run's node range, a piece of
-    _PIECE_NODES nodes at a time: x_next gets the dangling mass, each
-    accumulator (1 - c) c^(k-1) x, x becomes |x_next - x| and w becomes
-    x_next / out_deg, with the reciprocals taken from out_deg per piece.
+    and one accumulator per damping still running; the kernel's blocks and
+    its list of empty rows are built before them.  Each product is the
+    kernel's gather into x_next (pass A), then pass B over each run's node
+    range, a piece of _PIECE_NODES nodes at a time: x_next gets the
+    dangling mass, each accumulator (1 - c) c^(k-1) x, x becomes
+    |x_next - x| and w becomes x_next / out_deg, with the reciprocals taken
+    from out_deg per piece.
     The L1 step is then one sum of x, after which x is free: a snapshot is
     built in it.  Every value is the one the elementwise passes over whole
     vectors give, on any CPU count.

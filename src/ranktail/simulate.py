@@ -254,15 +254,22 @@ def _pool_indegrees(spec: ModelSpec, gen: int) -> np.ndarray:
     """The in-degrees of pool generation ``gen``: owner i's rate T comes
     from stratum strata[i] of M, strata being the permutation of range(M)
     keyed (gen, 2), so every stratum of T is drawn once; the owners lo..
-    draw in pieces of ``_PIECE``, keyed (gen, 0, lo), mapped over the CPUs."""
+    draw in pieces of ``_PIECE``, keyed (gen, 0, lo), mapped over the CPUs,
+    each writing its slice of the one int64 count array.  The strata are
+    range(M) at int32, shuffled: the permutation that permutation(M) gives,
+    in half its bytes."""
     m = spec.pool_size
-    strata = _keyed(spec.seed, gen, 2).permutation(m)
+    strata = np.arange(m, dtype=np.int32 if m <= 2**31 else np.int64)
+    _keyed(spec.seed, gen, 2).shuffle(strata)
+    counts = np.empty(m, np.int64)
 
     def piece(lo):
-        return spec.indegree.sample_strata(_keyed(spec.seed, gen, 0, lo),
-                                           strata[lo:lo + _PIECE], m)
+        counts[lo:lo + _PIECE] = spec.indegree.sample_strata(
+            _keyed(spec.seed, gen, 0, lo), strata[lo:lo + _PIECE], m)
 
-    return np.concatenate(list(_map_ordered(piece, range(0, m, _PIECE))))
+    for _ in _map_ordered(piece, range(0, m, _PIECE)):
+        pass
+    return counts
 
 
 def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:

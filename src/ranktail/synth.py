@@ -58,10 +58,11 @@ def generate(spec: SynthSpec) -> Graph:
     the assigned classes leave no out-capacity but in-stubs exist.
 
     The ids are at the width of `graph._id_dtype` (int32 up to 2**31
-    nodes).  Every draw is made on the calling thread, in the same order
-    whatever the CPU count: the sources' uniforms in pieces of _DRAW_PIECE,
-    which draw the same numbers as one call, then the redraws.  Each piece's
-    stub lookup, destinations and self-loop check are mapped over every CPU
+    nodes), and in_ptr and out_deg at the width of m + 1.  Every draw is
+    made on the calling thread, in the same order whatever the CPU count:
+    the sources' uniforms in pieces of _DRAW_PIECE, which draw the same
+    numbers as one call, then the redraws.  Each piece's stub lookup,
+    destinations and self-loop check are mapped over every CPU
     (`blocks._map_ordered`).  No array of one entry per edge is made but the
     out-stub table and in_src: each piece's destinations are found from the
     in-degrees (`_segment_counts`), and only redrawn edges are checked again.
@@ -77,9 +78,9 @@ def generate(spec: SynthSpec) -> Graph:
     width = _id_dtype(n)
     stubs = np.repeat(np.arange(n, dtype=width), assigned)  # owner of each out-stub
     capacity = stubs.size
-    in_ptr = np.zeros(n + 1, dtype=np.int64)
+    m = int(indeg.sum())
+    in_ptr = np.zeros(n + 1, dtype=_id_dtype(m + 1))
     ends = np.cumsum(indeg, out=in_ptr[1:])
-    m = int(ends[-1])
     if m and capacity == 0:
         raise ValueError("no out-capacity assigned but in-stubs exist")
 
@@ -108,6 +109,7 @@ def generate(spec: SynthSpec) -> Graph:
         redrawn = np.empty(loops.size, dtype=width)
         owners(rng.random(loops.size), redrawn)
         src[loops] = redrawn
-        loops = loops[redrawn == np.searchsorted(ends, loops, side="right")]
+        # searched at ends' width, which holds every edge index
+        loops = loops[redrawn == np.searchsorted(ends, loops.astype(ends.dtype), side="right")]
     del stubs  # the out-stub table is as large as src; free it before the build
     return Graph(n=n, m=m, in_ptr=in_ptr, in_src=src)

@@ -17,6 +17,7 @@ from .formats import write_csv
 
 _MIN_TAIL = 10  # samples at or above x_min that a fit needs
 _MAX_CCDF_POINTS = 4096  # x positions a written CCDF keeps
+_CCDF_PIECE = 1 << 16  # sorted values `ccdf` compacts at a time
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,15 @@ def ccdf(values) -> CcdfSeries:
     Zeros count in the denominator but produce no point (log-log plots);
     the trailing zero-fraction point at the maximum is omitted, so a
     vector whose positive values are all equal gives the empty series.
-    Beside ``values`` it holds a sorted copy of the positive values, the
-    run-end indices and ``xs``; the fractions are written over the indices.
+
+    The positive values are sorted in a copy, and the points are compacted
+    into its front: a first pass over pieces of _CCDF_PIECE values counts
+    the run ends, and a second writes each piece's points over the values
+    already read and its fractions into the one float64 output.  ``xs`` is
+    a view of the copy, or, when fewer than half its values are points
+    (tie-heavy input such as in-degrees), a copy of the points, so that the
+    sorted values are not kept alive.  Beside ``values`` it holds the
+    positive-value mask, the sorted copy and the fractions.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
@@ -66,14 +74,21 @@ def ccdf(values) -> CcdfSeries:
     pos.sort()
     # one point at the end of each run of equal values; the largest value
     # closes no run, so its zero-fraction point drops out
-    last = np.flatnonzero(pos[1:] != pos[:-1]).astype(np.int64, copy=False)
-    xs = pos[last]
-    np.subtract(pos.size - 1, last, out=last)  # the samples above each point
-    # an assignment over the same elements casts in place, where a ufunc
-    # with a differently typed out= would copy its input first
-    fractions = last.view(np.float64)
-    fractions[...] = last
+    pieces = [(a, min(a + _CCDF_PIECE, pos.size - 1))
+              for a in range(0, pos.size - 1, _CCDF_PIECE)]
+    fractions = np.empty(sum(np.count_nonzero(pos[a + 1:b + 1] != pos[a:b])
+                             for a, b in pieces))
+    k = 0
+    for a, b in pieces:
+        last = np.flatnonzero(pos[a + 1:b + 1] != pos[a:b])
+        last += a
+        points = pos[last]  # read before the writes below, which end at or before b
+        np.subtract(pos.size - 1, last, out=last)  # the samples above each point
+        fractions[k:k + last.size] = last
+        pos[k:k + last.size] = points
+        k += last.size
     fractions /= v.size
+    xs = pos[:k] if 2 * k >= pos.size else pos[:k].copy()
     return CcdfSeries(xs=xs, fractions=fractions)
 
 

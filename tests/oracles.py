@@ -252,3 +252,12 @@ class SecondGeneration:
             if v_above[p] > max(t_above[p], m_above[p]):
                 child[p] += p_above * p_above * t_above[p]
         return root + child
+
+
+def ccdf_reference(values):
+    """(xs, fractions) of tails.ccdf, found over the whole sorted array at
+    once, as ccdf did before it compacted its points into its sorted copy."""
+    v = np.asarray(values, dtype=float).ravel()
+    pos = np.sort(v[v > 0])
+    last = np.flatnonzero(pos[1:] != pos[:-1])
+    return pos[last], (pos.size - 1 - last) / v.size

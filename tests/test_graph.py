@@ -294,13 +294,14 @@ class TestGraphConstructor:
         del fields["out_deg"], fields["orig_ids"]
         g = Graph(**fields)
         assert g.out_deg.tolist() == [1, 1] and g.orig_ids.tolist() == [0, 1]
-        assert g.out_deg.dtype == g.orig_ids.dtype == np.int64
+        # at the id width of m + 1 and of n: int32 here
+        assert g.out_deg.dtype == g.orig_ids.dtype == np.int32
         assert not any(a.flags.writeable for a in (g.out_deg, g.orig_ids))
 
     def test_from_edges_counts_out_degrees(self, rng):
         src, dst = rng.integers(0, 50, 400), rng.integers(0, 50, 400)
         g = Graph.from_edges(src, dst, 60)
-        assert g.out_deg.dtype == np.int64 and not g.out_deg.flags.writeable
+        assert g.out_deg.dtype == np.int32 and not g.out_deg.flags.writeable
         assert np.array_equal(g.out_deg, np.bincount(src, minlength=60))
         assert np.array_equal(g.orig_ids, np.arange(60))
 
@@ -325,8 +326,8 @@ class TestGraphConstructor:
         in_ptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=7))])
         expected = (in_ptr, src[order], np.bincount(src, minlength=7), np.arange(7))
         for got, want in zip((g.in_ptr, g.in_src, g.out_deg, g.orig_ids), expected):
-            width = np.int32 if got is g.in_src else np.int64  # in_src at the id width
-            assert got.dtype == width and got.tolist() == want.tolist()
+            # every array at the id width of its values, int32 here
+            assert got.dtype == np.int32 and got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("arrays", [
         (np.array([0.9, 1.7]), np.array([1.2, 0.99]), None),
@@ -351,6 +352,11 @@ class TestGraphConstructor:
         src, dst = np.array([2, 0, 1], dtype=np.int32), np.array([0, 1, 1])
         g = Graph.from_edges(src, dst, 3)
         assert g.in_src is src and not src.flags.writeable
+
+
+def small_id_dtype(limit):
+    """`graph._id_dtype` with int32's limit of 2**31 values moved to ``limit``."""
+    return lambda n: np.dtype(np.int32 if n <= limit else np.int64)
 
 
 class TestIdWidth:
@@ -400,6 +406,32 @@ class TestIdWidth:
             assert g.in_ptr.tolist() == [0, *np.cumsum(np.bincount(d, minlength=n))]
             assert g.out_deg.tolist() == np.bincount(src, minlength=n).tolist()
         assert outcome(graph_from_text, text) == outcome(per_line_graph, text)
+
+    @pytest.mark.parametrize("top, width", [(7, np.int32), (8, np.int64)])
+    def test_from_edges_widths_at_the_limit(self, monkeypatch, top, width):
+        # the int32 limit patched down to 8 values: in_ptr and out_deg hold
+        # values up to m, so they widen once m + 1 exceeds it, and orig_ids
+        # once its largest id + 1 does; in_src keeps the width of n = 3
+        monkeypatch.setattr(graph_mod, "_id_dtype", small_id_dtype(8))
+        src, dst = np.arange(top) % 3, np.sort(np.arange(top) % 3)
+        g = Graph.from_edges(src, dst, 3, orig_ids=np.array([0, 1, top]))
+        assert (g.in_ptr.dtype, g.out_deg.dtype, g.orig_ids.dtype) == (width,) * 3
+        assert g.in_src.dtype == np.int32
+        assert g.in_ptr.tolist() == [0, *np.cumsum(np.bincount(dst, minlength=3))]
+        assert g.out_deg.tolist() == np.bincount(src, minlength=3).tolist()
+        assert g.orig_ids.tolist() == [0, 1, top]
+        defaults = Graph(n=3, m=top, in_ptr=g.in_ptr, in_src=g.in_src)
+        assert defaults.out_deg.dtype == width and defaults.orig_ids.dtype == np.int32
+
+    @pytest.mark.parametrize("top, width", [(7, np.int32), (8, np.int64)])
+    def test_load_edge_list_widths_at_the_limit(self, monkeypatch, top, width):
+        # m = top edges over the ids 0, 1 and top
+        monkeypatch.setattr(graph_mod, "_id_dtype", small_id_dtype(8))
+        text = "0 1\n" * (top - 1) + f"1 {top}\n"
+        g = graph_from_text(text)
+        assert (g.in_ptr.dtype, g.out_deg.dtype, g.orig_ids.dtype) == (width,) * 3
+        assert g.in_src.dtype == np.int32
+        assert g.orig_ids.tolist() == [0, 1, top] and g.in_ptr.tolist() == [0, 0, top - 1, top]
 
     def test_ids_beyond_int32_load_at_the_id_width(self):
         text = f"{2**31} {2**40}\n{2**40} 5\n5 {2**31}\n"

@@ -104,28 +104,30 @@ def test_pool_generation_holds_blocks_not_a_chunk_of_draws(monkeypatch):
     assert peak_bytes(lambda: iterate_pool(pool, spec)) / spec.pool_size < 64.0
 
 
-def test_ccdf_writes_its_fractions_over_the_run_ends():
+def test_ccdf_compacts_its_points_into_its_sorted_copy():
     # 2**20 values, a tenth of them zero and the rest distinct: the ccdf holds
-    # the positive-value mask (1 B/value), their sorted copy, the run-end
-    # indices and xs (7.2 B/value each).  Kept to 28 B/value, which an int64
-    # count array made beside the indices and the fractions (another 14.4
-    # B/value) exceeds.
+    # the positive-value mask (1 B/value), their sorted copy and the
+    # fractions (7.2 B/value each), whose points xs are compacted into the
+    # copy, plus one piece's temporaries: about 16 B/value.  Kept to 18
+    # B/value, which a ccdf that holds the run-end indices and xs beside the
+    # sorted copy exceeds: that reads about 21.6 B/value here.
     x = np.random.default_rng(1).random(1 << 20) + 0.5
     x[::10] = 0.0
-    assert peak_bytes(lambda: ccdf(x)) / x.size < 28.0
+    assert peak_bytes(lambda: ccdf(x)) / x.size < 18.0
 
 
 def test_analyze_graph_holds_one_score_vector_at_a_time(monkeypatch):
     # 3 dampings x (final + 2 snapshots) on a generated graph of n = 2**18
     # nodes, on two CPUs.  The series holds x_k, x_{k+1}, w = x_k/out-degree
-    # and one accumulator per damping (48 B/node), the kernel's row tables
-    # at the id width (at most 8 B/node) and the dangling ids (0.4 B/node
-    # here).  A snapshot is analysed in the series' own x_k and a final
-    # vector is its accumulator, so only the CCDF's sorted copy, run ends
-    # and points (about 25 B/node) come on top: about 85 B/node.  Kept to
-    # 92 B/node, which a series that also holds a temporary vector and
-    # 1/out-degree and hands out a fresh copy of each snapshot exceeds: that
-    # reads about 102 B/node here.
+    # and one accumulator per damping (48 B/node), and the kernel the ids of
+    # the dangling nodes and of the empty rows (under 1 B/node here), but no
+    # table of rows or offsets.  A snapshot is analysed in the series' own
+    # x_k and a final vector is its accumulator, so only the CCDF's sorted
+    # copy, into which its points are compacted, its fractions and masks
+    # (about 19 B/node), the fit's masks and the decimated CCDFs kept (2.5
+    # B/node) come on top: about 76 B/node.  Kept to 80 B/node, which a
+    # kernel with row tables and a CCDF that holds its run-end indices and
+    # points beside its sorted copy exceed: that reads about 85 B/node here.
     monkeypatch.setattr(blocks, "_cpu_count", lambda: 2)
     spec = SynthSpec(n=1 << 18, alpha=1.5, d=8.0, outdeg_hist={0: 0.1, 4: 0.68, 24: 0.22},
                      seed=3)
@@ -134,4 +136,4 @@ def test_analyze_graph_holds_one_score_vector_at_a_time(monkeypatch):
     reports = []
     peak = peak_bytes(lambda: reports.append(analyze_graph(g, options)))
     assert len(reports[0][1]) == 10  # the in-degree CCDF and nine score CCDFs
-    assert peak / g.n < 92.0
+    assert peak / g.n < 80.0

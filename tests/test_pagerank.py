@@ -364,7 +364,54 @@ def _kernel_sums(g, w, workers=1):
     return out
 
 
+# in-degrees of the graphs of TestInEdgeKernel.test_every_empty_row_is_zeroed,
+# for blocks of 8 edges, and the shape each must have: the kernel's blocks
+# (e0, e1, r0, r1) end at their last non-empty row
+EMPTY_ROWS = {
+    # rows 0-1 open block 0, row 3 is inside it, rows 11-12 end block 1
+    "block start, middle and end": (
+        [0, 0, 3, 0, 5, 0, 0, 2, 2, 0, 4, 0, 0, 20, 3],
+        lambda deg, blocks: (deg[blocks[0][2]] == 0 and deg[3] == 0 < deg[4]
+                             and blocks[1][3] == 11 and blocks[2][2] == 13)),
+    # row 3's 20 edges are a block of their own, after the empty row 2
+    "hub after an empty row": (
+        [2, 3, 0, 20, 1, 2],
+        lambda deg, blocks: (5, 25, 3, 4) in blocks and deg[2] == 0),
+    "last rows empty": ([3, 5, 2, 4, 0, 0, 0, 0],
+                        lambda deg, blocks: blocks[-1][3] == 4 < deg.size),
+    "no edge": ([0, 0, 0, 0], lambda deg, blocks: blocks == []),
+}
+
+
 class TestInEdgeKernel:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(EMPTY_ROWS))
+    def test_every_empty_row_is_zeroed(self, monkeypatch, case, workers):
+        # reduceat gives an empty row the value at its offset; the kernel
+        # zeroes it wherever it lies, and sets every row of out, which
+        # starts as NaN here.  Integer-valued w makes every sum exact
+        monkeypatch.setattr(pagerank_mod, "_BLOCK_EDGES", 8)
+        deg, shaped = EMPTY_ROWS[case]
+        deg = np.array(deg)
+        rng = np.random.default_rng(5)
+        g = rows_graph(rng, deg)
+        mapped = []
+
+        def spy(fn, items):
+            items = list(items)
+            mapped.append(items)
+            return blocks_mod._map_ordered(fn, items)
+
+        monkeypatch.setattr(pagerank_mod, "_map_ordered", spy)
+        w = rng.integers(1, 1000, g.n).astype(float)
+        expected = np.bincount(np.repeat(np.arange(g.n), deg), weights=w[g.in_src],
+                               minlength=g.n)
+        assert _kernel_sums(g, w, workers).tolist() == expected.tolist()
+        [runs] = mapped
+        assert shaped(deg, [block for _, _, run in runs for block in run])
+        w = rng.random(g.n)
+        assert np.array_equal(_kernel_sums(g, w, workers), _kernel_sums(g, w))
+
     def test_blocks_against_bincount(self, rng, monkeypatch):
         monkeypatch.setattr(blocks_mod, "_cpu_count", lambda: 2)
         g = hub_graph(rng)

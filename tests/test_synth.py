@@ -9,6 +9,7 @@ from oracles import solved_histogram
 from ranktail.graph import Graph, degree_profile
 from ranktail.simulate import EffectiveOutdegreeSampler
 from ranktail import blocks
+from ranktail import graph as graph_mod
 from ranktail import synth as synth_mod
 from ranktail.synth import SynthSpec, generate
 from ranktail.tails import fit_exponent_mle
@@ -104,6 +105,22 @@ class TestGenerate:
         assert a.in_src.tobytes() == b.in_src.tobytes()
         assert a.in_ptr.tobytes() == b.in_ptr.tobytes()
         assert a.out_deg.tobytes() == b.out_deg.tobytes()
+
+    @pytest.mark.parametrize("extra, width", [(1, np.int32), (0, np.int64)])
+    def test_widths_at_the_limit(self, monkeypatch, extra, width):
+        # the int32 limit patched down to m + extra values: in_ptr and
+        # out_deg, whose values lie in [0, m], widen when m + 1 exceeds it;
+        # the ids, of n = 5,000 < m, stay int32, and every value is the same
+        g = generate(spec_for(n=5_000, seed=12))
+        limit = g.m + extra
+        narrow = lambda n: np.dtype(np.int32 if n <= limit else np.int64)
+        monkeypatch.setattr(synth_mod, "_id_dtype", narrow)
+        monkeypatch.setattr(graph_mod, "_id_dtype", narrow)
+        h = generate(spec_for(n=5_000, seed=12))
+        assert (h.in_ptr.dtype, h.out_deg.dtype) == (width, width)
+        assert h.in_src.dtype == h.orig_ids.dtype == np.int32
+        for name in ("in_ptr", "in_src", "out_deg", "orig_ids"):
+            assert getattr(h, name).tolist() == getattr(g, name).tolist()
 
     def test_graph_digest_pinned(self):
         # digests taken before the in-degree law moved into InDegreeLaw, at

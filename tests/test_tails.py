@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collected import masked_fit
-from oracles import brute_force_ccdf, pareto_samples
+from oracles import brute_force_ccdf, ccdf_reference, pareto_samples
 from ranktail import tails
 from ranktail.tails import ccdf, choose_xmin, decimate_ccdf, fit_exponent_mle
 
@@ -67,6 +67,46 @@ def test_ccdf_matches_brute_force(values):
     assert list(s.fractions) == [f for _, f in expected]
     # one distinct positive value leaves no point, and nothing else
     assert (s.xs.size == 0) == (len({v for v in values if v > 0}) == 1)
+
+
+@st.composite
+def piece_sized_values(draw, piece):
+    """Values whose positive count is about one or two pieces of ``piece``,
+    with ties, zeros, a single value or all values equal."""
+    size = draw(st.sampled_from([1, piece - 1, piece, piece + 1, 2 * piece - 1, 2 * piece,
+                                 2 * piece + 1]).filter(lambda size: size >= 1))
+    kind = draw(st.sampled_from(["ties", "distinct", "equal"]))
+    if kind == "equal":
+        positives = [draw(st.floats(1e-300, 1e300))] * size
+    else:
+        element = st.integers(1, 3) if kind == "ties" else st.floats(1e-300, 1e300)
+        positives = draw(st.lists(element, min_size=size, max_size=size))
+    zeros = [0.0] * draw(st.integers(0, 3))
+    return draw(st.permutations(positives + zeros))
+
+
+@pytest.mark.parametrize("piece", [1, 2, 5])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ccdf_in_pieces_equals_the_whole_array_reference(piece, data):
+    # the points compacted a piece at a time are those found over the whole
+    # sorted array at once, to the last bit
+    values = data.draw(piece_sized_values(piece))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tails, "_CCDF_PIECE", piece)
+        s = ccdf(values)
+    xs, fractions = ccdf_reference(values)
+    assert s.xs.tobytes() == xs.tobytes()
+    assert s.fractions.tobytes() == fractions.tobytes()
+
+
+def test_ccdf_keeps_its_sorted_copy_only_when_most_values_are_points(rng):
+    # distinct values: xs is a view of the sorted copy; in-degree-like ties:
+    # xs owns its few points, so the sorted copy is freed
+    distinct = ccdf(rng.random(100_000))
+    assert distinct.xs.base is not None and distinct.xs.base.size == 100_000
+    ties = ccdf(rng.integers(0, 50, 100_000).astype(float))
+    assert ties.xs.size == 48 and ties.xs.base is None
 
 
 @given(values=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=50),
