@@ -1,9 +1,10 @@
 """Work cut into blocks and mapped over every CPU the process may use.
 
 `_map_ordered` is the one place ranktail makes threads: the edge-list
-loader and writer, the PageRank kernel and the pool simulator all map their
-chunks or blocks through it.  `_segment_blocks` and `_segment_counts` cut
-runs of elements at segment (in-list, owner) boundaries.
+loader and writer, the PageRank kernel, the graph generator and the pool
+simulator all map their chunks or blocks through it.  `_segment_blocks` and
+`_segment_counts` cut runs of elements at segment (in-list, owner)
+boundaries.  This module imports no other ranktail module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 
 def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on: its affinity mask, so
+    ``taskset -c 0`` gives 1."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform

@@ -125,6 +125,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pagerank(args) -> int:
+    """Write each damping's final scores and each snapshot it took, one CSV
+    each, when the series takes them (`pagerank._series`), and drop each
+    vector once written, so beside the series' own vectors it holds at most
+    one, a damping's final scores.  Exit 4 when a damping did not converge."""
     # the PageRank options are checked before the graph is read
     params = series_params(args.damping, args.tol, args.max_iters, args.snapshots)
     g = _load_graph(args)

@@ -149,7 +149,8 @@ def _read_edges(source, drop_self_loops: bool) -> list[np.ndarray]:
     its self-loops left out when drop_self_loops is set.
 
     Each chunk's ids are copied into two columns as they come, so no
-    chunk's arrays outlive it.  The columns start with room for 2**24 ids,
+    chunk's arrays outlive it, and neither the whole input nor a table of
+    both columns is held.  The columns start with room for 2**24 ids,
     so that no input of up to 16M edges is copied to grow them; a full
     column doubles its capacity.  Capacity not yet written takes no
     memory, only address space."""

@@ -103,7 +103,8 @@ class Graph:
         """Check the arrays against n, m and each other, then freeze them.  The
         PageRank kernel reads in_src without a bounds check, so its ids must lie
         in [0, n), and divides by out_deg, so it must count in_src's sources.
-        An out_deg left out is that count, and orig_ids left out are 0..n-1."""
+        An out_deg left out is that count.  orig_ids must hold n non-negative
+        ids, and orig_ids left out are 0..n-1."""
         n, m = self.n, self.m
         if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "i"
                    for a in (self.in_ptr, self.in_src, self.out_deg, self.orig_ids)

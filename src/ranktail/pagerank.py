@@ -19,31 +19,12 @@ damping's residual (1/n) ||R_k - R_{k-1}||_1 is c^k times the shared
 iteration k is a pure function of iteration k-1, which makes the
 per-iteration snapshots well defined.
 
-The series is one generator, `_series`, a stream of events: each snapshot
-R_k and each damping's final result is yielded when it is taken.  The
-series holds x_k, x_{k+1}, w = x_k / out_deg and one accumulator per
-damping still running.  A snapshot is lent: it is built in the series' own
-x_k once the residual has been read off it, and is written over when the
-series resumes.  `pagerank_series` copies each snapshot it keeps into one
-result per damping; `report.analyze_graph` and ``ranktail pagerank`` use
-each vector when it comes and drop it, so beside the series' own vectors
-they hold at most one score vector, a damping's final one, and no snapshot
-of their own.
-
-The in-edge sums gather and reduce blocks of about _BLOCK_EDGES edges, cut
-between in-lists by `blocks._segment_blocks`, so a block's gathered values
-are still in cache when they are reduced and no scratch array is larger
-than the largest block.  The blocks are grouped into one run of about
-m / CPUs edges per CPU the process may use, and the runs are mapped over
-those CPUs by `blocks._map_ordered`, as the edge-list loader and writer map
-their chunks; numpy releases the interpreter lock in the gather and the
-reduce.  Each product is two such passes: pass A sums each run's rows into
-x_{k+1}; pass B, once every sum is in, finishes each run's node range a
-piece of _PIECE_NODES nodes at a time (the dangling mass, the accumulators,
-|x_{k+1} - x_k| over x_k and the next w).  A row's sum is the same reduceat
-over the same block whichever thread does it, and every other value is the
-same elementwise operation on the same operands as over whole vectors, so
-scores, snapshots and residuals are bit-identical for every CPU count.
+The in-edge sums run on every CPU the process may use (`_in_edge_kernel`),
+and the series' other passes on the kernel's runs (`_series`).  A row's sum
+is the same reduction of the same edges whichever thread makes it, and
+every other value is the same elementwise operation on the same operands as
+over whole vectors, so scores, snapshots and residuals are bit-identical
+for every CPU count.
 """
 
 from __future__ import annotations
@@ -109,7 +90,9 @@ def _in_edge_kernel(g: Graph):
 
     The blocks (`blocks._segment_blocks` over every row's in-degree) are cut
     once, here.  A block holds whole rows, a row longer than _BLOCK_EDGES is
-    a block of its own, and each block ends at its last non-empty row.  A
+    a block of its own, and each block ends at its last non-empty row, so a
+    block's gathered values are still in cache when they are reduced and no
+    scratch array is larger than the largest block.  A
     block's sums are one reduceat of its gathered values at its rows'
     offsets, read off in_ptr, and assigned to its rows of ``out``; no table
     of rows or offsets is kept.  reduceat gives an empty row the value at
@@ -119,7 +102,9 @@ def _in_edge_kernel(g: Graph):
     and sums live only while it runs.  The blocks are grouped, by the same
     cut, into runs of about m / CPUs edges, one `_map_ordered` item each,
     so that no CPU waits on a window of small items behind a hub's block; a
-    block longer than that is a run of its own.
+    block longer than that is a run of its own.  A run sums its blocks one
+    at a time, and numpy releases the interpreter lock in the gather and the
+    reduce, so the runs proceed in parallel.
 
     Each run owns the contiguous node range its blocks cover, and the empty
     rows between two runs go to the later run: run 0 starts at node 0 and
@@ -178,7 +163,9 @@ def pagerank_series(g: Graph, dampings, tol: float = PageRankParams.tol,
     """Power iteration from R = 1 for every damping at once; each damping stops
     at L1 tolerance or max_iters.  Results come in the order of ``dampings``,
     which must be distinct.  The in-edge sums run on every CPU the process
-    may use."""
+    may use.  Each snapshot the series lends (`_series`) is copied into its
+    damping's result, so every vector is held until the last damping
+    stops."""
     params = series_params(dampings, tol, max_iters, snapshot_iters)
     results: list[PageRankResult | None] = [None] * len(params)
     snapshots: list[dict[int, np.ndarray]] = [{} for _ in params]
@@ -212,7 +199,8 @@ def _series(g: Graph, params: list[PageRankParams]):
     from out_deg per piece.
     The L1 step is then one sum of x, after which x is free: a snapshot is
     built in it.  Every value is the one the elementwise passes over whole
-    vectors give, on any CPU count.
+    vectors give, on any CPU count.  A piece's slices of the series' vectors
+    stay in cache while the piece is finished.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one node")

@@ -51,7 +51,8 @@ def _analyze_vector(values: np.ndarray, xmin: float | None,
 
 def damping_warnings(key: str, result, snapshot_iters) -> list[str]:
     """The warnings of damping ``key``'s run: the requested snapshots after
-    its stop, which were not taken, and its non-convergence."""
+    its stop, which were not taken, and its non-convergence, with its
+    iteration count and last residual."""
     lines = []
     missed = sorted(k for k in set(snapshot_iters) if k > result.iters_run)
     if missed:

@@ -12,24 +12,9 @@ uniformly (with replacement) from the previous pool.  D is the effective
 one uniform each through a guide table (``EffectiveOutdegreeSampler``) that
 gives exactly the class a binary search of the cumulative sums gives.
 
-A generation's random numbers come from streams keyed to the work they
-serve, not to the order of the calls: the PCG64 stream that ``spec.seed``
-spawns under the key (generation, kind, index) (`_keyed`).  The rates T
-of the M owners are stratified: the law of T is cut into M strata of equal
-probability, a permutation keyed (generation, 2) deals one to each owner,
-and each rate is drawn within its stratum, so the top of T is in every
-generation at its share (`InDegreeLaw.sample_strata`).  The in-degrees
-are drawn in pieces of ``_PIECE`` owners, keyed (generation, 0, first
-owner).  The children are cut into blocks of whole owners by
-`blocks._segment_blocks`, an owner of more than ``_BLOCK`` children into
-parts of its own, and each block draws its uniforms and pool indices from
-(generation, 1, first owner, part), where part is 0 for every block but the
-later parts of one owner.  `blocks._map_ordered` maps the pieces and the
-blocks over every CPU the process may use (as the edge-list loader and
-writer and the PageRank kernel), so each draw is made on the worker that
-uses it.  The blocks depend on the in-degrees only, and the calling thread
-adds their sums into the pool in block order, so pools are byte-identical
-on one CPU and on many.
+A generation draws every random number from a stream keyed to the work it
+serves, not to the order of the calls (`_keyed`), so its pool is
+byte-identical on one CPU and on many (`iterate_pool`).
 """
 
 from __future__ import annotations
@@ -109,8 +94,9 @@ class InDegreeLaw:
 
 class EffectiveOutdegreeSampler:
     """Inverse-CDF table for the size-biased out-degree law q_j = j*p_j/d of
-    a histogram with mean d.  ``values`` and ``probabilities`` hold the
-    support j >= 1 and q_j.
+    a histogram with mean d: the law of the out-degree D of the source of a
+    random edge.  ``values`` and ``probabilities`` hold the support j >= 1
+    and q_j.
 
     A uniform u stands for class i = #{cuts <= u}, the index that
     ``np.searchsorted(cum, u, side="right")`` gives for the cumulative sums
@@ -167,6 +153,9 @@ class ModelSpec:
 
     ``outdeg_hist`` includes the dangling fraction at key 0 and must have
     mean d; building its q_j table, ``effective_outdegree``, validates it.
+    ``indegree`` is the `InDegreeLaw` of alpha and d.  Both are built once,
+    with the spec, and serve every draw of N and D and the P(T > x) of the
+    tail tables.
     ``pool_size`` is the accuracy knob of the population-dynamics estimate;
     the seed fully determines the run.  A "converged" run's generation count
     depends on c and p0 only, not on ``pool_size``.  Near alpha = 1 the pool
@@ -287,9 +276,10 @@ def iterate_pool(pool: SamplePool, spec: ModelSpec) -> SamplePool:
     indices, keyed (g, 1, first owner, part).  `blocks._map_ordered` maps the
     pieces and then the blocks over every CPU the process may use; a block
     draws, looks up D, gathers R, divides and sums each of its non-empty
-    owners with ``np.add.reduceat``, and the calling thread adds the sums
-    into the pool in block order, so an owner cut into parts gets their sums
-    in order.  The blocks depend on the in-degrees only, so pools are
+    owners with ``np.add.reduceat`` on the thread that takes it, so each
+    draw is made where it is used.  The calling thread adds the sums into
+    the pool in block order, so an owner cut into parts gets their sums in
+    order.  The blocks depend on the in-degrees only, so pools are
     byte-identical for every CPU count.  A generation holds the pool, the
     strata while the in-degrees are drawn, the in-degrees, the sums and the
     draws of at most two blocks per CPU, each of at most ``_BLOCK``
@@ -358,8 +348,8 @@ def tail_ratio_table(pool: SamplePool, spec: ModelSpec, c_value: float) -> list[
     """Empirical tail versus the predicted c_value * P(T > x).
 
     Five probes are log-spaced between the pool quantiles at the CCDF levels
-    of ``_CCDF_WINDOW``; rows outside the window (after measuring) carry
-    in_window=False.
+    of ``_CCDF_WINDOW``, 1e-5 and 1e-3; rows outside the window (after
+    measuring) carry in_window=False.
     """
     lo_ccdf, hi_ccdf = _CCDF_WINDOW
     # np.quantile partitions a copy and the probes count, so the pool is sorted
@@ -394,10 +384,12 @@ def simulate_Y_levels(spec: ModelSpec, max_level: int,
 
     Each sample grows a tree where every node has an independent in-degree-N
     number of children and every edge carries weight 1/D; Y_n sums the
-    products of edge weights over all level-n nodes.  Levels beyond 6 are
-    refused (tree size explodes); samples whose node count would exceed
-    ``_NODE_BUDGET`` are aborted and flagged (NaN rows), and trees that die
-    out read 0 from then on.  The spec's seed drives every draw.
+    products of edge weights over all level-n nodes.  As E[N] E[1/D] =
+    1 - p0, (1-p0)^(-n) Y_n is a martingale.  Levels beyond 6 are refused
+    (tree size explodes); samples whose node count would exceed
+    ``_NODE_BUDGET`` (10 million) are aborted and flagged (NaN rows), and
+    trees that die out read 0 from then on.  The spec's seed drives every
+    draw.
 
     All samples grow together, one level at a time: every node carries the
     index of its sample, per-sample child counts come from ``bincount`` and

@@ -28,7 +28,9 @@ from .theory import validate_outdegree_hist
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator parameters.  The histogram includes the dangling fraction at
-    key 0 and must have mean d, checked as ``ModelSpec`` checks its own."""
+    key 0 and must have mean d, checked as ``ModelSpec`` checks its own.
+    ``indegree``, the `InDegreeLaw` of alpha and d, is built once, with the
+    spec, and serves every draw of the in-degrees."""
 
     n: int
     alpha: float
@@ -59,9 +61,10 @@ def generate(spec: SynthSpec) -> Graph:
 
     The ids are at the width of `graph._id_dtype` (int32 up to 2**31
     nodes), and in_ptr and out_deg at the width of m + 1.  Every draw is
-    made on the calling thread, in the same order whatever the CPU count:
-    the sources' uniforms in pieces of _DRAW_PIECE, which draw the same
-    numbers as one call, then the redraws.  Each piece's stub lookup,
+    made on the calling thread, in the same order whatever the CPU count,
+    so a graph is byte-identical on one CPU and on many: the sources'
+    uniforms in pieces of _DRAW_PIECE, which draw the same numbers as one
+    call, then the redraws.  Each piece's stub lookup,
     destinations and self-loop check are mapped over every CPU
     (`blocks._map_ordered`).  No array of one entry per edge is made but the
     out-stub table and in_src: each piece's destinations are found from the
