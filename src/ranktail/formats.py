@@ -336,8 +336,6 @@ def _digit_words(x: np.ndarray, places: np.ndarray) -> list[tuple]:
 def _id_words(x: np.ndarray) -> list[tuple]:
     """(words, flags) pairs that print the non-negative integers ``x`` as
     str(int) does."""
-    if int(x.max(initial=0)) < 2**31:
-        x = x.astype(np.int32)  # narrower arithmetic is faster
     return _digit_words(x, _digit_count(x))
 
 

@@ -47,8 +47,19 @@ class TailFit:
                 "intercept": self.intercept, "tail_count": self.tail_count}
 
 
+def _samples(values) -> np.ndarray:
+    """``values`` as a flat float array, refused unless every one is
+    non-negative and finite.  The check is two reductions, min and max, each
+    NaN when a sample is: it makes no array of the samples' size."""
+    v = np.asarray(values, dtype=float).ravel()
+    for extreme in (v.min(initial=0.0), v.max(initial=0.0)):
+        if not 0 <= extreme < np.inf:
+            raise ValueError(f"values must be non-negative and finite, got {float(extreme)!r}")
+    return v
+
+
 def ccdf(values) -> CcdfSeries:
-    """Empirical CCDF of non-negative data.
+    """Empirical CCDF of non-negative finite data.
 
     Zeros count in the denominator but produce no point (log-log plots);
     the trailing zero-fraction point at the maximum is omitted, so a
@@ -63,11 +74,9 @@ def ccdf(values) -> CcdfSeries:
     sorted values are not kept alive.  Beside ``values`` it holds the
     positive-value mask, the sorted copy and the fractions.
     """
-    v = np.asarray(values, dtype=float).ravel()
+    v = _samples(values)
     if v.size == 0:
         raise ValueError("empty input")
-    if (v < 0).any():
-        raise ValueError("values must be non-negative")
     pos = v[v > 0]  # a copy, so it is sorted in place
     if pos.size == 0:
         raise ValueError("all values are zero; CCDF undefined on log-log axes")
@@ -108,7 +117,8 @@ def write_ccdf_csv(series: CcdfSeries, dest) -> None:
 
 
 def fit_exponent_mle(values, x_min: float) -> TailFit:
-    """Continuous MLE of the cumulative exponent over samples >= x_min.
+    """Continuous MLE of the cumulative exponent over samples >= x_min, of
+    non-negative finite data.
 
     The density exponent estimate is 1 + n_tail / sum(ln(x_i/x_min)); the
     cumulative exponent is that minus 1.  The intercept is least squares on
@@ -116,10 +126,7 @@ def fit_exponent_mle(values, x_min: float) -> TailFit:
     """
     if x_min <= 0:
         raise ValueError("x_min must be positive")
-    v = np.asarray(values, dtype=float).ravel()
-    if (v < 0).any():
-        raise ValueError("values must be non-negative")
-    return _tail_fit(v, x_min)
+    return _tail_fit(_samples(values), x_min)
 
 
 def _tail_fit(v: np.ndarray, x_min: float, series: CcdfSeries | None = None) -> TailFit:

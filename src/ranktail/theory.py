@@ -183,8 +183,10 @@ def predict_line(alpha: float, intercept: float, c_value: float) -> tuple[float,
     """Predicted log-log line for the score CCDF from the in-degree tail's
     exponent alpha and log10 intercept: the same slope, -alpha, and the
     intercept shifted up by log10 of the tail coefficient."""
-    if c_value <= 0:
-        raise ValueError("coefficient must be positive")
+    if not math.isfinite(alpha):
+        raise ValueError(f"in-degree exponent must be finite, got {alpha}")
+    if not 0 < c_value < math.inf:
+        raise ValueError(f"coefficient must be a positive finite float, got {c_value}")
     if not math.isfinite(intercept):
         raise ValueError(f"in-degree intercept must be finite, got {intercept}")
     return (-alpha, intercept + math.log10(c_value))

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -37,6 +38,10 @@ class TestCcdf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ccdf([1.0, -2.0])
+        # a NaN would count as a zero, and an infinite value give a point at inf
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"non-negative and finite, got {bad!r}"):
+                ccdf([bad, 1.0, 2.0, 3.0])
 
     def test_fractions_strictly_decreasing(self, rng):
         s = ccdf(rng.integers(0, 50, 500))
@@ -155,6 +160,12 @@ class TestMleFit:
         x = np.concatenate([[-1.0], np.arange(1.0, 100.0)])
         with pytest.raises(ValueError, match="non-negative"):
             fit_exponent_mle(x, 10.0)
+        # an infinite sample would read alpha_hat = 0.0, and a NaN one drop
+        # out of the tail
+        for bad in (math.nan, math.inf):
+            x[0] = bad
+            with pytest.raises(ValueError, match=f"non-negative and finite, got {bad!r}"):
+                fit_exponent_mle(x, 10.0)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("x_min", [1.0, 3.0, 4.5, 17.0])

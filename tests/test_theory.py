@@ -278,6 +278,17 @@ class TestPredictLine:
         with pytest.raises(ValueError, match=f"in-degree intercept must be finite, got {intercept}"):
             predict_line(1.5, intercept, 0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match=f"in-degree exponent must be finite, got {alpha}"):
+            predict_line(alpha, 0.0, 0.5)
+
+    @pytest.mark.parametrize("c_value", [math.nan, math.inf, 0.0, -0.5])
+    def test_coefficient_must_be_a_positive_finite_float(self, c_value):
+        with pytest.raises(ValueError, match="coefficient must be a positive finite float, "
+                                             f"got {c_value}"):
+            predict_line(1.5, 0.0, c_value)
+
     def test_table_export(self):
         params = TheoryParams(c=0.85, **STANFORD)
         table = coefficient_table(params, k_max=3)

@@ -105,16 +105,22 @@ def fstring_rows(header, first, second, sep, eol):
 FLOATS = [5e-324, 1e16, 0.1, 2 / 3, 1e-05, 123456789.0, 1.5e300, 1.7976931348623157e+308]
 INT64 = np.iinfo(np.int64)
 INT64_EXTREMES = [0, 1, 9, 10, 9_999, 10_000, 2**31 - 1, 2**31, 10**18, INT64.max]
+# integer columns are encoded at the width they arrive in: (dtype, bound
+# of the second column's values, the last of which it holds)
+INT_KINDS = {"int": (np.int64, 2**63 - 1), "int64_below_2**31": (np.int64, 2**31),
+             "int32": (np.int32, 2**31), "uint64": (np.uint64, 2**64)}
 
 
 @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537])
-@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize("kind", [*INT_KINDS, "float"])
 def test_write_rows_matches_fstring_rows(rng, size, kind):
     # write_csv's rows: a header, then "a,b" rows with CRLF endings
     first = rng.integers(0, 10**15, size)
     first[:len(INT64_EXTREMES)] = INT64_EXTREMES[:size]
-    if kind == "int":
-        second = rng.integers(0, 2**63 - 1, size, dtype=np.int64)
+    if kind in INT_KINDS:
+        dtype, bound = INT_KINDS[kind]
+        second = rng.integers(0, bound, size, dtype=dtype)
+        second[-1:] = bound - 1
     else:
         second = np.resize(np.array(FLOATS), size)
     expected = fstring_rows("a,b", first, second, ",", "\r\n")
@@ -138,7 +144,7 @@ def id_pairs_graph(first, second):
                             orig_ids=np.concatenate([first, second]))
 
 
-# every digit count from 1 to 19, and each side of the 32-bit arithmetic
+# every digit count from 1 to 19, and each side of 2**31, past which ids are int64
 EDGE_IDS = sorted({0, *(10**k - 1 for k in range(1, 19)), *(10**k for k in range(19)),
                    2**31 - 1, 2**31, 2**63 - 1})
 
